@@ -136,23 +136,31 @@ def _match_behavior(text: str) -> ParsedBehavior | None:
     return None
 
 
-def classify_sentence(text: str) -> str:
-    """Classify a sentence as ``condition``, ``behavior``, or ``unknown``.
+def parse_sentence(text: str) -> tuple[str, ParsedBehavior | None]:
+    """Classify a sentence as ``condition``, ``behavior``, or ``unknown`` and,
+    for a behavior, parse it in the same pass.
 
     Total: every sentence maps to exactly one kind, with ``unknown`` as the
-    fallback for anything outside the template grammar.
+    fallback for anything outside the template grammar. The parse is set iff
+    the kind is ``behavior``.
     """
     stripped = text.strip()
     if _CONDITION_RE.match(stripped):
-        return "condition"
-    if _match_behavior(stripped) is not None:
-        return "behavior"
-    return "unknown"
+        return "condition", None
+    parsed = _match_behavior(stripped)
+    if parsed is None:
+        return "unknown", None
+    return "behavior", parsed
+
+
+def classify_sentence(text: str) -> str:
+    """The kind ``parse_sentence`` assigns to ``text``."""
+    return parse_sentence(text)[0]
 
 
 def parse_behavior(text: str) -> ParsedBehavior:
     """Parse a behavior sentence; requires classify_sentence(text) == 'behavior'."""
-    parsed = _match_behavior(text)
+    parsed = parse_sentence(text)[1]
     if parsed is None:
         raise ValueError(f"not a behavior sentence: {text!r}")
     return parsed

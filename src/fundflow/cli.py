@@ -21,7 +21,6 @@ from .fusion import decide, fuse
 from .metrics import compute_metrics, sweep_to_csv, threshold_sweep
 from .pipeline import RunConfig, make_transport, run_batch, run_detect, run_static, write_json
 from .probing import ProbeDistribution, run_stage1, run_stage2
-from .reachability import render_path
 
 
 _CONFIG_FIELDS = {f.name: f.type for f in dataclasses.fields(RunConfig)}
@@ -128,8 +127,8 @@ def cmd_flow(args: argparse.Namespace) -> int:
     config = build_config(args)
     desc = load_description(args.input)
     static = run_static(desc, config)
-    for path in static.enumeration.paths:
-        print(render_path(path))
+    for rendered in static.rendered_paths:
+        print(rendered)
     if static.enumeration.truncated:
         print("warning: enumeration truncated by limits", file=sys.stderr)
     return 0

@@ -87,6 +87,11 @@ def normalize_entity(
     name = raw.strip()
     if is_constant(name):
         raise ConstantEntity(f"{raw!r} is a literal, not an entity")
+    return _variable(name, scope, extra_globals)
+
+
+def _variable(name: str, scope: str, extra_globals: frozenset[str]) -> EntityId:
+    """Data entity for a stripped name already known not to be a literal."""
     if is_global_name(name, extra_globals):
         return EntityId(scope="", name=name, flavor=VARIABLE)
     return EntityId(scope=scope, name=name, flavor=VARIABLE)
@@ -98,9 +103,10 @@ def _sources(
     out: list[EntityId] = []
     seen: set[EntityId] = set()
     for raw in raws:
-        if is_constant(raw):
+        name = raw.strip()
+        if is_constant(name):
             continue
-        ent = normalize_entity(raw, scope, extra_globals)
+        ent = _variable(name, scope, extra_globals)
         if ent not in seen:
             seen.add(ent)
             out.append(ent)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .behavior import ParsedBehavior, classify_sentence, parse_behavior
+from .behavior import ParsedBehavior, parse_sentence
 from .description import ContractDescription, FunctionChunk
 from .errors import MalformedNesting
 
@@ -78,10 +78,10 @@ def _build_tree(forest: ContractForest, chunk: FunctionChunk) -> int:
                 f"in {chunk.signature}: sentence {sentence.text!r} at depth "
                 f"{sentence.depth} after depth {prev_depth}"
             )
-        kind = classify_sentence(sentence.text)
-        node = DepNode(id=len(forest.nodes), kind=kind, text=sentence.text)
-        if kind == BEHAVIOR:
-            node.behavior = parse_behavior(sentence.text)
+        kind, parsed = parse_sentence(sentence.text)
+        node = DepNode(
+            id=len(forest.nodes), kind=kind, text=sentence.text, behavior=parsed
+        )
         forest.nodes.append(node)
         forest.nodes[parents[sentence.depth]].children.append(node.id)
         del parents[sentence.depth + 1 :]

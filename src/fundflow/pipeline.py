@@ -81,10 +81,17 @@ def make_transport(config: RunConfig):
 
 
 def write_json(out_dir: str, name: str, payload: dict) -> str:
+    """Write ``payload`` as one line of compact UTF-8 JSON plus a newline.
+
+    ``json.dumps`` without ``indent`` runs on the C encoder, which ``indent``
+    or ``json.dump`` to a file would leave for the pure-Python one. The
+    newline is a second ``write`` so the encoded text is not copied.
+    """
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, name)
+    text = json.dumps(payload, ensure_ascii=False, separators=(",", ":"))
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, ensure_ascii=False)
+        fh.write(text)
         fh.write("\n")
     return path
 
@@ -96,6 +103,7 @@ class StaticArtifacts:
     anchors: AnchorSets
     enumeration: object
     indicators: object
+    rendered_paths: list[str]  # render_path of each enumerated path, in order
 
 
 def run_static(
@@ -120,8 +128,9 @@ def run_static(
     )
     reach = forward_reach(graph, anchors.ingress)
     enumeration = prune_and_enumerate(graph, reach, anchors, config.limits())
+    rendered_paths = [render_path(p) for p in enumeration.paths]
     if persist:
-        write_json(out, "paths.json", paths_to_json(enumeration))
+        write_json(out, "paths.json", paths_to_json(enumeration, rendered_paths))
     indicators = compute_indicators(forest)
     if persist:
         write_json(out, "indicators.json", indicators.to_json())
@@ -131,6 +140,7 @@ def run_static(
         anchors=anchors,
         enumeration=enumeration,
         indicators=indicators,
+        rendered_paths=rendered_paths,
     )
 
 
@@ -155,7 +165,7 @@ def assemble_bundle(
         functions=stage1.functions,
         unknown_functions=unknown,
         indicators=static.indicators,
-        paths=[render_path(p) for p in static.enumeration.paths],
+        paths=list(static.rendered_paths),
     )
 
 

@@ -9,6 +9,7 @@ question texts live in package assets so they stay byte-stable.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import asdict, dataclass, field
 from importlib import resources
 
@@ -43,6 +44,7 @@ _HINTS = {
 }
 
 
+@functools.cache  # package files: a handful, fixed for the life of the process
 def _asset(name: str) -> str:
     return (
         resources.files("fundflow").joinpath("assets", name).read_text(encoding="utf-8")

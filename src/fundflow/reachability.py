@@ -212,18 +212,24 @@ def render_path(path: FundFlowPath) -> str:
     return " ".join(parts)
 
 
-def paths_to_json(result: EnumerationResult) -> dict:
+def paths_to_json(
+    result: EnumerationResult, rendered: list[str] | None = None
+) -> dict:
+    """``rendered``, when given, holds ``render_path`` of each path in result
+    order, so a caller that already rendered the paths does not do it twice."""
+    if rendered is None:
+        rendered = [render_path(p) for p in result.paths]
     return {
         "truncated": result.truncated,
         "paths": [
             {
-                "rendered": render_path(p),
+                "rendered": text,
                 "hops": [
                     {"id": h.key(), "display": h.display} for h in p.hops
                 ],
                 "conditions": [list(c) for c in p.conditions],
             }
-            for p in result.paths
+            for p, text in zip(result.paths, rendered, strict=True)
         ],
     }
 

@@ -135,3 +135,44 @@ def test_classify_total(text):
 @given(st.sampled_from(bh.CONDITION_PREFIXES), st.text(max_size=40))
 def test_condition_prefix_always_wins(prefix, rest):
     assert bh.classify_sentence(f"{prefix} {rest}") == "condition"
+
+
+def _two_pass(text):
+    """The classify-then-parse pair as the forest ran it before
+    ``parse_sentence``: the behavior table is matched once per call."""
+    stripped = text.strip()
+    if bh._CONDITION_RE.match(stripped):
+        return "condition", None
+    if bh._match_behavior(stripped) is None:
+        return "unknown", None
+    return "behavior", bh._match_behavior(text)
+
+
+_TEMPLATE_HEADS = bh.CONDITION_PREFIXES + (
+    "it updates the state variable stor_1 to",
+    "it triggers the external call to stor_2.f(",
+    "it delegates a call to g(",
+    "it creates a new smart contract with creation code c",
+    "it transfers",
+    "it returns",
+    "it emits the log event with parameter(s)",
+    "it calls a built-in function",
+    "it",
+    " It",
+)
+
+
+@given(
+    st.one_of(
+        st.text(max_size=200),
+        st.builds(
+            "{} {}".format, st.sampled_from(_TEMPLATE_HEADS), st.text(max_size=60)
+        ),
+    )
+)
+def test_parse_sentence_matches_two_pass(text):
+    assert bh.parse_sentence(text) == _two_pass(text)
+    kind, parsed = bh.parse_sentence(text)
+    assert bh.classify_sentence(text) == kind
+    if kind == "behavior":
+        assert bh.parse_behavior(text) == parsed

@@ -4,6 +4,7 @@ import os
 import pytest
 
 from fundflow.description import chunk_flat_text
+from fundflow import pipeline
 from fundflow.errors import ReplayMiss
 from fundflow.pipeline import (
     RunConfig,
@@ -15,6 +16,7 @@ from fundflow.pipeline import (
     write_json,
 )
 from fundflow.probing import run_stage1
+from fundflow.reachability import render_path
 from fundflow.transport import LiveTransport, RecordTransport, ReplayTransport
 
 from conftest import ADVERSARIAL_ROWS, BENIGN_ROWS, FIXTURE_TEXT, ScriptedTransport
@@ -71,6 +73,47 @@ def test_artifacts_end_with_newline(tmp_path):
     raw = open(path, "rb").read()
     assert raw.endswith(b"\n")
     assert "ü".encode("utf-8") in raw  # not ascii-escaped
+
+    # one compact line, newlines inside strings stay escaped
+    payload = {"text": "zwölf\nlines", "nested": [{"a": 1.5, "b": None}, []]}
+    raw = open(write_json(str(tmp_path), "y.json", payload), "rb").read()
+    assert raw.count(b"\n") == 1 and raw.endswith(b"\n")
+    assert b" " not in raw
+    assert json.loads(raw.decode("utf-8")) == payload
+
+
+def test_every_artifact_round_trips(tmp_path, monkeypatch):
+    written = {}
+    real_write_json = pipeline.write_json
+
+    def spy(out_dir, name, payload):
+        written[name] = payload
+        return real_write_json(out_dir, name, payload)
+
+    monkeypatch.setattr(pipeline, "write_json", spy)
+    out = str(tmp_path / "run")
+    config = RunConfig(out_dir=out)
+    desc = chunk_flat_text(FIXTURE_TEXT, "fixture")
+    run_detect(desc, config, transport=ScriptedTransport(config.params(), ADVERSARIAL_ROWS))
+
+    assert sorted(written) == sorted(STATIC_NAMES + MODEL_NAMES)
+    for name, payload in written.items():
+        with open(os.path.join(out, name), encoding="utf-8") as fh:
+            assert fh.read().count("\n") == 1, name
+        assert read_json(out, name) == payload, name
+
+
+def test_paths_rendered_once_for_both_consumers(tmp_path):
+    out = str(tmp_path / "run")
+    config = RunConfig(out_dir=out)
+    desc = chunk_flat_text(FIXTURE_TEXT, "fixture")
+    static = run_static(desc, config)
+    assert static.rendered_paths == [render_path(p) for p in static.enumeration.paths]
+    assert [p["rendered"] for p in read_json(out, "paths.json")["paths"]] == (
+        static.rendered_paths
+    )
+    stage1 = run_stage1(desc, ScriptedTransport(config.params(), ADVERSARIAL_ROWS))
+    assert assemble_bundle(desc, static, stage1).paths == static.rendered_paths
 
 
 def test_run_detect_with_injected_transport(tmp_path):
