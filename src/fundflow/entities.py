@@ -10,7 +10,7 @@ document order so repeated calls to the same target stay distinct.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from . import behavior as bh
 from .errors import ConstantEntity
@@ -39,12 +39,28 @@ def is_constant(raw: str) -> bool:
 
 @dataclass(frozen=True, order=True)
 class EntityId:
-    """Canonical node identity; equal ids are the same graph node."""
+    """Canonical node identity; equal ids are the same graph node.
+
+    The key and the hash are computed once, at construction: graph building,
+    reachability and serialization ask for them many times per entity.
+    """
 
     scope: str  # "" for contract-level entities
     name: str
     flavor: str = VARIABLE
     occurrence: int = 0  # instance number for operation entities, 0 for variables
+    _key: str = field(init=False, repr=False, compare=False)
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        base = self.name if not self.scope else f"{self.scope}:{self.name}"
+        key = f"{base}#{self.occurrence}" if self.flavor == OPERATION else base
+        object.__setattr__(self, "_key", key)
+        fields = (self.scope, self.name, self.flavor, self.occurrence)
+        object.__setattr__(self, "_hash", hash(fields))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def display(self) -> str:
@@ -55,8 +71,7 @@ class EntityId:
         return f"{self.scope}:{self.name}"
 
     def key(self) -> str:
-        base = self.name if not self.scope else f"{self.scope}:{self.name}"
-        return f"{base}#{self.occurrence}" if self.flavor == OPERATION else base
+        return self._key
 
     @staticmethod
     def from_key(key: str, flavor: str = VARIABLE) -> "EntityId":

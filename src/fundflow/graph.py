@@ -10,7 +10,9 @@ which is what links flows across functions.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from itertools import chain
 
 from .entities import (
     OPERATION,
@@ -23,48 +25,14 @@ from .entities import (
 from .forest import BEHAVIOR, CONDITION, ContractForest
 
 
-class ConditionStack:
-    """DFS path of condition texts with a monotonic push counter.
-
-    The counter never decreases, so a snapshot taken at visit time identifies
-    exactly which conditions were pushed afterwards, even across pops.
-    """
-
-    def __init__(self) -> None:
-        self._stack: list[tuple[str, int]] = []
-        self._pushes = 0
-
-    def push(self, text: str) -> None:
-        self._pushes += 1
-        self._stack.append((text, self._pushes))
-
-    def pop(self) -> None:
-        self._stack.pop()
-
-    @property
-    def counter(self) -> int:
-        return self._pushes
-
-    def entries(self) -> tuple[tuple[str, int], ...]:
-        return tuple(self._stack)
-
-
 @dataclass
 class VisitRecord:
-    """First-visit state of an entity within one function traversal."""
+    """First-visit state of an entity within one function traversal:
+    ``condition_snapshot`` is the number of conditions pushed before it."""
 
     entity: EntityId
     conditions: tuple[str, ...]
     condition_snapshot: int
-
-
-def collect_condition_delta(stack: ConditionStack, record: VisitRecord) -> list[str]:
-    """Conditions currently on the stack that were pushed after the record."""
-    out: list[str] = []
-    for text, counter in stack.entries():
-        if counter > record.condition_snapshot and text not in out:
-            out.append(text)
-    return out
 
 
 @dataclass(frozen=True)
@@ -102,31 +70,8 @@ class FlowGraph:
 
 
 def _ordered_union(*sequences: tuple[str, ...] | list[str]) -> tuple[str, ...]:
-    out: list[str] = []
-    for seq in sequences:
-        for item in seq:
-            if item not in out:
-                out.append(item)
-    return tuple(out)
-
-
-def _function_tuples(
-    forest: ContractForest, root_id: int, extra_globals: frozenset[str]
-) -> dict[int, PropagationTuple]:
-    """Propagation tuples for one function, keyed by behavior node id.
-
-    Computed once so operation occurrence numbers follow document order no
-    matter how the traversal proceeds.
-    """
-    scope = forest.function_name(root_id)
-    op_counts: dict[str, int] = {}
-    tuples: dict[int, PropagationTuple] = {}
-    for node in forest.iter_tree(root_id):
-        if node.kind == BEHAVIOR and node.behavior is not None:
-            tuples[node.id] = extract_tuple(
-                node.behavior, scope, extra_globals, op_counts
-            )
-    return tuples
+    """Items of all sequences in first-occurrence order, without repeats."""
+    return tuple(dict.fromkeys(chain.from_iterable(sequences)))
 
 
 def transform(
@@ -144,6 +89,9 @@ def transform(
     return graph
 
 
+_POP = -1  # work-stack marker: leave the innermost condition (node ids are >= 0)
+
+
 def _transform_function(
     graph: FlowGraph,
     forest: ContractForest,
@@ -151,8 +99,6 @@ def _transform_function(
     extra_globals: frozenset[str],
 ) -> None:
     scope = forest.function_name(root_id)
-    tuples = _function_tuples(forest, root_id, extra_globals)
-
     visited: dict[EntityId, VisitRecord] = {}
 
     def seed(entity: EntityId) -> None:
@@ -163,14 +109,27 @@ def _transform_function(
     for param in forest.function_parameters(root_id):
         if not is_constant(param):
             seed(normalize_entity(param, scope, extra_globals))
-    # globals the function reads are live on entry
+
+    # One preorder pass extracts the propagation tuples, so operation
+    # occurrence numbers follow document order, and seeds the globals the
+    # function reads: they are live on entry.
+    op_counts: dict[str, int] = {}
+    tuples: dict[int, PropagationTuple] = {}
     for node in forest.iter_tree(root_id):
-        if node.kind == BEHAVIOR and node.id in tuples:
-            for source in tuples[node.id].sources:
+        if node.kind == BEHAVIOR and node.behavior is not None:
+            prop = extract_tuple(node.behavior, scope, extra_globals, op_counts)
+            tuples[node.id] = prop
+            for source in prop.sources:
                 if not source.scope:
                     seed(source)
 
-    stack = ConditionStack()
+    # Depth-first walk with an explicit stack. ``held`` holds the texts of
+    # the enclosing conditions, outermost first, and ``pushed`` the push
+    # number of each. Push numbers only grow, so the conditions pushed after
+    # a record's snapshot are a suffix of ``held``, even across pops.
+    held: list[str] = []
+    pushed: list[int] = []
+    pushes = 0
 
     def process_behavior(node_id: int) -> None:
         prop = tuples.get(node_id)
@@ -183,31 +142,30 @@ def _transform_function(
             return
         annotations: list[tuple[str, ...]] = []
         for record in contributing:
-            delta = collect_condition_delta(stack, record)
+            delta = held[bisect_right(pushed, record.condition_snapshot) :]
             annotation = _ordered_union(record.conditions, delta)
             graph.add_edge(
                 FlowEdge(record.entity, prop.dst, annotation, function=scope)
             )
             annotations.append(annotation)
-        visited[prop.dst] = VisitRecord(
-            prop.dst, _ordered_union(*annotations), stack.counter
-        )
+        visited[prop.dst] = VisitRecord(prop.dst, _ordered_union(*annotations), pushes)
 
-    def walk(node_id: int) -> None:
+    work = list(reversed(forest.node(root_id).children))
+    while work:
+        node_id = work.pop()
+        if node_id == _POP:
+            held.pop()
+            pushed.pop()
+            continue
         node = forest.node(node_id)
         if node.kind == CONDITION:
-            stack.push(node.text)
-            for child in node.children:
-                walk(child)
-            stack.pop()
-            return
-        if node.kind == BEHAVIOR:
+            pushes += 1
+            held.append(node.text)
+            pushed.append(pushes)
+            work.append(_POP)
+        elif node.kind == BEHAVIOR:
             process_behavior(node_id)
-        for child in node.children:
-            walk(child)
-
-    for child in forest.node(root_id).children:
-        walk(child)
+        work.extend(reversed(node.children))
 
 
 def graph_to_json(graph: FlowGraph) -> dict:

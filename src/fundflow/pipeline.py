@@ -207,11 +207,16 @@ def run_batch(
     descriptions: list[ContractDescription], config: RunConfig
 ) -> dict[str, Verdict]:
     """Detect over many contracts with a bounded worker pool; each contract
-    writes into its own subdirectory of the configured output directory."""
+    writes into its own subdirectory of the configured output directory.
+
+    All contracts share one transport, so a replay store is loaded once per
+    batch and a record store has one writer.
+    """
+    transport = make_transport(config)
 
     def worker(desc: ContractDescription) -> tuple[str, Verdict]:
         sub = replace(config, out_dir=os.path.join(config.out_dir, desc.contract_id))
-        verdict, _ = run_detect(desc, sub)
+        verdict, _ = run_detect(desc, sub, transport)
         return desc.contract_id, verdict
 
     with ThreadPoolExecutor(max_workers=max(1, config.concurrency)) as pool:

@@ -3,7 +3,8 @@
 Stage I collects free-text summaries (one contract-level, one per function).
 Stage II sends six ranked-guess probes built from the analysis bundle and
 parses each response into a confidence distribution over the four labels.
-Within a stage, queries run concurrently; Stage II starts only after Stage I
+Within a stage, queries to a live or recording transport run concurrently,
+while a replay store answers them inline; Stage II starts only after Stage I
 finished because its prompts embed Stage-I output.
 """
 
@@ -22,6 +23,7 @@ from .prompts import (
     build_stage1_prompts,
     build_stage2_prompt,
 )
+from .transport import ReplayTransport
 
 LETTER_TO_LABEL = {
     "A": "adversarial",
@@ -135,14 +137,28 @@ def _parse_stage1_function(name: str, text: str) -> FunctionSummary:
     )
 
 
+def _map_queries(fn, items, transport, concurrency: int) -> list:
+    """``[fn(item) for item in items]``, with the calls overlapped when that
+    helps.
+
+    A replay store answers from memory and never waits, so a pool would only
+    add thread hand-offs: its calls, like any with ``concurrency <= 1``, run
+    in the caller's thread. Other transports wait on the model, and up to
+    ``concurrency`` of their calls are in flight at once.
+    """
+    if concurrency <= 1 or isinstance(transport, ReplayTransport):
+        return [fn(item) for item in items]
+    with ThreadPoolExecutor(max_workers=concurrency) as pool:
+        return list(pool.map(fn, items))
+
+
 def run_stage1(
     desc: ContractDescription, transport, concurrency: int = 4
 ) -> Stage1Result:
-    """Query the contract summary and all function summaries concurrently."""
+    """Query the contract summary and all function summaries."""
     general_prompt, function_prompts = build_stage1_prompts(desc)
     prompts = [general_prompt] + function_prompts
-    with ThreadPoolExecutor(max_workers=max(1, concurrency)) as pool:
-        responses = list(pool.map(lambda p: transport.query(p), prompts))
+    responses = _map_queries(transport.query, prompts, transport, concurrency)
     functions = [
         _parse_stage1_function(chunk.name, response)
         for chunk, response in zip(desc.functions, responses[1:])
@@ -178,8 +194,8 @@ def _run_probe(kind: str, prompt: str, transport, retries: int) -> ProbeDistribu
 def run_stage2(
     bundle: AnalysisBundle, transport, concurrency: int = 4, retries: int = 2
 ) -> Stage2Result:
-    """Run all six probes concurrently; probes that stay malformed are
-    dropped from the result rather than failing the stage."""
+    """Run all six probes; probes that stay malformed are dropped from the
+    result rather than failing the stage."""
     prompts = {kind: build_stage2_prompt(kind, bundle) for kind in PROBE_KINDS}
 
     def worker(kind: str) -> ProbeDistribution | RetryExhausted:
@@ -188,8 +204,7 @@ def run_stage2(
         except RetryExhausted as exc:
             return exc
 
-    with ThreadPoolExecutor(max_workers=max(1, concurrency)) as pool:
-        outcomes = list(pool.map(worker, PROBE_KINDS))
+    outcomes = _map_queries(worker, PROBE_KINDS, transport, concurrency)
 
     result = Stage2Result()
     for kind, outcome in zip(PROBE_KINDS, outcomes):

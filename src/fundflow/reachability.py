@@ -9,7 +9,9 @@ conditions carried along verbatim.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 from .entities import OPERATION, VARIABLE, EntityId, is_constant, normalize_entity
 from .forest import ContractForest
@@ -159,47 +161,59 @@ def prune_and_enumerate(
     starts = sorted(
         (e.key() for e in anchors.ingress if e.key() in retained_keys),
     )
+    # (dst key, conditions) of each retained node's out-edges within the
+    # retained set, sorted stably by destination key
+    successors: dict[str, list[tuple[str, tuple[str, ...]]]] = {}
+    for key in retained_keys:
+        steps = [
+            (e.dst.key(), e.conditions)
+            for e in graph.out_edges(key)
+            if e.dst.key() in retained_keys
+        ]
+        steps.sort(key=itemgetter(0))
+        successors[key] = steps
 
-    def extend(path_keys: list[str], conds: list[tuple[str, ...]]) -> bool:
-        """Returns False when the max_paths limit is exhausted."""
-        current = path_keys[-1]
-        if current in egress_keys:
-            if len(result.paths) >= limits.max_paths:
-                result.truncated = True
-                return False
-            result.paths.append(
-                FundFlowPath(
-                    hops=tuple(graph.nodes[k] for k in path_keys),
-                    conditions=tuple(conds),
-                )
-            )
-            return True
-        on_path = set(path_keys)
-        successors = sorted(
-            (
-                e
-                for e in graph.out_edges(current)
-                if e.dst.key() in retained_keys and e.dst.key() not in on_path
-            ),
-            key=lambda e: e.dst.key(),
-        )
-        if len(path_keys) - 1 >= limits.max_depth:
-            if successors:
-                result.truncated = True
-            return True
-        for edge in successors:
-            path_keys.append(edge.dst.key())
-            conds.append(edge.conditions)
-            keep_going = extend(path_keys, conds)
-            path_keys.pop()
-            conds.pop()
-            if not keep_going:
-                return False
-        return True
-
+    # Depth-first with an explicit stack: frames[i] iterates the successors
+    # of path_keys[i] still to be tried, and conds[i] is the condition list
+    # of the edge into path_keys[i + 1].
     for start in starts:
-        if not extend([start], []):
-            break
+        path_keys = [start]
+        conds: list[tuple[str, ...]] = []
+        on_path = {start}
+        frames: list[Iterator[tuple[str, tuple[str, ...]]]] = []
+        while True:
+            current = path_keys[-1]
+            if current in egress_keys:
+                if len(result.paths) >= limits.max_paths:
+                    result.truncated = True
+                    return result
+                result.paths.append(
+                    FundFlowPath(
+                        hops=tuple(graph.nodes[k] for k in path_keys),
+                        conditions=tuple(conds),
+                    )
+                )
+                steps = []
+            else:
+                steps = [s for s in successors[current] if s[0] not in on_path]
+                if steps and len(path_keys) - 1 >= limits.max_depth:
+                    result.truncated = True
+                    steps = []
+            frames.append(iter(steps))
+            # backtrack to the deepest hop with a successor left to try
+            while frames:
+                step = next(frames[-1], None)
+                if step is not None:
+                    break
+                frames.pop()
+                on_path.remove(path_keys.pop())
+                if conds:
+                    conds.pop()
+            if not frames:
+                break
+            path_keys.append(step[0])
+            conds.append(step[1])
+            on_path.add(step[0])
     return result
 
 

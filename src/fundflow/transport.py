@@ -129,8 +129,3 @@ class ReplayTransport:
         if key not in self._responses:
             raise ReplayMiss(key=key, context=f"attempt {attempt}")
         return self._responses[key]
-
-
-def query(transport, prompt: str, attempt: int = 0) -> str:
-    """Uniform entry point over any transport object."""
-    return transport.query(prompt, attempt)

@@ -9,7 +9,7 @@ from fundflow.pipeline import RunConfig, run_detect
 from fundflow.transport import RecordTransport
 
 from conftest import ADVERSARIAL_ROWS, BENIGN_ROWS, FIXTURE_TEXT, ScriptedTransport
-from test_pipeline import BENIGN_TEXT
+from test_pipeline import BENIGN_TEXT, read_json
 
 
 @pytest.fixture
@@ -60,6 +60,36 @@ def test_flow_command(tmp_path, fixture_file, capsys):
         "unknownfffcf3a1:param1 --[it is required that (0x268d...4080 == sha3(tx.origin)), "
         "it is required that the 1st external call succeeds]--> stor_5.flashLoan",
     ]
+
+
+def test_flow_command_deep_nesting(tmp_path, capsys):
+    depth = 1200
+    lines = ["function f(a):"]
+    lines += [f"{'  ' * d}when (c{d})" for d in range(depth)]
+    lines.append(f"{'  ' * depth}it transfers a wei to caller")
+    path = tmp_path / "deep.txt"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert main(["flow", "-i", str(path), "-o", str(tmp_path / "out")]) == 0
+    conditions = ", ".join(f"when (c{d})" for d in range(depth))
+    assert capsys.readouterr().out == f"f:a --[{conditions}]--> transfer\n"
+
+
+def test_flow_command_long_chain(tmp_path, capsys):
+    hops = 1500
+    lines = ["function f(a):", "it updates the state variable t1 to a"]
+    lines += [
+        f"it updates the state variable t{i + 1} to t{i}" for i in range(1, hops - 1)
+    ]
+    lines.append(f"it transfers t{hops - 1} wei to caller")
+    path = tmp_path / "chain.txt"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    out = str(tmp_path / "out")
+    assert main(["flow", "-i", str(path), "-o", out, "--max-depth", "5000"]) == 0
+    printed = capsys.readouterr()
+    assert printed.out.count("\n") == 1 and "truncated" not in printed.err
+    (only,) = read_json(out, "paths.json")["paths"]
+    assert len(only["hops"]) == hops + 1
+    assert only["hops"][-1]["display"] == "transfer"
 
 
 def test_indicators_command(tmp_path, fixture_file, capsys):

@@ -168,3 +168,29 @@ def test_generated_names_normalize(name):
     ent = normalize_entity(name, "f")
     assert ent.name == name
     assert ent.scope in ("", "f")
+
+
+def _formatted_key(ent: EntityId) -> str:
+    """The key as formatted on every call before it was cached."""
+    base = ent.name if not ent.scope else f"{ent.scope}:{ent.name}"
+    return f"{base}#{ent.occurrence}" if ent.flavor == OPERATION else base
+
+
+@st.composite
+def _entities(draw):
+    flavor = draw(st.sampled_from([VARIABLE, OPERATION]))
+    occurrence = draw(st.integers(1, 99)) if flavor == OPERATION else 0
+    dotted = st.from_regex(r"[a-z_]\w{0,6}\.[a-z_]\w{0,6}", fullmatch=True)
+    name = draw(st.one_of(_NAMES, dotted))
+    return EntityId(draw(st.one_of(st.just(""), _SCOPES)), name, flavor, occurrence)
+
+
+@given(_entities(), _entities())
+def test_cached_key_matches_formatting_and_round_trips(ent, other):
+    assert ent.key() == _formatted_key(ent)
+    assert EntityId.from_key(ent.key(), ent.flavor) == ent
+    fields = (ent.scope, ent.name, ent.flavor, ent.occurrence)
+    other_fields = (other.scope, other.name, other.flavor, other.occurrence)
+    assert hash(ent) == hash(fields)
+    assert (ent == other) == (fields == other_fields)
+    assert (ent < other) == (fields < other_fields)

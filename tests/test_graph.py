@@ -1,10 +1,6 @@
 from fundflow.description import chunk_flat_text
-from fundflow.entities import EntityId, OPERATION
 from fundflow.forest import build_forest
 from fundflow.graph import (
-    ConditionStack,
-    VisitRecord,
-    collect_condition_delta,
     graph_from_json,
     graph_to_json,
     transform,
@@ -22,29 +18,40 @@ def edge_view(graph):
 
 
 def test_delta_all_after_snapshot():
-    stack = ConditionStack()
-    rec = VisitRecord(EntityId("f", "x"), (), stack.counter)
-    stack.push("c1")
-    stack.push("c2")
-    assert collect_condition_delta(stack, rec) == ["c1", "c2"]
+    graph = graph_of(
+        "function f(a):\n"
+        "when (c1)\n"
+        "  when (c2)\n"
+        "    it updates the state variable y to a\n"
+    )
+    # a is live on entry, so every condition held at the write is pushed
+    # after it was recorded
+    assert edge_view(graph) == [("f:a", "f:y", ("when (c1)", "when (c2)"))]
 
 
 def test_delta_only_newer_entries():
-    stack = ConditionStack()
-    stack.push("c1")
-    rec = VisitRecord(EntityId("f", "x"), (), stack.counter)
-    stack.push("c2")
-    assert collect_condition_delta(stack, rec) == ["c2"]
+    graph = graph_of(
+        "function f(a):\n"
+        "when (c1)\n"
+        "  it updates the state variable tmp to a\n"
+        "  when (c2)\n"
+        "    it updates the state variable y to tmp\n"
+    )
+    # tmp was recorded under c1; only c2 is new, and c1 is not repeated
+    assert edge_view(graph)[1] == ("f:tmp", "f:y", ("when (c1)", "when (c2)"))
 
 
 def test_delta_survives_pop_and_repush():
-    stack = ConditionStack()
-    rec = VisitRecord(EntityId("f", "x"), (), stack.counter)
-    stack.push("c3")
-    stack.pop()
-    stack.push("c1")
+    graph = graph_of(
+        "function f(a):\n"
+        "it updates the state variable tmp to a\n"
+        "when (c3)\n"
+        "  it reverts\n"
+        "when (c1)\n"
+        "  it transfers tmp wei to caller\n"
+    )
     # c3 left the stack; only the currently-held newer condition counts
-    assert collect_condition_delta(stack, rec) == ["c1"]
+    assert edge_view(graph)[1] == ("f:tmp", "f:transfer#1", ("when (c1)",))
 
 
 def test_toy_graph_nodes_and_edges():

@@ -1,5 +1,6 @@
 import json
 import os
+import sys
 
 import pytest
 
@@ -262,3 +263,117 @@ def test_default_config_values():
     assert config.retries == 2
     assert config.limits().max_depth == 32
     assert config.limits().max_paths == 256
+
+
+def _recorded_batch(tmp_path):
+    """Four contracts, two of them repeats under other ids, recorded into one
+    store; returns the descriptions and the store path."""
+    store = str(tmp_path / "store.jsonl")
+    specs = [
+        ("c_adv", FIXTURE_TEXT, ADVERSARIAL_ROWS),
+        ("c_ben", BENIGN_TEXT, BENIGN_ROWS),
+        ("c_adv2", FIXTURE_TEXT, ADVERSARIAL_ROWS),
+        ("c_ben2", BENIGN_TEXT, BENIGN_ROWS),
+    ]
+    descs = []
+    for cid, text, rows in specs:
+        desc = chunk_flat_text(text, cid)
+        config = RunConfig(out_dir=str(tmp_path / "seed" / cid))
+        scripted = ScriptedTransport(config.params(), rows)
+        run_detect(desc, config, transport=RecordTransport(scripted, store))
+        descs.append(desc)
+    return descs, store
+
+
+def test_run_batch_loads_the_replay_store_once(tmp_path, monkeypatch):
+    descs, store = _recorded_batch(tmp_path)
+    built = []
+
+    class CountingReplay(ReplayTransport):
+        def __init__(self, *args, **kwargs):
+            built.append(self)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "ReplayTransport", CountingReplay)
+    config = RunConfig(
+        transport="replay", store=store, out_dir=str(tmp_path / "batch"), concurrency=2
+    )
+    verdicts = run_batch(descs, config)
+    assert len(built) == 1
+    assert sorted(verdicts) == ["c_adv", "c_adv2", "c_ben", "c_ben2"]
+
+
+def test_replay_batch_creates_only_the_batch_pool(tmp_path, monkeypatch):
+    from concurrent.futures import ThreadPoolExecutor
+
+    from fundflow import probing
+
+    descs, store = _recorded_batch(tmp_path)
+    created = {"pipeline": 0, "probing": 0}
+
+    def counting_pool(module):
+        class Pool(ThreadPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                created[module] += 1
+                super().__init__(*args, **kwargs)
+
+        return Pool
+
+    monkeypatch.setattr(pipeline, "ThreadPoolExecutor", counting_pool("pipeline"))
+    monkeypatch.setattr(probing, "ThreadPoolExecutor", counting_pool("probing"))
+    config = RunConfig(
+        transport="replay", store=store, out_dir=str(tmp_path / "batch"), concurrency=4
+    )
+    run_batch(descs, config)
+    assert created == {"pipeline": 1, "probing": 0}
+
+
+def test_batch_replay_artifacts_match_single_replays(tmp_path):
+    descs, store = _recorded_batch(tmp_path)
+    batch_out = tmp_path / "batch"
+    run_batch(
+        descs,
+        RunConfig(transport="replay", store=store, out_dir=str(batch_out), concurrency=2),
+    )
+    for desc in descs:
+        alone_out = tmp_path / "alone" / desc.contract_id
+        config = RunConfig(transport="replay", store=store, out_dir=str(alone_out))
+        run_detect(desc, config)
+        for name in STATIC_NAMES + MODEL_NAMES:
+            batch_bytes = (batch_out / desc.contract_id / name).read_bytes()
+            assert batch_bytes == (alone_out / name).read_bytes(), (desc.contract_id, name)
+
+
+def test_shared_record_transport_keeps_one_line_per_query(tmp_path, monkeypatch):
+    """Many batch workers and stage threads append through one
+    RecordTransport; every query must land as one whole store line."""
+    monkeypatch.setattr(
+        pipeline,
+        "LiveTransport",
+        lambda params, **_: ScriptedTransport(params, ADVERSARIAL_ROWS),
+    )
+    descs = [chunk_flat_text(FIXTURE_TEXT, f"c{i:02d}") for i in range(12)]
+    store = tmp_path / "store.jsonl"
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        recorded = run_batch(
+            descs,
+            RunConfig(
+                transport="record",
+                store=str(store),
+                out_dir=str(tmp_path / "rec"),
+                concurrency=6,
+            ),
+        )
+    finally:
+        sys.setswitchinterval(interval)
+    # one general and two function summaries, then six probes, per contract
+    lines = store.read_text(encoding="utf-8").splitlines()
+    assert len(lines) == 9 * len(descs)
+    assert all(json.loads(line)["response"] for line in lines)
+    replayed = run_batch(
+        descs,
+        RunConfig(transport="replay", store=str(store), out_dir=str(tmp_path / "rep")),
+    )
+    assert replayed == recorded

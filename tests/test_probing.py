@@ -1,3 +1,5 @@
+import threading
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -11,7 +13,7 @@ from fundflow.probing import (
     run_stage2,
 )
 from fundflow.prompts import PROBE_KINDS
-from fundflow.transport import TransportParams
+from fundflow.transport import RecordTransport, ReplayTransport, TransportParams
 
 from conftest import ADVERSARIAL_ROWS, FIXTURE_TEXT, ScriptedTransport, make_bundle_rows
 
@@ -233,3 +235,72 @@ def test_stage1_general_fallback():
 
     assert _parse_stage1_general("  bare text  ") == "bare text"
     assert _parse_stage1_general("contract summary: tidy.") == "tidy."
+
+
+class OverlapTransport(ScriptedTransport):
+    """Scripted answers; the first two calls each wait for the other, so
+    they pass only if they are in flight at the same time."""
+
+    def __init__(self, params, rows):
+        super().__init__(params, rows)
+        self.barrier = threading.Barrier(2, timeout=5)
+        self.lock = threading.Lock()
+        self.in_flight = 0
+        self.max_in_flight = 0
+
+    def query(self, prompt, attempt=0):
+        with self.lock:
+            self.in_flight += 1
+            self.max_in_flight = max(self.max_in_flight, self.in_flight)
+            first_two = self.calls < 2
+            self.calls += 1
+        try:
+            if first_two:
+                self.barrier.wait()
+            return super().query(prompt, attempt)
+        finally:
+            with self.lock:
+                self.in_flight -= 1
+
+
+def test_non_replay_stages_overlap_queries():
+    desc = chunk_flat_text(FIXTURE_TEXT)
+    stage1_transport = OverlapTransport(PARAMS, ADVERSARIAL_ROWS)
+    stage1 = run_stage1(desc, stage1_transport, concurrency=2)
+    assert [f.name for f in stage1.functions] == ["unknownfffcf3a1", "withdrawAll"]
+    assert stage1_transport.max_in_flight == 2
+
+    stage2_transport = OverlapTransport(PARAMS, ADVERSARIAL_ROWS)
+    stage2 = run_stage2(make_bundle_rows(), stage2_transport, concurrency=2)
+    assert [d.probe for d in stage2.distributions] == list(PROBE_KINDS)
+    assert stage2_transport.max_in_flight == 2
+
+
+def test_replay_stages_run_inline(tmp_path, monkeypatch):
+    from fundflow import probing
+
+    store = tmp_path / "store.jsonl"
+    desc = chunk_flat_text(FIXTURE_TEXT)
+    scripted = ScriptedTransport(PARAMS, ADVERSARIAL_ROWS)
+    recorder = RecordTransport(scripted, str(store))
+    run_stage1(desc, recorder)
+    run_stage2(make_bundle_rows(), recorder)
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a replay stage created a thread pool")
+
+    monkeypatch.setattr(probing, "ThreadPoolExecutor", no_pool)
+    main_thread = threading.current_thread()
+    seen_threads = set()
+
+    class WatchedReplay(ReplayTransport):
+        def query(self, prompt, attempt=0):
+            seen_threads.add(threading.current_thread())
+            return super().query(prompt, attempt)
+
+    replay = WatchedReplay(str(store), PARAMS)
+    stage1 = run_stage1(desc, replay, concurrency=4)
+    stage2 = run_stage2(make_bundle_rows(), replay, concurrency=4)
+    assert stage1.contract_summary == "Moves funds through guarded external calls."
+    assert [d.probe for d in stage2.distributions] == list(PROBE_KINDS)
+    assert seen_threads == {main_thread}
