@@ -1,6 +1,6 @@
 """End-to-end demo over two bundled mock descriptions.
 
-Runs the full detector offline: a scripted responder stands in for the
+Runs the full detector offline: a scripted transport stands in for the
 model endpoint, its answers are recorded to a JSONL store, and the same
 run is then replayed from the store to show the hermetic path.
 
@@ -13,6 +13,7 @@ import os
 
 from fundflow.description import chunk_flat_text
 from fundflow.pipeline import RunConfig, run_detect
+from fundflow.scripted import ADVERSARIAL_ROWS, BENIGN_ROWS, ScriptedTransport
 from fundflow.transport import RecordTransport
 
 ADVERSARIAL_TEXT = """\
@@ -33,25 +34,6 @@ when (param1 > 0)
   it updates the state variable stor_4 to param2
 """
 
-# scripted rank tables, one row per probe kind
-ADVERSARIAL_ROWS = {
-    "g_normal": (("B", 60), ("A", 25), ("C", 10), ("D", 5)),
-    "s_normal": (("B", 60), ("A", 30), ("C", 8), ("D", 2)),
-    "g_mislead_adv": (("A", 60), ("B", 30), ("C", 8), ("D", 2)),
-    "g_mislead_be": (("D", 70), ("C", 20), ("B", 8), ("A", 2)),
-    "s_mislead_adv": (("A", 80), ("B", 15), ("C", 5), ("D", 0)),
-    "s_mislead_be": (("D", 60), ("C", 30), ("B", 10), ("A", 0)),
-}
-
-BENIGN_ROWS = {
-    "g_normal": (("D", 50), ("C", 30), ("B", 15), ("A", 5)),
-    "s_normal": (("B", 50), ("C", 30), ("A", 15), ("D", 5)),
-    "g_mislead_adv": (("C", 40), ("D", 30), ("B", 20), ("A", 10)),
-    "g_mislead_be": (("D", 70), ("C", 20), ("B", 8), ("A", 2)),
-    "s_mislead_adv": (("A", 70), ("B", 20), ("C", 8), ("D", 2)),
-    "s_mislead_be": (("D", 70), ("C", 20), ("B", 8), ("A", 2)),
-}
-
 ARTIFACTS = (
     "description.json",
     "forest.json",
@@ -63,44 +45,6 @@ ARTIFACTS = (
     "fusion.json",
     "verdict.json",
 )
-
-
-def ranked_text(rows) -> str:
-    lines = ["Reasoning: the evidence points one way."]
-    for i, (letter, conf) in enumerate(rows, start=1):
-        lines.append(f"G{i}: {letter}")
-        lines.append(f"P{i}: {conf}%")
-    return "\n".join(lines)
-
-
-class ScriptedResponder:
-    """Offline stand-in for a model endpoint, keyed on prompt content."""
-
-    def __init__(self, params, probe_rows: dict):
-        self.params = params
-        self.probe_rows = probe_rows
-
-    def query(self, prompt: str, attempt: int = 0) -> str:
-        del attempt
-        if "Provide your 4 best guesses" in prompt:
-            return ranked_text(self.probe_rows[self._probe_kind(prompt)])
-        if "contract summary:" in prompt:
-            return "contract summary: Moves funds through guarded external calls."
-        return (
-            "purpose: handles one step of the flow.\n"
-            "suspicious: Yes\n"
-            "reason: execution is gated on a hardcoded origin hash."
-        )
-
-    @staticmethod
-    def _probe_kind(prompt: str) -> str:
-        general = "=== Contract-Level Information ===" in prompt
-        side = "g" if general else "s"
-        if prompt.rstrip().endswith("(A) adversarial."):
-            return f"{side}_mislead_adv"
-        if prompt.rstrip().endswith("(D) benign."):
-            return f"{side}_mislead_be"
-        return f"{side}_normal"
 
 
 def read_json(out_dir: str, name: str) -> dict:
@@ -124,7 +68,7 @@ def run_one(name: str, text: str, rows: dict, base_dir: str) -> None:
     desc = chunk_flat_text(text, name)
 
     config = RunConfig(out_dir=record_dir)
-    scripted = ScriptedResponder(config.params(), rows)
+    scripted = ScriptedTransport(config.params(), rows)
     verdict, _ = run_detect(desc, config, RecordTransport(scripted, store))
 
     replay_config = RunConfig(transport="replay", store=store, out_dir=replay_dir)

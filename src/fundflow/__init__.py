@@ -1,91 +1,18 @@
 """Fund-flow reachability analysis and entropy-weighted confidence fusion
 for detecting adversarial smart contracts from bytecode descriptions."""
 
-from .description import (
-    ContractDescription,
-    FunctionChunk,
-    Sentence,
-    chunk_flat_text,
-    description_from_json,
-    description_to_json,
-    load_description,
-    render_flat_text,
-)
-from .forest import ContractForest, DepNode, build_forest, forest_from_json, forest_to_json
-from .entities import EntityId, PropagationTuple, extract_tuple, is_constant, normalize_entity
-from .graph import FlowEdge, FlowGraph, transform, graph_from_json, graph_to_json
-from .reachability import (
-    AnchorSets,
-    EnumerationResult,
-    FundFlowPath,
-    ReachLimits,
-    forward_reach,
-    identify_egress,
-    identify_ingress,
-    prune_and_enumerate,
-    render_path,
-)
-from .indicators import Indicators, compute_indicators
-from .prompts import AnalysisBundle, build_stage1_prompts, build_stage2_prompt
-from .probing import ProbeDistribution, parse_ranked_response, run_stage1, run_stage2
-from .fusion import FusionResult, Verdict, decide, entropy, fuse
-from .metrics import Metrics, balanced_accuracy, compute_metrics, threshold_sweep
-from .pipeline import RunConfig, make_transport, run_detect
+from .description import chunk_flat_text, load_description
+from .forest import build_forest
+from .graph import transform
+from .pipeline import RunConfig, run_detect
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AnalysisBundle",
-    "AnchorSets",
-    "ContractDescription",
-    "ContractForest",
-    "DepNode",
-    "EntityId",
-    "EnumerationResult",
-    "FlowEdge",
-    "FlowGraph",
-    "FunctionChunk",
-    "FundFlowPath",
-    "FusionResult",
-    "Indicators",
-    "Metrics",
-    "ProbeDistribution",
-    "PropagationTuple",
-    "ReachLimits",
     "RunConfig",
-    "Sentence",
-    "Verdict",
-    "balanced_accuracy",
     "build_forest",
-    "build_stage1_prompts",
-    "build_stage2_prompt",
     "chunk_flat_text",
-    "compute_indicators",
-    "compute_metrics",
-    "decide",
-    "description_from_json",
-    "description_to_json",
-    "entropy",
-    "extract_tuple",
-    "forest_from_json",
-    "forest_to_json",
-    "forward_reach",
-    "fuse",
-    "graph_from_json",
-    "graph_to_json",
-    "identify_egress",
-    "identify_ingress",
-    "is_constant",
     "load_description",
-    "make_transport",
-    "normalize_entity",
-    "parse_ranked_response",
-    "prune_and_enumerate",
-    "render_flat_text",
-    "render_path",
     "run_detect",
-    "run_stage1",
-    "run_stage2",
-    "threshold_sweep",
     "transform",
 ]

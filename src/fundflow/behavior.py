@@ -35,19 +35,6 @@ LOG_EMISSION = "log_emission"
 BUILTIN_CALL = "builtin_call"
 OTHER = "other"
 
-BEHAVIOR_KINDS = (
-    ASSIGNMENT,
-    EXTERNAL_CALL,
-    DELEGATE_CALL,
-    CONTRACT_CREATION,
-    TRANSFER,
-    RETURN,
-    LOG_EMISSION,
-    BUILTIN_CALL,
-    OTHER,
-)
-
-
 @dataclass(frozen=True)
 class ParsedBehavior:
     """A behavior sentence reduced to its kind and template capture slots."""
@@ -57,10 +44,6 @@ class ParsedBehavior:
 
     def to_json(self) -> dict:
         return {"kind": self.kind, "fields": dict(self.fields)}
-
-    @classmethod
-    def from_json(cls, data: dict) -> "ParsedBehavior":
-        return cls(kind=data["kind"], fields=dict(data.get("fields", {})))
 
 
 def _split_args(raw: str) -> list[str]:

@@ -12,20 +12,33 @@ import dataclasses
 import json
 import os
 import sys
+import typing
 from pathlib import Path
 
 from .description import load_description
 from .errors import FundflowError
 from .forest import build_forest, forest_to_json
-from .fusion import decide, fuse
 from .metrics import compute_metrics, sweep_to_csv, threshold_sweep
-from .pipeline import RunConfig, make_transport, run_batch, run_detect, run_static, write_json
-from .probing import ProbeDistribution, run_stage1, run_stage2
+from .pipeline import (
+    RunConfig,
+    run_batch,
+    run_detect,
+    run_fusion,
+    run_probes,
+    run_static,
+    write_json,
+)
+from .probing import ProbeDistribution
 
 
-_CONFIG_FIELDS = {f.name: f.type for f in dataclasses.fields(RunConfig)}
-_INT_KEYS = {"concurrency", "retries", "max_depth", "max_paths", "max_tokens"}
-_FLOAT_KEYS = {"threshold", "temperature"}
+def _value_type(hint) -> type:
+    """The type a config value converts to: ``float | None`` gives float."""
+    (base,) = [t for t in typing.get_args(hint) or (hint,) if t is not type(None)]
+    return base
+
+
+_HINTS = typing.get_type_hints(RunConfig)
+_CONFIG_TYPES = {f.name: _value_type(_HINTS[f.name]) for f in dataclasses.fields(RunConfig)}
 
 
 def read_config_file(path: str) -> dict:
@@ -39,14 +52,9 @@ def read_config_file(path: str) -> dict:
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected key=value, got {raw!r}")
             key, value = (part.strip() for part in line.split("=", 1))
-            if key not in _CONFIG_FIELDS:
+            if key not in _CONFIG_TYPES:
                 raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
-            if key in _INT_KEYS:
-                values[key] = int(value)
-            elif key in _FLOAT_KEYS:
-                values[key] = float(value)
-            else:
-                values[key] = value
+            values[key] = _CONFIG_TYPES[key](value)
     return values
 
 
@@ -55,21 +63,8 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     values: dict = {}
     if getattr(args, "config", None):
         values.update(read_config_file(args.config))
-    flag_map = {
-        "transport": "transport",
-        "store": "store",
-        "model": "model",
-        "endpoint": "endpoint",
-        "api_key_env": "api_key_env",
-        "threshold": "threshold",
-        "max_depth": "max_depth",
-        "max_paths": "max_paths",
-        "concurrency": "concurrency",
-        "retries": "retries",
-        "out_dir": "out_dir",
-    }
-    for attr, key in flag_map.items():
-        value = getattr(args, attr, None)
+    for key in _CONFIG_TYPES:
+        value = getattr(args, key, None)
         if value is not None:
             values[key] = value
     return RunConfig(**values)
@@ -143,22 +138,10 @@ def cmd_indicators(args: argparse.Namespace) -> int:
 
 
 def cmd_probe(args: argparse.Namespace) -> int:
-    from .pipeline import assemble_bundle
-
     config = build_config(args)
     desc = load_description(args.input)
-    static = run_static(desc, config)
-    transport = make_transport(config)
-    stage1 = run_stage1(desc, transport, config.concurrency)
-    bundle = assemble_bundle(desc, static, stage1)
-    write_json(config.out_dir, "bundle.json", bundle.to_json())
-    stage2 = run_stage2(bundle, transport, config.concurrency, config.retries)
-    payload = {
-        "distributions": [d.to_json() for d in stage2.distributions],
-        "failed": list(stage2.failed),
-    }
-    write_json(config.out_dir, "probes.json", payload)
-    print(json.dumps(payload, indent=2))
+    _, stage2 = run_probes(desc, config)
+    print(json.dumps(stage2.to_json(), indent=2))
     return 0
 
 
@@ -167,10 +150,7 @@ def cmd_fuse(args: argparse.Namespace) -> int:
     with open(args.input, encoding="utf-8") as fh:
         payload = json.load(fh)
     probes = [ProbeDistribution.from_json(d) for d in payload["distributions"]]
-    result = fuse(probes)
-    verdict = decide(result, config.threshold)
-    write_json(config.out_dir, "fusion.json", result.to_json())
-    write_json(config.out_dir, "verdict.json", verdict.to_json())
+    result, verdict = run_fusion(probes, config)
     print(json.dumps({**result.to_json(), "verdict": verdict.to_json()}, indent=2))
     return 3 if verdict.label == "adversarial" else 0
 

@@ -17,7 +17,14 @@ from .errors import InvalidDescription, NoFunctionsFound
 
 INDENT_WIDTH = 2
 
-_HEADER_RE = re.compile(r"^function\s+([A-Za-z_]\w*)\s*\(([^)]*)\)\s*:\s*$")
+_HEADER_RE = re.compile(r"^function\s+([A-Za-z_]\w*)\s*(\([^)]*\))\s*:\s*$")
+
+
+def split_signature(signature: str) -> tuple[str, tuple[str, ...]]:
+    """``"name(a, b)"`` -> ``("name", ("a", "b"))``; blank parameters drop out."""
+    name, _, rest = signature.partition("(")
+    inner = rest.rsplit(")", 1)[0]
+    return name, tuple(p.strip() for p in inner.split(",") if p.strip())
 
 
 @dataclass(frozen=True)
@@ -35,12 +42,11 @@ class FunctionChunk:
 
     @property
     def name(self) -> str:
-        return self.signature.split("(", 1)[0]
+        return split_signature(self.signature)[0]
 
     @property
     def parameters(self) -> tuple[str, ...]:
-        inner = self.signature.split("(", 1)[1].rsplit(")", 1)[0]
-        return tuple(p.strip() for p in inner.split(",") if p.strip())
+        return split_signature(self.signature)[1]
 
 
 @dataclass
@@ -55,13 +61,10 @@ class ContractDescription:
     functions: list[FunctionChunk]
     ignored_lines: int = field(default=0, compare=False)
 
-    def function_names(self) -> list[str]:
-        return [chunk.name for chunk in self.functions]
 
-
-def _normalize_signature(name: str, params: str) -> str:
-    parts = [p.strip() for p in params.split(",") if p.strip()]
-    return f"{name}({', '.join(parts)})"
+def _normalize_signature(signature: str) -> str:
+    name, params = split_signature(signature)
+    return f"{name}({', '.join(params)})"
 
 
 def chunk_flat_text(text: str, contract_id: str = "contract") -> ContractDescription:
@@ -90,7 +93,7 @@ def chunk_flat_text(text: str, contract_id: str = "contract") -> ContractDescrip
         header = _HEADER_RE.match(line.strip())
         if header:
             flush()
-            current_sig = _normalize_signature(header.group(1), header.group(2))
+            current_sig = _normalize_signature(header.group(1) + header.group(2))
             continue
         if current_sig is None:
             ignored += 1
@@ -133,7 +136,7 @@ def description_from_json(data: str | dict) -> ContractDescription:
     if isinstance(data, str):
         try:
             data = json.loads(data)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise InvalidDescription(f"not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise InvalidDescription("top-level value must be an object")
@@ -154,8 +157,11 @@ def description_from_json(data: str | dict) -> ContractDescription:
         sig = fn.get("signature")
         if not isinstance(sig, str) or "(" not in sig or not sig.endswith(")"):
             raise InvalidDescription(f"functions[{i}].signature must look like 'name(params)'")
+        raw_sentences = fn.get("sentences", [])
+        if not isinstance(raw_sentences, list):
+            raise InvalidDescription(f"functions[{i}].sentences must be a list")
         sentences = []
-        for j, raw in enumerate(fn.get("sentences", [])):
+        for j, raw in enumerate(raw_sentences):
             if not isinstance(raw, dict):
                 raise InvalidDescription(f"functions[{i}].sentences[{j}] must be an object")
             _require_keys(raw, {"text", "depth"}, f"functions[{i}].sentences[{j}]")
@@ -166,9 +172,7 @@ def description_from_json(data: str | dict) -> ContractDescription:
             if not isinstance(depth, int) or isinstance(depth, bool) or depth < 0:
                 raise InvalidDescription(f"functions[{i}].sentences[{j}].depth must be a nonnegative integer")
             sentences.append(Sentence(text, depth))
-        name = sig.split("(", 1)[0]
-        params = sig.split("(", 1)[1].rsplit(")", 1)[0]
-        sig = _normalize_signature(name, params)
+        sig = _normalize_signature(sig)
         if sig in seen:
             raise InvalidDescription(f"duplicate function signature {sig!r}")
         seen.add(sig)

@@ -73,18 +73,6 @@ class EntityId:
     def key(self) -> str:
         return self._key
 
-    @staticmethod
-    def from_key(key: str, flavor: str = VARIABLE) -> "EntityId":
-        occurrence = 0
-        if flavor == OPERATION and "#" in key:
-            key, occ = key.rsplit("#", 1)
-            occurrence = int(occ)
-        if ":" in key:
-            scope, name = key.split(":", 1)
-        else:
-            scope, name = "", key
-        return EntityId(scope=scope, name=name, flavor=flavor, occurrence=occurrence)
-
 
 def is_global_name(name: str, extra_globals: frozenset[str] = frozenset()) -> bool:
     return (

@@ -44,6 +44,10 @@ class ReplayMiss(FundflowError):
         super().__init__(detail)
 
 
+class CorruptStore(FundflowError):
+    """A response-store line is not a JSON object with string key and response."""
+
+
 class RetryExhausted(FundflowError):
     """All re-queries for a probe produced malformed responses."""
 

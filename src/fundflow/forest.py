@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .behavior import ParsedBehavior, parse_sentence
-from .description import ContractDescription, FunctionChunk
+from .description import ContractDescription, FunctionChunk, split_signature
 from .errors import MalformedNesting
 
 FUNCTION = "function"
@@ -41,16 +41,11 @@ class ContractForest:
     def node(self, node_id: int) -> DepNode:
         return self.nodes[node_id]
 
-    def function_signature(self, root_id: int) -> str:
-        return self.nodes[root_id].text
-
     def function_name(self, root_id: int) -> str:
-        return self.nodes[root_id].text.split("(", 1)[0]
+        return split_signature(self.nodes[root_id].text)[0]
 
     def function_parameters(self, root_id: int) -> tuple[str, ...]:
-        sig = self.nodes[root_id].text
-        inner = sig.split("(", 1)[1].rsplit(")", 1)[0]
-        return tuple(p.strip() for p in inner.split(",") if p.strip())
+        return split_signature(self.nodes[root_id].text)[1]
 
     def iter_tree(self, root_id: int):
         """Yield the tree's nodes in preorder, root included."""
@@ -113,21 +108,3 @@ def forest_to_json(forest: ContractForest) -> dict:
             for n in forest.nodes
         ],
     }
-
-
-def forest_from_json(data: dict) -> ContractForest:
-    nodes = []
-    for raw in data["nodes"]:
-        behavior = ParsedBehavior.from_json(raw["behavior"]) if "behavior" in raw else None
-        nodes.append(
-            DepNode(
-                id=raw["id"],
-                kind=raw["kind"],
-                text=raw["text"],
-                children=list(raw["children"]),
-                behavior=behavior,
-            )
-        )
-    return ContractForest(
-        contract_id=data["contract"], nodes=nodes, roots=list(data["roots"])
-    )

@@ -9,7 +9,7 @@ scores then collapse into a two-way decision statistic.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import InvalidThreshold, NoProbes
 from .probing import LABELS, ProbeDistribution

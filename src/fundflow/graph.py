@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 from itertools import chain
 
 from .entities import (
-    OPERATION,
     EntityId,
     PropagationTuple,
     extract_tuple,
@@ -184,22 +183,3 @@ def graph_to_json(graph: FlowGraph) -> dict:
             for e in graph.edges
         ],
     }
-
-
-def graph_from_json(data: dict) -> FlowGraph:
-    graph = FlowGraph()
-    by_key: dict[str, EntityId] = {}
-    for raw in data["nodes"]:
-        ent = EntityId.from_key(raw["id"], flavor=raw["flavor"])
-        by_key[raw["id"]] = ent
-        graph.add_node(ent)
-    for raw in data["edges"]:
-        graph.add_edge(
-            FlowEdge(
-                src=by_key[raw["from"]],
-                dst=by_key[raw["to"]],
-                conditions=tuple(raw["conditions"]),
-                function=raw["function"],
-            )
-        )
-    return graph

@@ -32,10 +32,6 @@ class Indicators:
     def to_json(self) -> dict:
         return asdict(self)
 
-    @classmethod
-    def from_json(cls, data: dict) -> "Indicators":
-        return cls(**data)
-
 
 def is_unknown_function(name: str) -> bool:
     return name.startswith("unknown")

@@ -10,14 +10,14 @@ from __future__ import annotations
 import json
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from .description import ContractDescription, description_to_json
 from .forest import build_forest, forest_to_json
-from .fusion import Verdict, decide, fuse
+from .fusion import FusionResult, Verdict, decide, fuse
 from .graph import transform, graph_to_json
 from .indicators import compute_indicators, is_unknown_function
-from .probing import run_stage1, run_stage2
+from .probing import ProbeDistribution, Stage2Result, run_stage1, run_stage2
 from .prompts import AnalysisBundle, UnknownFunction
 from .reachability import (
     AnchorSets,
@@ -106,34 +106,23 @@ class StaticArtifacts:
     rendered_paths: list[str]  # render_path of each enumerated path, in order
 
 
-def run_static(
-    desc: ContractDescription,
-    config: RunConfig,
-    extra_globals: frozenset[str] = frozenset(),
-    persist: bool = True,
-) -> StaticArtifacts:
+def run_static(desc: ContractDescription, config: RunConfig) -> StaticArtifacts:
     """The model-free half: forest, graph, anchors, paths, indicators."""
     out = config.out_dir
-    if persist:
-        write_json(out, "description.json", description_to_json(desc))
+    write_json(out, "description.json", description_to_json(desc))
     forest = build_forest(desc)
-    if persist:
-        write_json(out, "forest.json", forest_to_json(forest))
-    graph = transform(forest, extra_globals)
-    if persist:
-        write_json(out, "graph.json", graph_to_json(graph))
+    write_json(out, "forest.json", forest_to_json(forest))
+    graph = transform(forest)
+    write_json(out, "graph.json", graph_to_json(graph))
     anchors = AnchorSets(
-        ingress=identify_ingress(graph, forest, extra_globals),
-        egress=identify_egress(graph),
+        ingress=identify_ingress(graph, forest), egress=identify_egress(graph)
     )
     reach = forward_reach(graph, anchors.ingress)
     enumeration = prune_and_enumerate(graph, reach, anchors, config.limits())
     rendered_paths = [render_path(p) for p in enumeration.paths]
-    if persist:
-        write_json(out, "paths.json", paths_to_json(enumeration, rendered_paths))
+    write_json(out, "paths.json", paths_to_json(enumeration, rendered_paths))
     indicators = compute_indicators(forest)
-    if persist:
-        write_json(out, "indicators.json", indicators.to_json())
+    write_json(out, "indicators.json", indicators.to_json())
     return StaticArtifacts(
         forest=forest,
         graph=graph,
@@ -169,37 +158,44 @@ def assemble_bundle(
     )
 
 
-def run_detect(
-    desc: ContractDescription,
-    config: RunConfig,
-    transport=None,
-    extra_globals: frozenset[str] = frozenset(),
-) -> tuple[Verdict, AnalysisBundle]:
-    """Full pipeline for one contract; artifacts land in config.out_dir."""
-    out = config.out_dir
-    static = run_static(desc, config, extra_globals)
+def run_probes(
+    desc: ContractDescription, config: RunConfig, transport=None
+) -> tuple[AnalysisBundle, Stage2Result]:
+    """The static half, then both model stages: writes the five static
+    artifacts, ``bundle.json`` and ``probes.json``.
+
+    The transport is built only after the static artifacts are on disk, so a
+    missing or corrupt store still leaves them.
+    """
+    static = run_static(desc, config)
     if transport is None:
         transport = make_transport(config)
-
     stage1 = run_stage1(desc, transport, config.concurrency)
     bundle = assemble_bundle(desc, static, stage1)
-    write_json(out, "bundle.json", bundle.to_json())
-
+    write_json(config.out_dir, "bundle.json", bundle.to_json())
     stage2 = run_stage2(bundle, transport, config.concurrency, config.retries)
-    write_json(
-        out,
-        "probes.json",
-        {
-            "distributions": [d.to_json() for d in stage2.distributions],
-            "failed": list(stage2.failed),
-        },
-    )
+    write_json(config.out_dir, "probes.json", stage2.to_json())
+    return bundle, stage2
 
-    fusion = fuse(stage2.distributions)
-    write_json(out, "fusion.json", fusion.to_json())
 
+def run_fusion(
+    distributions: list[ProbeDistribution], config: RunConfig
+) -> tuple[FusionResult, Verdict]:
+    """Fuse probe distributions and decide: writes ``fusion.json``, then
+    ``verdict.json``."""
+    fusion = fuse(distributions)
+    write_json(config.out_dir, "fusion.json", fusion.to_json())
     verdict = decide(fusion, config.threshold)
-    write_json(out, "verdict.json", verdict.to_json())
+    write_json(config.out_dir, "verdict.json", verdict.to_json())
+    return fusion, verdict
+
+
+def run_detect(
+    desc: ContractDescription, config: RunConfig, transport=None
+) -> tuple[Verdict, AnalysisBundle]:
+    """Full pipeline for one contract; artifacts land in config.out_dir."""
+    bundle, stage2 = run_probes(desc, config, transport)
+    _, verdict = run_fusion(stage2.distributions, config)
     return verdict, bundle
 
 

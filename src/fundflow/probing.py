@@ -173,6 +173,12 @@ class Stage2Result:
     distributions: list[ProbeDistribution] = field(default_factory=list)
     failed: list[str] = field(default_factory=list)  # probe kinds dropped
 
+    def to_json(self) -> dict:
+        return {
+            "distributions": [d.to_json() for d in self.distributions],
+            "failed": list(self.failed),
+        }
+
 
 def _run_probe(kind: str, prompt: str, transport, retries: int) -> ProbeDistribution:
     attempt = 0

@@ -86,18 +86,6 @@ class AnalysisBundle:
             "paths": list(self.paths),
         }
 
-    @classmethod
-    def from_json(cls, data: dict) -> "AnalysisBundle":
-        return cls(
-            contract_summary=data["contract_summary"],
-            functions=[FunctionSummary(**f) for f in data["functions"]],
-            unknown_functions=[UnknownFunction(**u) for u in data["unknown_functions"]],
-            indicators=(
-                Indicators.from_json(data["indicators"]) if data["indicators"] else None
-            ),
-            paths=list(data["paths"]),
-        )
-
 
 def build_stage1_prompts(desc: ContractDescription) -> tuple[str, list[str]]:
     """One contract-level prompt plus one prompt per function."""

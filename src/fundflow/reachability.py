@@ -55,15 +55,13 @@ def identify_ingress(
     graph: FlowGraph,
     forest: ContractForest,
     extra_globals: frozenset[str] = frozenset(),
-    aliases: dict[str, str] | None = None,
 ) -> set[EntityId]:
     """Variable nodes named like transaction fields, plus parameter nodes."""
-    alias_map = DEFAULT_ALIASES if aliases is None else aliases
     out: set[EntityId] = set()
     for ent in graph.nodes.values():
         if ent.flavor != VARIABLE or ent.scope:
             continue
-        canonical = alias_map.get(ent.name, ent.name)
+        canonical = DEFAULT_ALIASES.get(ent.name, ent.name)
         if canonical in PREDEFINED_INGRESS:
             out.add(ent)
     for root_id in forest.roots:
@@ -226,13 +224,8 @@ def render_path(path: FundFlowPath) -> str:
     return " ".join(parts)
 
 
-def paths_to_json(
-    result: EnumerationResult, rendered: list[str] | None = None
-) -> dict:
-    """``rendered``, when given, holds ``render_path`` of each path in result
-    order, so a caller that already rendered the paths does not do it twice."""
-    if rendered is None:
-        rendered = [render_path(p) for p in result.paths]
+def paths_to_json(result: EnumerationResult, rendered: list[str]) -> dict:
+    """``rendered`` holds ``render_path`` of each path, in result order."""
     return {
         "truncated": result.truncated,
         "paths": [
@@ -246,9 +239,3 @@ def paths_to_json(
             for p, text in zip(result.paths, rendered, strict=True)
         ],
     }
-
-
-def paths_report(result: EnumerationResult) -> str:
-    """Plain-text report: one rendered path per line."""
-    lines = [render_path(p) for p in result.paths]
-    return "\n".join(lines) + ("\n" if lines else "")

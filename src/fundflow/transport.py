@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import requests
 
-from .errors import ReplayMiss, TransportError
+from .errors import CorruptStore, ReplayMiss, TransportError
 
 
 @dataclass(frozen=True)
@@ -110,18 +110,36 @@ class RecordTransport:
 
 
 class ReplayTransport:
-    """Serves recorded responses by key; a miss is an error, never a fetch."""
+    """Serves recorded responses by key; a miss is an error, never a fetch.
+
+    Every non-blank store line must be a whole record. A line that is not,
+    including a final line torn by a crash mid-write, raises CorruptStore.
+    """
 
     def __init__(self, store_path: str, params: TransportParams) -> None:
         self.params = params
         self.store_path = store_path
         self._responses: dict[str, str] = {}
-        with open(store_path, encoding="utf-8") as fh:
-            for line in fh:
+        # bytes, so that a record torn inside a UTF-8 sequence is reported
+        # with its line like any other bad record
+        with open(store_path, "rb") as fh:
+            for lineno, line in enumerate(fh, start=1):
                 line = line.strip()
                 if not line:
                     continue
-                record = json.loads(line)
+                try:
+                    record = json.loads(line)
+                except ValueError as exc:
+                    raise CorruptStore(f"{store_path}:{lineno}: not JSON: {exc}") from exc
+                if not (
+                    isinstance(record, dict)
+                    and isinstance(record.get("key"), str)
+                    and isinstance(record.get("response"), str)
+                ):
+                    raise CorruptStore(
+                        f"{store_path}:{lineno}: expected an object with string "
+                        "'key' and 'response'"
+                    )
                 self._responses[record["key"]] = record["response"]
 
     def query(self, prompt: str, attempt: int = 0) -> str:

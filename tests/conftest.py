@@ -1,5 +1,5 @@
-"""Shared fixtures: the two-function toy forest, recorded probe tables, and
-a scripted offline transport for pipeline tests."""
+"""Shared fixtures: the two-function toy forest, probe distributions built
+from the scripted model's rank tables, and the fixture contract text."""
 
 from __future__ import annotations
 
@@ -8,26 +8,11 @@ import pytest
 from fundflow.behavior import parse_behavior
 from fundflow.forest import ContractForest, DepNode
 from fundflow.probing import LETTER_TO_LABEL, ProbeDistribution
-
-# ranked rows (letter, confidence) per probe kind, adversarial fixture
-ADVERSARIAL_ROWS = {
-    "g_normal": (("B", 60), ("A", 25), ("C", 10), ("D", 5)),
-    "s_normal": (("B", 60), ("A", 30), ("C", 8), ("D", 2)),
-    "g_mislead_adv": (("A", 60), ("B", 30), ("C", 8), ("D", 2)),
-    "g_mislead_be": (("D", 70), ("C", 20), ("B", 8), ("A", 2)),
-    "s_mislead_adv": (("A", 80), ("B", 15), ("C", 5), ("D", 0)),
-    "s_mislead_be": (("D", 60), ("C", 30), ("B", 10), ("A", 0)),
-}
-
-# benign fixture
-BENIGN_ROWS = {
-    "g_normal": (("D", 50), ("C", 30), ("B", 15), ("A", 5)),
-    "s_normal": (("B", 50), ("C", 30), ("A", 15), ("D", 5)),
-    "g_mislead_adv": (("C", 40), ("D", 30), ("B", 20), ("A", 10)),
-    "g_mislead_be": (("D", 70), ("C", 20), ("B", 8), ("A", 2)),
-    "s_mislead_adv": (("A", 70), ("B", 20), ("C", 8), ("D", 2)),
-    "s_mislead_be": (("D", 70), ("C", 20), ("B", 8), ("A", 2)),
-}
+from fundflow.scripted import (  # noqa: F401  (shared with the test modules)
+    ADVERSARIAL_ROWS,
+    BENIGN_ROWS,
+    ScriptedTransport,
+)
 
 
 def distribution(kind: str, rows) -> ProbeDistribution:
@@ -39,15 +24,6 @@ def distribution(kind: str, rows) -> ProbeDistribution:
 
 def distributions(table: dict) -> list[ProbeDistribution]:
     return [distribution(kind, rows) for kind, rows in table.items()]
-
-
-def ranked_text(rows) -> str:
-    """Render a table row as a model answer in the expected format."""
-    lines = ["Reasoning: the evidence points one way."]
-    for i, (letter, conf) in enumerate(rows, start=1):
-        lines.append(f"G{i}: {letter}")
-        lines.append(f"P{i}: {conf}%")
-    return "\n".join(lines)
 
 
 def make_toy_forest() -> ContractForest:
@@ -83,41 +59,6 @@ def make_toy_forest() -> ContractForest:
 
 
 TOY_GLOBALS = frozenset({"v1", "v2", "v3"})
-
-
-class ScriptedTransport:
-    """Offline stand-in for a model endpoint, keyed on prompt content."""
-
-    def __init__(self, params, probe_rows: dict, stage1_general: str | None = None):
-        self.params = params
-        self.probe_rows = probe_rows
-        self.stage1_general = (
-            stage1_general
-            or "contract summary: Moves funds through guarded external calls."
-        )
-        self.calls = 0
-
-    def query(self, prompt: str, attempt: int = 0) -> str:
-        self.calls += 1
-        if "Provide your 4 best guesses" in prompt:
-            return ranked_text(self.probe_rows[self._probe_kind(prompt)])
-        if "contract summary:" in prompt:
-            return self.stage1_general
-        return (
-            "purpose: handles one step of the flow.\n"
-            "suspicious: Yes\n"
-            "reason: execution is gated on a hardcoded origin hash."
-        )
-
-    @staticmethod
-    def _probe_kind(prompt: str) -> str:
-        general = "=== Contract-Level Information ===" in prompt
-        side = "g" if general else "s"
-        if prompt.rstrip().endswith("(A) adversarial."):
-            return f"{side}_mislead_adv"
-        if prompt.rstrip().endswith("(D) benign."):
-            return f"{side}_mislead_be"
-        return f"{side}_normal"
 
 
 def make_bundle_rows():

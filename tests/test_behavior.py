@@ -119,12 +119,6 @@ def test_parse_behavior_rejects_non_behavior():
         bh.parse_behavior("completely free-form prose")
 
 
-def test_parsed_behavior_json_round_trip():
-    parsed = bh.parse_behavior("it transfers v wei to a with gas g")
-    again = bh.ParsedBehavior.from_json(parsed.to_json())
-    assert again == parsed
-
-
 @given(st.text(max_size=200))
 def test_classify_total(text):
     if not text.strip():

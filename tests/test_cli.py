@@ -9,7 +9,7 @@ from fundflow.pipeline import RunConfig, run_detect
 from fundflow.transport import RecordTransport
 
 from conftest import ADVERSARIAL_ROWS, BENIGN_ROWS, FIXTURE_TEXT, ScriptedTransport
-from test_pipeline import BENIGN_TEXT, read_json
+from test_pipeline import BENIGN_TEXT, MODEL_NAMES, STATIC_NAMES, read_json
 
 
 @pytest.fixture
@@ -156,6 +156,22 @@ def test_probe_command(tmp_path, fixture_file, adv_store, capsys):
     assert os.path.exists(os.path.join(out, "bundle.json"))
 
 
+def test_probe_then_fuse_matches_detect(tmp_path, fixture_file, adv_store):
+    staged, direct = str(tmp_path / "staged"), str(tmp_path / "direct")
+    replay = ["--transport", "replay", "--store", adv_store]
+    assert main(["probe", "-i", fixture_file, "-o", staged, *replay]) == 0
+    probes = os.path.join(staged, "probes.json")
+    assert main(["fuse", "-i", probes, "-o", staged]) == 3
+    assert main(["detect", "-i", fixture_file, "-o", direct, *replay]) == 3
+    names = sorted(STATIC_NAMES + MODEL_NAMES)
+    assert sorted(os.listdir(staged)) == sorted(os.listdir(direct)) == names
+    for name in names:
+        with open(os.path.join(staged, name), "rb") as a, open(
+            os.path.join(direct, name), "rb"
+        ) as b:
+            assert a.read() == b.read(), name
+
+
 def probes_file(tmp_path, rows_table):
     from conftest import distributions
 
@@ -252,6 +268,31 @@ def test_sweep_writes_csv(tmp_path, capsys):
 
 def test_sweep_rejects_out_of_range_grid(tmp_path, capsys):
     assert main(["sweep", "-i", scores_file(tmp_path), "--grid", "0.5,1.5"]) == 1
+
+
+@pytest.mark.parametrize(
+    "tail",
+    [
+        b'{"key": "0f3a", "model": "gpt-4o", "resp',  # torn by a crash mid-write
+        '{"key": "0f3a", "response": "zw\u00f6'.encode()[:-1],  # torn inside a UTF-8 sequence
+        b'{"key": "0f3a", "model": "gpt-4o"}\n',
+        b'["0f3a", "an answer"]\n',
+    ],
+    ids=["torn", "torn_utf8", "no_response", "list"],
+)
+def test_corrupt_store_is_runtime_error(tmp_path, fixture_file, adv_store, capsys, tail):
+    with open(adv_store, "ab") as fh:
+        fh.write(tail)
+    with open(adv_store, "rb") as fh:
+        bad_line = len(fh.read().splitlines())
+    code = main(
+        [
+            "detect", "-i", fixture_file, "-o", str(tmp_path / "out"),
+            "--transport", "replay", "--store", adv_store,
+        ]
+    )
+    assert code == 1
+    assert f"store.jsonl:{bad_line}:" in capsys.readouterr().err
 
 
 def test_replay_without_store_is_usage_error(tmp_path, fixture_file, capsys):

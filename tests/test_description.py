@@ -107,6 +107,9 @@ def test_json_depth_validation():
     }
     with pytest.raises(InvalidDescription):
         description_from_json(doc)
+    doc = {"contract": "c", "functions": [{"signature": "f()", "sentences": 5}]}
+    with pytest.raises(InvalidDescription, match="sentences must be a list"):
+        description_from_json(doc)
 
 
 def test_load_description_sniffs_json(tmp_path):

@@ -79,16 +79,6 @@ def test_operation_display_is_bare_label():
     assert op.key() == "f:stor_5.flashLoan#1"
 
 
-def test_from_key_round_trip():
-    for ent in [
-        EntityId("", "stor_1"),
-        EntityId("f", "x"),
-        EntityId("f", "transfer", OPERATION, 2),
-        EntityId("", "msg.sender"),
-    ]:
-        assert EntityId.from_key(ent.key(), ent.flavor) == ent
-
-
 @pytest.mark.parametrize("kind", ROW_KINDS)
 def test_table_row(kind):
     check_row(kind)
@@ -152,12 +142,6 @@ def test_key_injective_for_variables(a, b):
     assert (ea.key() == eb.key()) == (ea == eb)
 
 
-@given(_SCOPES, _NAMES)
-def test_key_round_trip_property(scope, name):
-    ent = EntityId(scope=scope, name=name)
-    assert EntityId.from_key(ent.key(), VARIABLE) == ent
-
-
 @given(st.integers(min_value=-(10**12), max_value=10**12))
 def test_integers_are_constants(n):
     assert is_constant(str(n))
@@ -186,9 +170,8 @@ def _entities(draw):
 
 
 @given(_entities(), _entities())
-def test_cached_key_matches_formatting_and_round_trips(ent, other):
+def test_cached_key_matches_formatting(ent, other):
     assert ent.key() == _formatted_key(ent)
-    assert EntityId.from_key(ent.key(), ent.flavor) == ent
     fields = (ent.scope, ent.name, ent.flavor, ent.occurrence)
     other_fields = (other.scope, other.name, other.flavor, other.occurrence)
     assert hash(ent) == hash(fields)

@@ -3,7 +3,7 @@ from hypothesis import given, strategies as st
 
 from fundflow.description import ContractDescription, FunctionChunk, Sentence, chunk_flat_text
 from fundflow.errors import MalformedNesting
-from fundflow.forest import build_forest, forest_from_json, forest_to_json
+from fundflow.forest import build_forest
 
 
 def desc_of(*sentences, sig="f(a)"):
@@ -107,21 +107,6 @@ def test_function_accessors():
     assert forest.function_parameters(root) == ("a", "b")
 
 
-def test_forest_json_round_trip():
-    text = (
-        "function f(a):\n"
-        "when (a > 0)\n"
-        "  it transfers a wei to caller\n"
-        "function unknownfffcf3a1(p):\n"
-        "it triggers the external call to stor_5.flashLoan(p)\n"
-    )
-    forest = build_forest(chunk_flat_text(text))
-    again = forest_from_json(forest_to_json(forest))
-    assert again.contract_id == forest.contract_id
-    assert again.roots == forest.roots
-    assert [(n.id, n.kind, n.text, n.children, n.behavior) for n in again.nodes] == [
-        (n.id, n.kind, n.text, n.children, n.behavior) for n in forest.nodes
-    ]
 
 
 @st.composite

@@ -8,7 +8,7 @@ from fundflow.errors import InvalidThreshold, NoProbes
 from fundflow.fusion import EPSILON, RANK_POINTS, decide, entropy, fuse
 from fundflow.probing import LABELS, ProbeDistribution
 
-from conftest import ADVERSARIAL_ROWS, BENIGN_ROWS, distribution, distributions
+from conftest import ADVERSARIAL_ROWS, BENIGN_ROWS, distributions
 
 # frozen straight-line computation over the recorded case-study tables
 ADV_EXPECTED = {

@@ -1,7 +1,6 @@
 from fundflow.description import chunk_flat_text
 from fundflow.forest import build_forest
 from fundflow.graph import (
-    graph_from_json,
     graph_to_json,
     transform,
 )
@@ -177,15 +176,6 @@ def test_transform_is_deterministic():
     a = graph_to_json(transform(make_toy_forest(), TOY_GLOBALS))
     b = graph_to_json(transform(make_toy_forest(), TOY_GLOBALS))
     assert a == b
-
-
-def test_graph_json_round_trip():
-    graph = transform(make_toy_forest(), TOY_GLOBALS)
-    data = graph_to_json(graph)
-    again = graph_from_json(data)
-    assert graph_to_json(again) == data
-    assert set(again.nodes) == set(graph.nodes)
-    assert edge_view(again) == edge_view(graph)
 
 
 def test_node_json_shape():

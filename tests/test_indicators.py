@@ -100,8 +100,3 @@ def test_function_order_does_not_matter():
         "function unknownaa(x):\nit transfers x wei to caller\n"
     )
     assert a == b
-
-
-def test_json_round_trip():
-    got = indicators_of(FIXTURE_TEXT)
-    assert Indicators.from_json(got.to_json()) == got

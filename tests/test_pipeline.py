@@ -62,13 +62,6 @@ def test_run_static_writes_every_artifact(tmp_path):
     assert read_json(out, "description.json")["contract"] == "fixture"
 
 
-def test_run_static_persist_flag(tmp_path):
-    out = str(tmp_path / "dry")
-    desc = chunk_flat_text(FIXTURE_TEXT, "fixture")
-    run_static(desc, RunConfig(out_dir=out), persist=False)
-    assert not os.path.exists(out)
-
-
 def test_artifacts_end_with_newline(tmp_path):
     path = write_json(str(tmp_path), "x.json", {"a": "ü"})
     raw = open(path, "rb").read()
@@ -194,7 +187,7 @@ def test_static_artifacts_survive_model_failure(tmp_path):
 def test_assemble_bundle_uses_stage1_reasons(tmp_path):
     config = RunConfig(out_dir=str(tmp_path / "x"))
     desc = chunk_flat_text(FIXTURE_TEXT, "fixture")
-    static = run_static(desc, config, persist=False)
+    static = run_static(desc, config)
     stage1 = run_stage1(desc, ScriptedTransport(config.params(), ADVERSARIAL_ROWS))
     bundle = assemble_bundle(desc, static, stage1)
     assert bundle.contract_summary == "Moves funds through guarded external calls."
@@ -207,7 +200,7 @@ def test_no_parameter_unknown_function_placeholder(tmp_path):
     text = "function unknownaa():\nit transfers stor_1 wei to caller\n"
     config = RunConfig(out_dir=str(tmp_path / "x"))
     desc = chunk_flat_text(text, "c")
-    static = run_static(desc, config, persist=False)
+    static = run_static(desc, config)
     stage1 = run_stage1(desc, ScriptedTransport(config.params(), ADVERSARIAL_ROWS))
     bundle = assemble_bundle(desc, static, stage1)
     assert bundle.unknown_functions[0].parameters == "(no parameters)"

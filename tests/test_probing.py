@@ -245,6 +245,7 @@ class OverlapTransport(ScriptedTransport):
         super().__init__(params, rows)
         self.barrier = threading.Barrier(2, timeout=5)
         self.lock = threading.Lock()
+        self.calls = 0
         self.in_flight = 0
         self.max_in_flight = 0
 

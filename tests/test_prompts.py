@@ -164,10 +164,3 @@ def test_ordinal_suffixes():
     }
     for n, want in values.items():
         assert ordinal(n) == want
-
-
-def test_bundle_json_round_trip():
-    bundle = make_bundle()
-    again = AnalysisBundle.from_json(bundle.to_json())
-    assert again.to_json() == bundle.to_json()
-    assert again.functions[0].suspicious is True

@@ -6,14 +6,12 @@ from fundflow.forest import build_forest
 from fundflow.graph import FlowEdge, FlowGraph, transform
 from fundflow.reachability import (
     AnchorSets,
-    EnumerationResult,
     FundFlowPath,
     ReachLimits,
     egress_label,
     forward_reach,
     identify_egress,
     identify_ingress,
-    paths_report,
     paths_to_json,
     prune_and_enumerate,
     render_path,
@@ -149,17 +147,10 @@ def test_render_joins_conditions_with_comma_space():
     assert render_path(path) == "f:a --[c1, c2]--> stor_1 --[]--> f:b"
 
 
-def test_paths_report_one_line_per_path():
-    graph, anchors = toy_setup()
-    result = prune_and_enumerate(graph, forward_reach(graph, anchors.ingress), anchors)
-    assert paths_report(result) == "v2 --[c3]--> v3 --[c1]--> op2\n"
-    assert paths_report(EnumerationResult(paths=[])) == ""
-
-
 def test_paths_json_shape():
     graph, anchors = toy_setup()
     result = prune_and_enumerate(graph, forward_reach(graph, anchors.ingress), anchors)
-    data = paths_to_json(result)
+    data = paths_to_json(result, [render_path(p) for p in result.paths])
     assert data["truncated"] is False
     assert data["paths"][0]["rendered"] == "v2 --[c3]--> v3 --[c1]--> op2"
     assert data["paths"][0]["hops"] == [
