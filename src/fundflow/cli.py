@@ -16,7 +16,7 @@ import typing
 from pathlib import Path
 
 from .description import load_description
-from .errors import FundflowError
+from .errors import FundflowError, InvalidInput
 from .forest import build_forest, forest_to_json
 from .metrics import compute_metrics, sweep_to_csv, threshold_sweep
 from .pipeline import (
@@ -70,9 +70,8 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     return RunConfig(**values)
 
 
-def add_common_flags(p: argparse.ArgumentParser, io: bool = True) -> None:
-    if io:
-        p.add_argument("-i", "--input", required=True, help="description file (flat text or JSON)")
+def add_common_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("-i", "--input", required=True, help="description file (flat text or JSON)")
     p.add_argument("-o", "--out-dir", dest="out_dir", default=None, help="artifact directory")
     p.add_argument("--config", default=None, help="key=value config file")
 
@@ -147,9 +146,16 @@ def cmd_probe(args: argparse.Namespace) -> int:
 
 def cmd_fuse(args: argparse.Namespace) -> int:
     config = build_config(args)
-    with open(args.input, encoding="utf-8") as fh:
-        payload = json.load(fh)
-    probes = [ProbeDistribution.from_json(d) for d in payload["distributions"]]
+    with open(args.input, "rb") as fh:
+        raw = fh.read()
+    try:
+        probes = [ProbeDistribution.from_json(d) for d in json.loads(raw)["distributions"]]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise InvalidInput(
+            f"{args.input}: expected probes.json's "
+            '{"distributions": [{"probe": ..., "ranked": [[label, confidence], ...]}]}: '
+            f"{exc!r}"
+        ) from exc
     result, verdict = run_fusion(probes, config)
     print(json.dumps({**result.to_json(), "verdict": verdict.to_json()}, indent=2))
     return 3 if verdict.label == "adversarial" else 0
@@ -171,19 +177,41 @@ def cmd_detect(args: argparse.Namespace) -> int:
     return 3 if any_adversarial else 0
 
 
-def _read_jsonl(path: str) -> list[dict]:
+_JSON_TYPES = {"string": str, "number": (int, float)}
+
+
+def _read_jsonl(path: str, **fields: str) -> list[tuple]:
+    """The values of ``fields`` in each line of a JSONL file, as tuples.
+
+    ``fields`` maps each name to the JSON type its value must have; a line
+    that is not such an object raises InvalidInput naming the file and line.
+    """
     rows = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                rows.append(json.loads(line))
+    # bytes, so that text that is not UTF-8 is reported with its line
+    with open(path, "rb") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            try:
+                row = json.loads(line)
+            except ValueError as exc:
+                raise InvalidInput(f"{path}:{lineno}: not JSON: {exc}") from exc
+            if not (
+                isinstance(row, dict)
+                and all(
+                    isinstance(row.get(name), _JSON_TYPES[kind])
+                    for name, kind in fields.items()
+                )
+            ):
+                expected = ", ".join(f"{kind} {name!r}" for name, kind in fields.items())
+                raise InvalidInput(f"{path}:{lineno}: expected an object with {expected}")
+            rows.append(tuple(row[name] for name in fields))
     return rows
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    predictions = [(r["id"], r["label"]) for r in _read_jsonl(args.predictions)]
-    truth = [(r["id"], r["label"]) for r in _read_jsonl(args.truth)]
+    predictions = _read_jsonl(args.predictions, id="string", label="string")
+    truth = _read_jsonl(args.truth, id="string", label="string")
     metrics = compute_metrics(predictions, truth)
     print(json.dumps(metrics.to_json(), indent=2))
     return 0
@@ -194,8 +222,7 @@ def _parse_grid(raw: str) -> list[float]:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    rows = _read_jsonl(args.input)
-    scores = [(r["id"], float(r["adv_score"]), r["label"]) for r in rows]
+    scores = _read_jsonl(args.input, id="string", adv_score="number", label="string")
     grid = _parse_grid(args.grid)
     for t in grid:
         if not 0.0 <= t <= 1.0:

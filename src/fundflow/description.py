@@ -196,8 +196,11 @@ def description_to_json(desc: ContractDescription) -> dict:
 
 def load_description(path: str) -> ContractDescription:
     """Load a description from a file, dispatching on a JSON-vs-text sniff."""
-    with open(path, encoding="utf-8") as fh:
-        raw = fh.read()
+    try:
+        with open(path, encoding="utf-8") as fh:
+            raw = fh.read()
+    except UnicodeDecodeError as exc:
+        raise InvalidDescription(f"{path}: not UTF-8 text: {exc}") from exc
     if raw.lstrip().startswith("{"):
         return description_from_json(raw)
     from pathlib import Path

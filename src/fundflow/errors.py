@@ -9,6 +9,10 @@ class InvalidDescription(FundflowError):
     """Canonical JSON input violates the description schema."""
 
 
+class InvalidInput(FundflowError):
+    """A JSON or JSONL input file for fuse, eval or sweep has the wrong shape."""
+
+
 class NoFunctionsFound(FundflowError):
     """Flat-text input contains no recognizable function header."""
 

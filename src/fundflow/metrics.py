@@ -6,7 +6,8 @@ None rather than a silent zero, and that propagates into balanced accuracy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import asdict, dataclass
 
 from .errors import LabelMismatch
 
@@ -26,17 +27,7 @@ class Metrics:
     bac: float | None
 
     def to_json(self) -> dict:
-        return {
-            "tp": self.tp,
-            "fp": self.fp,
-            "tn": self.tn,
-            "fn": self.fn,
-            "tpr": self.tpr,
-            "tnr": self.tnr,
-            "fpr": self.fpr,
-            "fnr": self.fnr,
-            "bac": self.bac,
-        }
+        return asdict(self)
 
 
 def balanced_accuracy(tpr: float | None, tnr: float | None) -> float | None:
@@ -61,6 +52,17 @@ def metrics_from_counts(tp: int, fp: int, tn: int, fn: int) -> Metrics:
     )
 
 
+def _confusion(pairs) -> Metrics:
+    """Metrics over (actual label, predicted positive) pairs."""
+    counts = Counter((actual == POSITIVE, predicted) for actual, predicted in pairs)
+    return metrics_from_counts(
+        tp=counts[True, True],
+        fp=counts[False, True],
+        tn=counts[False, False],
+        fn=counts[True, False],
+    )
+
+
 def compute_metrics(
     predictions: list[tuple[str, str]], truth: list[tuple[str, str]]
 ) -> Metrics:
@@ -72,21 +74,9 @@ def compute_metrics(
     if set(pred_map) != set(truth_map):
         missing = set(truth_map) ^ set(pred_map)
         raise LabelMismatch(f"id sets differ on {sorted(missing)[:5]}")
-
-    tp = fp = tn = fn = 0
-    for cid, actual in truth_map.items():
-        predicted = pred_map[cid]
-        if actual == POSITIVE:
-            if predicted == POSITIVE:
-                tp += 1
-            else:
-                fn += 1
-        else:
-            if predicted == POSITIVE:
-                fp += 1
-            else:
-                tn += 1
-    return metrics_from_counts(tp=tp, fp=fp, tn=tn, fn=fn)
+    return _confusion(
+        (actual, pred_map[cid] == POSITIVE) for cid, actual in truth_map.items()
+    )
 
 
 @dataclass(frozen=True)
@@ -105,20 +95,7 @@ def threshold_sweep(
     """One row per threshold; a sample is adversarial iff its score > t."""
     rows: list[SweepRow] = []
     for t in grid:
-        tp = fp = tn = fn = 0
-        for _, score, actual in scores:
-            predicted_positive = score > t
-            if actual == POSITIVE:
-                if predicted_positive:
-                    tp += 1
-                else:
-                    fn += 1
-            else:
-                if predicted_positive:
-                    fp += 1
-                else:
-                    tn += 1
-        m = metrics_from_counts(tp=tp, fp=fp, tn=tn, fn=fn)
+        m = _confusion((actual, score > t) for _, score, actual in scores)
         rows.append(
             SweepRow(
                 threshold=t, fpr=m.fpr, fnr=m.fnr, tpr=m.tpr, tnr=m.tnr, bac=m.bac

@@ -62,22 +62,16 @@ class RunConfig:
 
 
 def make_transport(config: RunConfig):
-    if config.transport == "live":
-        return LiveTransport(
-            config.params(), endpoint=config.endpoint, api_key_env=config.api_key_env
-        )
-    if config.transport == "record":
-        if not config.store:
-            raise ValueError("record transport requires --store")
-        live = LiveTransport(
-            config.params(), endpoint=config.endpoint, api_key_env=config.api_key_env
-        )
-        return RecordTransport(live, config.store)
+    if config.transport not in ("live", "record", "replay"):
+        raise ValueError(f"unknown transport mode: {config.transport!r}")
+    if config.transport != "live" and not config.store:
+        raise ValueError(f"{config.transport} transport requires --store")
     if config.transport == "replay":
-        if not config.store:
-            raise ValueError("replay transport requires --store")
         return ReplayTransport(config.store, config.params())
-    raise ValueError(f"unknown transport mode: {config.transport!r}")
+    live = LiveTransport(
+        config.params(), endpoint=config.endpoint, api_key_env=config.api_key_env
+    )
+    return live if config.transport == "live" else RecordTransport(live, config.store)
 
 
 def write_json(out_dir: str, name: str, payload: dict) -> str:
@@ -205,8 +199,9 @@ def run_batch(
     """Detect over many contracts with a bounded worker pool; each contract
     writes into its own subdirectory of the configured output directory.
 
-    All contracts share one transport, so a replay store is loaded once per
-    batch and a record store has one writer.
+    All contracts share one transport, so a store is loaded once per batch,
+    a record store has one writer, and a prompt that several contracts share
+    is asked once.
     """
     transport = make_transport(config)
 

@@ -23,7 +23,7 @@ from .prompts import (
     build_stage1_prompts,
     build_stage2_prompt,
 )
-from .transport import ReplayTransport
+from .transport import RecordTransport, ReplayTransport
 
 LETTER_TO_LABEL = {
     "A": "adversarial",
@@ -57,10 +57,10 @@ class ProbeDistribution:
 
     @classmethod
     def from_json(cls, data: dict) -> "ProbeDistribution":
-        return cls(
-            probe=data["probe"],
-            ranked=tuple((label, float(conf)) for label, conf in data["ranked"]),
-        )
+        ranked = tuple((label, float(conf)) for label, conf in data["ranked"])
+        if not isinstance(data["probe"], str) or any(l not in LABELS for l, _ in ranked):
+            raise ValueError(f"expected a string probe and ranked labels among {LABELS}")
+        return cls(probe=data["probe"], ranked=ranked)
 
 
 def _find_slot(text: str, slot: str) -> str | None:
@@ -143,10 +143,13 @@ def _map_queries(fn, items, transport, concurrency: int) -> list:
 
     A replay store answers from memory and never waits, so a pool would only
     add thread hand-offs: its calls, like any with ``concurrency <= 1``, run
-    in the caller's thread. Other transports wait on the model, and up to
-    ``concurrency`` of their calls are in flight at once.
+    in the caller's thread. Other transports, record included, wait on the
+    model, and up to ``concurrency`` of their calls are in flight at once.
     """
-    if concurrency <= 1 or isinstance(transport, ReplayTransport):
+    inline = isinstance(transport, ReplayTransport) and not isinstance(
+        transport, RecordTransport
+    )
+    if concurrency <= 1 or inline:
         return [fn(item) for item in items]
     with ThreadPoolExecutor(max_workers=concurrency) as pool:
         return list(pool.map(fn, items))

@@ -1,10 +1,11 @@
 """Pluggable LLM transports: live HTTP, recording, and replay.
 
 Every query is identified by a content hash over the prompt and the sampling
-parameters (attempt number included, so retries get their own slot). Record
-mode wraps any transport and appends each response to a JSONL store; replay
-mode serves solely from such a store and never opens a connection, which is
-what makes pipeline runs hermetic and reproducible.
+parameters (attempt number included, so retries get their own slot). Replay
+mode serves solely from a JSONL store and never opens a connection, which is
+what makes pipeline runs hermetic and reproducible. Record mode is the same
+store with a miss path: it asks any inner transport once per missing key and
+appends the answer.
 """
 
 from __future__ import annotations
@@ -86,43 +87,25 @@ class LiveTransport:
             raise TransportError(f"unexpected response shape: {exc}") from exc
 
 
-class RecordTransport:
-    """Forwards to an inner transport and appends responses to a JSONL store."""
-
-    def __init__(self, inner, store_path: str) -> None:
-        self.inner = inner
-        self.params: TransportParams = inner.params
-        self.store_path = store_path
-        self._lock = threading.Lock()
-
-    def query(self, prompt: str, attempt: int = 0) -> str:
-        text = self.inner.query(prompt, attempt)
-        record = {
-            "key": query_key(prompt, self.params, attempt),
-            "model": self.params.model,
-            "response": text,
-        }
-        line = json.dumps(record, ensure_ascii=False)
-        with self._lock:
-            with open(self.store_path, "a", encoding="utf-8") as fh:
-                fh.write(line + "\n")
-        return text
-
-
 class ReplayTransport:
-    """Serves recorded responses by key; a miss is an error, never a fetch.
+    """Serves stored responses by key; a miss is an error, never a fetch.
 
-    Every non-blank store line must be a whole record. A line that is not,
+    The store is JSONL, one ``{"key", "model", "response"}`` record a line.
+    Every non-blank line must be a whole record. A line that is not,
     including a final line torn by a crash mid-write, raises CorruptStore.
+    When a key has several lines, the first one is served.
     """
 
     def __init__(self, store_path: str, params: TransportParams) -> None:
         self.params = params
         self.store_path = store_path
-        self._responses: dict[str, str] = {}
+        self._responses = self._load()
+
+    def _load(self) -> dict[str, str]:
+        path, responses = self.store_path, {}
         # bytes, so that a record torn inside a UTF-8 sequence is reported
         # with its line like any other bad record
-        with open(store_path, "rb") as fh:
+        with open(path, "rb") as fh:
             for lineno, line in enumerate(fh, start=1):
                 line = line.strip()
                 if not line:
@@ -130,20 +113,61 @@ class ReplayTransport:
                 try:
                     record = json.loads(line)
                 except ValueError as exc:
-                    raise CorruptStore(f"{store_path}:{lineno}: not JSON: {exc}") from exc
+                    raise CorruptStore(f"{path}:{lineno}: not JSON: {exc}") from exc
                 if not (
                     isinstance(record, dict)
                     and isinstance(record.get("key"), str)
                     and isinstance(record.get("response"), str)
                 ):
                     raise CorruptStore(
-                        f"{store_path}:{lineno}: expected an object with string "
+                        f"{path}:{lineno}: expected an object with string "
                         "'key' and 'response'"
                     )
-                self._responses[record["key"]] = record["response"]
+                responses.setdefault(record["key"], record["response"])
+        return responses
 
     def query(self, prompt: str, attempt: int = 0) -> str:
         key = query_key(prompt, self.params, attempt)
-        if key not in self._responses:
-            raise ReplayMiss(key=key, context=f"attempt {attempt}")
-        return self._responses[key]
+        response = self._responses.get(key)
+        if response is None:
+            return self._miss(key, prompt, attempt)
+        return response
+
+    def _miss(self, key: str, prompt: str, attempt: int) -> str:
+        raise ReplayMiss(key=key, context=f"attempt {attempt}")
+
+
+class RecordTransport(ReplayTransport):
+    """A store that asks an inner transport on a miss and appends the answer.
+
+    An existing store is read first, so a rerun asks only for missing keys.
+    When several threads miss one key, one asks and the others wait for its
+    answer. A failed query appends nothing.
+    """
+
+    def __init__(self, inner, store_path: str) -> None:
+        self.inner = inner
+        self._lock = threading.Lock()  # guards the store file and _asking
+        self._asking: dict[str, threading.Lock] = {}
+        super().__init__(store_path, inner.params)
+
+    def _load(self) -> dict[str, str]:
+        # the first answer creates the store; its directory may not exist yet
+        if not os.path.exists(self.store_path):
+            return {}
+        return super()._load()
+
+    def _miss(self, key: str, prompt: str, attempt: int) -> str:
+        with self._lock:
+            asking = self._asking.setdefault(key, threading.Lock())
+        with asking:
+            response = self._responses.get(key)
+            if response is None:
+                response = self.inner.query(prompt, attempt)
+                record = {"key": key, "model": self.params.model, "response": response}
+                line = json.dumps(record, ensure_ascii=False) + "\n"
+                with self._lock:
+                    with open(self.store_path, "a", encoding="utf-8") as fh:
+                        fh.write(line)
+                    self._responses[key] = response
+        return response

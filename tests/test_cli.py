@@ -209,6 +209,35 @@ def test_fuse_command_invalid_threshold(tmp_path, capsys):
     assert "threshold" in capsys.readouterr().err
 
 
+def test_fuse_rejects_a_payload_without_distributions(tmp_path, capsys):
+    path = tmp_path / "probes.json"
+    path.write_text('{"nope": 1}', encoding="utf-8")
+    assert main(["fuse", "-i", str(path), "-o", str(tmp_path / "out")]) == 1
+    assert f"error: {path}: expected probes.json's" in capsys.readouterr().err
+
+
+def test_fuse_rejects_an_unknown_label(tmp_path, capsys):
+    path = tmp_path / "probes.json"
+    ranked = [["adversarial", 70], ["harmless", 30]]
+    path.write_text(json.dumps({"distributions": [{"probe": "g", "ranked": ranked}]}))
+    assert main(["fuse", "-i", str(path), "-o", str(tmp_path / "out")]) == 1
+    assert f"error: {path}: " in capsys.readouterr().err
+
+
+def test_eval_rejects_a_row_without_label(tmp_path, capsys):
+    preds = tmp_path / "preds.jsonl"
+    preds.write_text('{"id": "a", "label": "benign"}\n{"id": "b"}\n', encoding="utf-8")
+    assert main(["eval", str(preds), str(preds)]) == 1
+    assert f"error: {preds}:2: expected an object with" in capsys.readouterr().err
+
+
+def test_sweep_rejects_a_row_without_score(tmp_path, capsys):
+    path = tmp_path / "scores.jsonl"
+    path.write_text('{"id": "a", "adv_score": "high", "label": "benign"}\n', encoding="utf-8")
+    assert main(["sweep", "-i", str(path)]) == 1
+    assert f"error: {path}:1: expected an object with" in capsys.readouterr().err
+
+
 def test_eval_command(tmp_path, capsys):
     preds = tmp_path / "preds.jsonl"
     truth = tmp_path / "truth.jsonl"
@@ -310,6 +339,23 @@ def test_empty_description_is_runtime_error(tmp_path, capsys):
     path = tmp_path / "empty.txt"
     path.write_text("no headers here\n", encoding="utf-8")
     assert main(["parse", "-i", str(path), "-o", str(tmp_path / "o")]) == 1
+
+
+def test_description_not_utf8_is_runtime_error(tmp_path, capsys):
+    path = tmp_path / "binary.txt"
+    path.write_bytes(b"function f(a):\nit returns \xff\n")
+    assert main(["parse", "-i", str(path), "-o", str(tmp_path / "o")]) == 1
+    assert f"error: {path}: not UTF-8 text" in capsys.readouterr().err
+
+
+def test_config_file_bad_number_is_usage_error(tmp_path, fixture_file, capsys):
+    config_path = tmp_path / "bad.cfg"
+    config_path.write_text("max_paths = many\n", encoding="utf-8")
+    code = main(
+        ["parse", "-i", fixture_file, "-o", str(tmp_path / "o"), "--config", str(config_path)]
+    )
+    assert code == 2
+    assert "usage error:" in capsys.readouterr().err
 
 
 def test_unknown_subcommand_is_usage_error(capsys):

@@ -1,6 +1,8 @@
+import itertools
 import json
 import os
 import sys
+import threading
 
 import pytest
 
@@ -337,14 +339,30 @@ def test_batch_replay_artifacts_match_single_replays(tmp_path):
             assert batch_bytes == (alone_out / name).read_bytes(), (desc.contract_id, name)
 
 
+class CountingScripted(ScriptedTransport):
+    """The scripted model, counting the queries it answers."""
+
+    def __init__(self, params, probe_rows):
+        super().__init__(params, probe_rows)
+        self.calls = 0
+        self._lock = threading.Lock()
+
+    def query(self, prompt, attempt=0):
+        with self._lock:
+            self.calls += 1
+        return super().query(prompt, attempt)
+
+
 def test_shared_record_transport_keeps_one_line_per_query(tmp_path, monkeypatch):
-    """Many batch workers and stage threads append through one
-    RecordTransport; every query must land as one whole store line."""
-    monkeypatch.setattr(
-        pipeline,
-        "LiveTransport",
-        lambda params, **_: ScriptedTransport(params, ADVERSARIAL_ROWS),
-    )
+    """Many batch workers and stage threads ask through one RecordTransport;
+    each distinct query is asked once and lands as one whole store line."""
+    models = []
+
+    def live(params, **_):
+        models.append(CountingScripted(params, ADVERSARIAL_ROWS))
+        return models[-1]
+
+    monkeypatch.setattr(pipeline, "LiveTransport", live)
     descs = [chunk_flat_text(FIXTURE_TEXT, f"c{i:02d}") for i in range(12)]
     store = tmp_path / "store.jsonl"
     interval = sys.getswitchinterval()
@@ -361,12 +379,54 @@ def test_shared_record_transport_keeps_one_line_per_query(tmp_path, monkeypatch)
         )
     finally:
         sys.setswitchinterval(interval)
-    # one general and two function summaries, then six probes, per contract
+    # the twelve contracts are identical: one general and two function
+    # summaries, then six probes, asked once for all of them
     lines = store.read_text(encoding="utf-8").splitlines()
-    assert len(lines) == 9 * len(descs)
+    assert len(lines) == 9
+    assert [m.calls for m in models] == [9]
     assert all(json.loads(line)["response"] for line in lines)
     replayed = run_batch(
         descs,
         RunConfig(transport="replay", store=str(store), out_dir=str(tmp_path / "rep")),
     )
     assert replayed == recorded
+
+
+class DriftingScripted(ScriptedTransport):
+    """The scripted model, with stage-I summaries that differ on every call."""
+
+    def __init__(self, params, probe_rows):
+        super().__init__(params, probe_rows)
+        self._calls = itertools.count(1)
+
+    def query(self, prompt, attempt=0):
+        text = super().query(prompt, attempt)
+        if "Provide your 4 best guesses" in prompt:
+            return text
+        return f"{text} (draft {next(self._calls)})"
+
+
+def test_record_batch_with_drifting_model_replays_byte_identically(tmp_path, monkeypatch):
+    """Contracts that repeat a prompt get the answer the store keeps for it,
+    so replaying a record batch reproduces every contract's artifacts."""
+    monkeypatch.setattr(
+        pipeline,
+        "LiveTransport",
+        lambda params, **_: DriftingScripted(params, ADVERSARIAL_ROWS),
+    )
+    descs = [chunk_flat_text(FIXTURE_TEXT, f"c{i}") for i in range(4)]
+    store = str(tmp_path / "store.jsonl")
+    rec, rep = tmp_path / "rec", tmp_path / "rep"
+    run_batch(
+        descs, RunConfig(transport="record", store=store, out_dir=str(rec), concurrency=4)
+    )
+    run_batch(
+        descs, RunConfig(transport="replay", store=store, out_dir=str(rep), concurrency=4)
+    )
+    for desc in descs:
+        for name in STATIC_NAMES + MODEL_NAMES:
+            recorded = (rec / desc.contract_id / name).read_bytes()
+            assert recorded == (rep / desc.contract_id / name).read_bytes(), (
+                desc.contract_id,
+                name,
+            )

@@ -1,9 +1,14 @@
 import json
+import sys
+import threading
+import time
+from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 import requests
 
-from fundflow.errors import ReplayMiss, TransportError
+from fundflow.errors import CorruptStore, ReplayMiss, TransportError
 from fundflow.transport import (
     LiveTransport,
     RecordTransport,
@@ -61,6 +66,109 @@ def test_record_then_replay_byte_identity(tmp_path):
 
     replay = ReplayTransport(str(store), PARAMS)
     assert [replay.query(p, a) for p, a in sent] == recorded
+
+
+class CountingEcho(EchoTransport):
+    """Echoes after a short wait, counting the queries asked per key."""
+
+    def __init__(self, params, fail=()):
+        super().__init__(params)
+        self.asked = Counter()
+        self.fail = set(fail)
+        self._lock = threading.Lock()
+
+    def query(self, prompt, attempt=0):
+        with self._lock:
+            self.asked[query_key(prompt, self.params, attempt)] += 1
+        time.sleep(0.001)
+        if prompt in self.fail:
+            raise TransportError(f"no answer for {prompt}")
+        return super().query(prompt, attempt)
+
+
+def store_record(prompt, response, attempt=0):
+    key = query_key(prompt, PARAMS, attempt)
+    return json.dumps({"key": key, "model": "gpt-4o", "response": response}) + "\n"
+
+
+def test_record_asks_once_per_key_across_threads(tmp_path):
+    store = tmp_path / "store.jsonl"
+    inner = CountingEcho(PARAMS)
+    recorder = RecordTransport(inner, str(store))
+    sent = [(f"prompt {i % 7}", i % 2) for i in range(40)]
+
+    def ask_all(offset):
+        rotated = sent[offset:] + sent[:offset]
+        return sorted(zip(rotated, (recorder.query(p, a) for p, a in rotated)))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=6) as pool:
+            answers = list(pool.map(ask_all, range(6)))
+    finally:
+        sys.setswitchinterval(interval)
+
+    keys = {query_key(p, PARAMS, a) for p, a in sent}
+    assert len(keys) == 14
+    assert inner.asked == Counter(dict.fromkeys(keys, 1))
+    lines = store.read_text(encoding="utf-8").splitlines()
+    assert sorted(json.loads(line)["key"] for line in lines) == sorted(keys)
+    assert all(a == answers[0] for a in answers)
+
+
+def test_record_resumes_from_a_complete_store(tmp_path):
+    store = tmp_path / "store.jsonl"
+    sent = [("alpha", 0), ("beta", 0), ("alpha", 1)]
+    first = RecordTransport(EchoTransport(PARAMS), str(store))
+    recorded = [first.query(p, a) for p, a in sent]
+    before = store.read_bytes()
+
+    inner = CountingEcho(PARAMS)
+    again = RecordTransport(inner, str(store))
+    assert [again.query(p, a) for p, a in sent] == recorded
+    assert inner.asked == Counter()
+    assert store.read_bytes() == before
+
+
+def test_record_does_not_create_the_store_before_an_answer(tmp_path):
+    store = tmp_path / "not_yet" / "store.jsonl"
+    recorder = RecordTransport(EchoTransport(PARAMS), str(store))
+    assert not store.parent.exists()
+    store.parent.mkdir()
+    recorder.query("alpha")
+    assert len(store.read_text(encoding="utf-8").splitlines()) == 1
+
+
+def test_first_line_of_a_key_wins(tmp_path):
+    store = tmp_path / "store.jsonl"
+    store.write_text(
+        store_record("p", "first") + store_record("p", "second"), encoding="utf-8"
+    )
+    inner = CountingEcho(PARAMS)
+    assert RecordTransport(inner, str(store)).query("p") == "first"
+    assert ReplayTransport(str(store), PARAMS).query("p") == "first"
+    assert inner.asked == Counter()
+
+
+def test_record_over_corrupt_store_names_the_line(tmp_path):
+    store = tmp_path / "store.jsonl"
+    store.write_text(store_record("p", "r") + '{"key": "0f3a", "resp', encoding="utf-8")
+    with pytest.raises(CorruptStore, match=r"store\.jsonl:2: "):
+        RecordTransport(EchoTransport(PARAMS), str(store))
+
+
+def test_failed_query_writes_nothing_and_is_asked_again(tmp_path):
+    store = tmp_path / "store.jsonl"
+    inner = CountingEcho(PARAMS, fail={"flaky"})
+    recorder = RecordTransport(inner, str(store))
+    recorder.query("steady")
+    for _ in range(2):
+        with pytest.raises(TransportError):
+            recorder.query("flaky")
+    assert inner.asked[query_key("flaky", PARAMS)] == 2
+    lines = store.read_text(encoding="utf-8").splitlines()
+    assert [json.loads(line)["key"] for line in lines] == [query_key("steady", PARAMS)]
 
 
 def test_replay_miss_carries_key(tmp_path):
