@@ -29,6 +29,7 @@ from .pipeline import (
     write_json,
 )
 from .probing import ProbeDistribution
+from .transport import read_jsonl
 
 
 def _value_type(hint) -> type:
@@ -70,8 +71,10 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     return RunConfig(**values)
 
 
-def add_common_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("-i", "--input", required=True, help="description file (flat text or JSON)")
+def add_common_flags(
+    p: argparse.ArgumentParser, input_help: str = "description file (flat text or JSON)"
+) -> None:
+    p.add_argument("-i", "--input", required=True, help=input_help)
     p.add_argument("-o", "--out-dir", dest="out_dir", default=None, help="artifact directory")
     p.add_argument("--config", default=None, help="key=value config file")
 
@@ -91,17 +94,14 @@ def add_reach_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--max-paths", dest="max_paths", type=int, default=None)
 
 
-def _load_inputs(path: str):
-    """A file is one description; a directory is a batch of them."""
-    p = Path(path)
-    if p.is_dir():
-        files = sorted(
-            f for f in p.iterdir() if f.suffix in {".txt", ".json"} and f.is_file()
-        )
-        if not files:
-            raise FundflowError(f"no .txt or .json descriptions in {path}")
-        return [load_description(str(f)) for f in files]
-    return [load_description(str(p))]
+def _load_batch(path: str):
+    """Every .txt and .json description in a directory, by file name."""
+    files = sorted(
+        f for f in Path(path).iterdir() if f.suffix in {".txt", ".json"} and f.is_file()
+    )
+    if not files:
+        raise FundflowError(f"no .txt or .json descriptions in {path}")
+    return [load_description(str(f)) for f in files]
 
 
 def cmd_parse(args: argparse.Namespace) -> int:
@@ -162,13 +162,13 @@ def cmd_fuse(args: argparse.Namespace) -> int:
 
 
 def cmd_detect(args: argparse.Namespace) -> int:
+    """A file is one contract; a directory is a batch, whatever it holds."""
     config = build_config(args)
-    descriptions = _load_inputs(args.input)
-    if len(descriptions) == 1:
-        verdict, _ = run_detect(descriptions[0], config)
+    if not os.path.isdir(args.input):
+        verdict, _ = run_detect(load_description(args.input), config)
         print(json.dumps(verdict.to_json(), indent=2))
         return 3 if verdict.label == "adversarial" else 0
-    verdicts = run_batch(descriptions, config)
+    verdicts = run_batch(_load_batch(args.input), config)
     any_adversarial = False
     for contract_id in sorted(verdicts):
         verdict = verdicts[contract_id]
@@ -177,41 +177,9 @@ def cmd_detect(args: argparse.Namespace) -> int:
     return 3 if any_adversarial else 0
 
 
-_JSON_TYPES = {"string": str, "number": (int, float)}
-
-
-def _read_jsonl(path: str, **fields: str) -> list[tuple]:
-    """The values of ``fields`` in each line of a JSONL file, as tuples.
-
-    ``fields`` maps each name to the JSON type its value must have; a line
-    that is not such an object raises InvalidInput naming the file and line.
-    """
-    rows = []
-    # bytes, so that text that is not UTF-8 is reported with its line
-    with open(path, "rb") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                row = json.loads(line)
-            except ValueError as exc:
-                raise InvalidInput(f"{path}:{lineno}: not JSON: {exc}") from exc
-            if not (
-                isinstance(row, dict)
-                and all(
-                    isinstance(row.get(name), _JSON_TYPES[kind])
-                    for name, kind in fields.items()
-                )
-            ):
-                expected = ", ".join(f"{kind} {name!r}" for name, kind in fields.items())
-                raise InvalidInput(f"{path}:{lineno}: expected an object with {expected}")
-            rows.append(tuple(row[name] for name in fields))
-    return rows
-
-
 def cmd_eval(args: argparse.Namespace) -> int:
-    predictions = _read_jsonl(args.predictions, id="string", label="string")
-    truth = _read_jsonl(args.truth, id="string", label="string")
+    predictions = read_jsonl(args.predictions, InvalidInput, id="string", label="string")
+    truth = read_jsonl(args.truth, InvalidInput, id="string", label="string")
     metrics = compute_metrics(predictions, truth)
     print(json.dumps(metrics.to_json(), indent=2))
     return 0
@@ -222,7 +190,7 @@ def _parse_grid(raw: str) -> list[float]:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    scores = _read_jsonl(args.input, id="string", adv_score="number", label="string")
+    scores = read_jsonl(args.input, InvalidInput, id="string", adv_score="number", label="string")
     grid = _parse_grid(args.grid)
     for t in grid:
         if not 0.0 <= t <= 1.0:
@@ -267,12 +235,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_probe)
 
     p = sub.add_parser("fuse", help="fuse probe distributions into a verdict")
-    add_common_flags(p)
+    add_common_flags(p, "probes.json written by probe or detect")
     p.add_argument("--threshold", type=float, default=None)
     p.set_defaults(func=cmd_fuse)
 
     p = sub.add_parser("detect", help="full pipeline: file or directory input")
-    add_common_flags(p)
+    add_common_flags(p, "description file, or a directory of them run as a batch")
     add_reach_flags(p)
     add_transport_flags(p)
     p.add_argument("--threshold", type=float, default=None)
@@ -284,7 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("sweep", help="threshold sweep CSV from scored samples")
-    add_common_flags(p)
+    add_common_flags(p, "scores JSONL, one {id, adv_score, label} object a line")
     p.add_argument(
         "--grid",
         default=",".join(f"{i / 20:.2f}" for i in range(20)),

@@ -61,6 +61,13 @@ class ContractDescription:
     functions: list[FunctionChunk]
     ignored_lines: int = field(default=0, compare=False)
 
+    def __post_init__(self) -> None:
+        seen: set[str] = set()
+        for chunk in self.functions:
+            if chunk.signature in seen:
+                raise InvalidDescription(f"duplicate function signature {chunk.signature!r}")
+            seen.add(chunk.signature)
+
 
 def _normalize_signature(signature: str) -> str:
     name, params = split_signature(signature)
@@ -70,7 +77,9 @@ def _normalize_signature(signature: str) -> str:
 def chunk_flat_text(text: str, contract_id: str = "contract") -> ContractDescription:
     """Split flat text into function chunks, inferring depth from indentation.
 
-    Raises NoFunctionsFound when no line matches ``function <name>(<params>):``.
+    Raises NoFunctionsFound when no line matches ``function <name>(<params>):``,
+    and InvalidDescription for a sentence indented with anything but spaces,
+    or by a number of spaces that is not a multiple of INDENT_WIDTH.
     """
     if not text.strip():
         raise NoFunctionsFound("empty description text")
@@ -87,7 +96,7 @@ def chunk_flat_text(text: str, contract_id: str = "contract") -> ContractDescrip
         current_sig = None
         current_sentences = []
 
-    for line in text.splitlines():
+    for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
         header = _HEADER_RE.match(line.strip())
@@ -99,18 +108,21 @@ def chunk_flat_text(text: str, contract_id: str = "contract") -> ContractDescrip
             ignored += 1
             continue
         stripped = line.lstrip(" ")
-        depth = (len(line) - len(stripped)) // INDENT_WIDTH
-        current_sentences.append(Sentence(stripped.rstrip(), depth))
+        indent = len(line) - len(stripped)
+        if stripped[0].isspace():
+            raise InvalidDescription(
+                f"line {lineno}: indentation must be spaces, not {stripped[0]!r}"
+            )
+        if indent % INDENT_WIDTH:
+            raise InvalidDescription(
+                f"line {lineno}: indentation of {indent} spaces is not "
+                f"a multiple of {INDENT_WIDTH}"
+            )
+        current_sentences.append(Sentence(stripped.rstrip(), indent // INDENT_WIDTH))
     flush()
 
     if not chunks:
         raise NoFunctionsFound("no 'function <name>(<params>):' header line found")
-
-    seen: set[str] = set()
-    for chunk in chunks:
-        if chunk.signature in seen:
-            raise InvalidDescription(f"duplicate function signature {chunk.signature!r}")
-        seen.add(chunk.signature)
 
     return ContractDescription(contract_id, chunks, ignored_lines=ignored)
 
@@ -149,7 +161,6 @@ def description_from_json(data: str | dict) -> ContractDescription:
         raise InvalidDescription("'functions' must be a list")
 
     chunks: list[FunctionChunk] = []
-    seen: set[str] = set()
     for i, fn in enumerate(raw_functions):
         if not isinstance(fn, dict):
             raise InvalidDescription(f"functions[{i}] must be an object")
@@ -172,11 +183,7 @@ def description_from_json(data: str | dict) -> ContractDescription:
             if not isinstance(depth, int) or isinstance(depth, bool) or depth < 0:
                 raise InvalidDescription(f"functions[{i}].sentences[{j}].depth must be a nonnegative integer")
             sentences.append(Sentence(text, depth))
-        sig = _normalize_signature(sig)
-        if sig in seen:
-            raise InvalidDescription(f"duplicate function signature {sig!r}")
-        seen.add(sig)
-        chunks.append(FunctionChunk(sig, tuple(sentences)))
+        chunks.append(FunctionChunk(_normalize_signature(sig), tuple(sentences)))
 
     return ContractDescription(contract, chunks)
 

@@ -10,6 +10,7 @@ document order so repeated calls to the same target stay distinct.
 from __future__ import annotations
 
 import re
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 from . import behavior as bh
@@ -100,9 +101,11 @@ def _variable(name: str, scope: str, extra_globals: frozenset[str]) -> EntityId:
     return EntityId(scope=scope, name=name, flavor=VARIABLE)
 
 
-def _sources(
-    raws: list[str], scope: str, extra_globals: frozenset[str]
+def resolve_sources(
+    raws: Iterable[str], scope: str, extra_globals: frozenset[str] = frozenset()
 ) -> tuple[EntityId, ...]:
+    """Data entities of the mentions in ``raws``, in order and without
+    repeats; literals drop out."""
     out: list[EntityId] = []
     seen: set[EntityId] = set()
     for raw in raws:
@@ -149,29 +152,29 @@ def extract_tuple(
     f = parsed.fields
     if kind == bh.ASSIGNMENT:
         return PropagationTuple(
-            sources=_sources([f["rhs"]], scope, extra_globals),
+            sources=resolve_sources([f["rhs"]], scope, extra_globals),
             dst=normalize_entity(f["lhs"], scope, extra_globals),
         )
     if kind == bh.EXTERNAL_CALL:
         return PropagationTuple(
-            sources=_sources(f["args"], scope, extra_globals),
+            sources=resolve_sources(f["args"], scope, extra_globals),
             dst=op_entity(f["callee"]),
         )
     if kind == bh.DELEGATE_CALL:
         return PropagationTuple(
-            sources=_sources(f["args"], scope, extra_globals),
+            sources=resolve_sources(f["args"], scope, extra_globals),
             dst=op_entity("delegatecall"),
         )
     if kind == bh.CONTRACT_CREATION:
         salt = [f["salt"]] if "salt" in f else []
         return PropagationTuple(
-            sources=_sources(salt, scope, extra_globals),
+            sources=resolve_sources(salt, scope, extra_globals),
             dst=normalize_entity(f["address"], scope, extra_globals),
         )
     if kind == bh.TRANSFER:
         # recipient receives funds but does not feed data into the sink
         return PropagationTuple(
-            sources=_sources([f["value"]], scope, extra_globals),
+            sources=resolve_sources([f["value"]], scope, extra_globals),
             dst=op_entity("transfer"),
         )
     return PropagationTuple(sources=(), dst=None)

@@ -14,13 +14,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import chain
 
-from .entities import (
-    EntityId,
-    PropagationTuple,
-    extract_tuple,
-    is_constant,
-    normalize_entity,
-)
+from .entities import EntityId, PropagationTuple, extract_tuple, resolve_sources
 from .forest import BEHAVIOR, CONDITION, ContractForest
 
 
@@ -105,9 +99,9 @@ def _transform_function(
             visited[entity] = VisitRecord(entity, (), 0)
             graph.add_node(entity)
 
-    for param in forest.function_parameters(root_id):
-        if not is_constant(param):
-            seed(normalize_entity(param, scope, extra_globals))
+    params = forest.function_parameters(root_id)
+    for entity in resolve_sources(params, scope, extra_globals):
+        seed(entity)
 
     # One preorder pass extracts the propagation tuples, so operation
     # occurrence numbers follow document order, and seeds the globals the

@@ -92,9 +92,6 @@ def write_json(out_dir: str, name: str, payload: dict) -> str:
 
 @dataclass
 class StaticArtifacts:
-    forest: object
-    graph: object
-    anchors: AnchorSets
     enumeration: object
     indicators: object
     rendered_paths: list[str]  # render_path of each enumerated path, in order
@@ -117,14 +114,7 @@ def run_static(desc: ContractDescription, config: RunConfig) -> StaticArtifacts:
     write_json(out, "paths.json", paths_to_json(enumeration, rendered_paths))
     indicators = compute_indicators(forest)
     write_json(out, "indicators.json", indicators.to_json())
-    return StaticArtifacts(
-        forest=forest,
-        graph=graph,
-        anchors=anchors,
-        enumeration=enumeration,
-        indicators=indicators,
-        rendered_paths=rendered_paths,
-    )
+    return StaticArtifacts(enumeration, indicators, rendered_paths)
 
 
 def assemble_bundle(

@@ -11,9 +11,9 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import dataclass, field
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 
-from .entities import OPERATION, VARIABLE, EntityId, is_constant, normalize_entity
+from .entities import OPERATION, VARIABLE, EntityId, resolve_sources
 from .forest import ContractForest
 from .graph import FlowGraph
 
@@ -66,10 +66,8 @@ def identify_ingress(
             out.add(ent)
     for root_id in forest.roots:
         scope = forest.function_name(root_id)
-        for param in forest.function_parameters(root_id):
-            if is_constant(param):
-                continue
-            ent = normalize_entity(param, scope, extra_globals)
+        params = forest.function_parameters(root_id)
+        for ent in resolve_sources(params, scope, extra_globals):
             if ent.key() in graph.nodes:
                 out.add(graph.nodes[ent.key()])
     return out
@@ -91,30 +89,24 @@ def identify_egress(graph: FlowGraph) -> set[EntityId]:
 
 def forward_reach(graph: FlowGraph, ingress: set[EntityId]) -> set[EntityId]:
     """All nodes reachable from any ingress node along directed edges."""
+    return {graph.nodes[key] for key in _closure(graph, ingress, forward=True)}
+
+
+def _closure(graph: FlowGraph, starts: set[EntityId], forward: bool) -> set[str]:
+    """Keys of the nodes reachable from ``starts`` along edges, or against
+    them when ``forward`` is false."""
+    edges_of = graph.out_edges if forward else graph.in_edges
+    end = attrgetter("dst" if forward else "src")
     seen: set[str] = set()
-    stack = [ent.key() for ent in ingress if ent.key() in graph.nodes]
+    stack = [ent.key() for ent in starts if ent.key() in graph.nodes]
     while stack:
         key = stack.pop()
         if key in seen:
             continue
         seen.add(key)
-        for edge in graph.out_edges(key):
-            if edge.dst.key() not in seen:
-                stack.append(edge.dst.key())
-    return {graph.nodes[key] for key in seen}
-
-
-def _backward_reach(graph: FlowGraph, egress: set[EntityId]) -> set[str]:
-    seen: set[str] = set()
-    stack = [ent.key() for ent in egress if ent.key() in graph.nodes]
-    while stack:
-        key = stack.pop()
-        if key in seen:
-            continue
-        seen.add(key)
-        for edge in graph.in_edges(key):
-            if edge.src.key() not in seen:
-                stack.append(edge.src.key())
+        for edge in edges_of(key):
+            if end(edge).key() not in seen:
+                stack.append(end(edge).key())
     return seen
 
 
@@ -151,7 +143,8 @@ def prune_and_enumerate(
     output order is stable. Hitting either limit sets the truncated flag
     instead of raising.
     """
-    retained_keys = {e.key() for e in reach} & _backward_reach(graph, anchors.egress)
+    backward = _closure(graph, anchors.egress, forward=False)
+    retained_keys = {e.key() for e in reach} & backward
     result = EnumerationResult(
         paths=[], retained_nodes={graph.nodes[k] for k in retained_keys}
     )

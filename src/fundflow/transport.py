@@ -43,6 +43,37 @@ def query_key(prompt: str, params: TransportParams, attempt: int = 0) -> str:
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
+_JSON_TYPES = {"string": str, "number": (int, float)}
+
+
+def read_jsonl(path: str, error: type[Exception], **fields: str) -> list[tuple]:
+    """The values of ``fields`` in each non-blank line of a JSONL file.
+
+    ``fields`` maps each name to the JSON type of its value, ``"string"``
+    or ``"number"``. A line that is not such an object, a line torn by a
+    crash mid-write included, raises ``error`` naming the file and line.
+    """
+    names = tuple(fields)
+    types = tuple(_JSON_TYPES[kind] for kind in fields.values())
+    rows = []
+    # bytes, so that text torn inside a UTF-8 sequence, or not UTF-8 at
+    # all, is reported with its line like any other bad line
+    with open(path, "rb") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            try:
+                row = json.loads(line)
+            except ValueError as exc:
+                raise error(f"{path}:{lineno}: not JSON: {exc}") from exc
+            values = tuple(map(row.get, names)) if isinstance(row, dict) else None
+            if values is None or not all(map(isinstance, values, types)):
+                expected = ", ".join(f"{kind} {name!r}" for name, kind in fields.items())
+                raise error(f"{path}:{lineno}: expected an object with {expected}")
+            rows.append(values)
+    return rows
+
+
 class LiveTransport:
     """Chat-completions over HTTP; the API key comes from the environment."""
 
@@ -102,28 +133,10 @@ class ReplayTransport:
         self._responses = self._load()
 
     def _load(self) -> dict[str, str]:
-        path, responses = self.store_path, {}
-        # bytes, so that a record torn inside a UTF-8 sequence is reported
-        # with its line like any other bad record
-        with open(path, "rb") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    record = json.loads(line)
-                except ValueError as exc:
-                    raise CorruptStore(f"{path}:{lineno}: not JSON: {exc}") from exc
-                if not (
-                    isinstance(record, dict)
-                    and isinstance(record.get("key"), str)
-                    and isinstance(record.get("response"), str)
-                ):
-                    raise CorruptStore(
-                        f"{path}:{lineno}: expected an object with string "
-                        "'key' and 'response'"
-                    )
-                responses.setdefault(record["key"], record["response"])
+        responses: dict[str, str] = {}
+        rows = read_jsonl(self.store_path, CorruptStore, key="string", response="string")
+        for key, response in rows:
+            responses.setdefault(key, response)
         return responses
 
     def query(self, prompt: str, attempt: int = 0) -> str:

@@ -143,6 +143,20 @@ def test_detect_batch(tmp_path, capsys):
     assert os.path.exists(os.path.join(out, "c_ben", "verdict.json"))
 
 
+def test_detect_on_a_one_file_directory_is_a_batch(tmp_path, adv_store, capsys):
+    batch_dir = tmp_path / "contracts"
+    batch_dir.mkdir()
+    (batch_dir / "c_adv.txt").write_text(FIXTURE_TEXT, encoding="utf-8")
+    out = str(tmp_path / "out")
+    code = main(
+        ["detect", "-i", str(batch_dir), "-o", out, "--transport", "replay", "--store", adv_store]
+    )
+    assert code == 3
+    assert capsys.readouterr().out.startswith("c_adv\tadversarial\t0.615")
+    assert os.listdir(out) == ["c_adv"]
+    assert os.path.exists(os.path.join(out, "c_adv", "verdict.json"))
+
+
 def test_probe_command(tmp_path, fixture_file, adv_store, capsys):
     out = str(tmp_path / "out")
     code = main(
@@ -236,6 +250,22 @@ def test_sweep_rejects_a_row_without_score(tmp_path, capsys):
     path.write_text('{"id": "a", "adv_score": "high", "label": "benign"}\n', encoding="utf-8")
     assert main(["sweep", "-i", str(path)]) == 1
     assert f"error: {path}:1: expected an object with" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, shape",
+    [
+        ("fuse", "probes.json"),
+        ("sweep", "scores JSONL"),
+        ("detect", "description file, or a directory"),
+        ("parse", "description file"),
+    ],
+)
+def test_input_help_names_each_command_input(command, shape, capsys):
+    with pytest.raises(SystemExit):
+        main([command, "-h"])
+    help_text = " ".join(capsys.readouterr().out.split())
+    assert f"-i INPUT, --input INPUT {shape}" in help_text
 
 
 def test_eval_command(tmp_path, capsys):

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from fundflow.description import (
+    INDENT_WIDTH,
     ContractDescription,
     FunctionChunk,
     Sentence,
@@ -64,6 +65,42 @@ def test_duplicate_signature_rejected():
     text = "function f(a):\nit returns a\nfunction f(a):\nit returns a\n"
     with pytest.raises(InvalidDescription):
         chunk_flat_text(text)
+
+
+def test_duplicate_signature_rejected_when_built_directly():
+    chunk = FunctionChunk("f(a)", (Sentence("it returns a", 0),))
+    with pytest.raises(InvalidDescription, match="duplicate function signature"):
+        ContractDescription("c", [chunk, chunk])
+
+
+@pytest.mark.parametrize(
+    "line, error",
+    [
+        ("\tit transfers param1 wei to caller", "line 3: indentation must be spaces"),
+        ("  \tit transfers param1 wei to caller", "line 3: indentation must be spaces"),
+        ("   it transfers param1 wei to caller", "line 3: indentation of 3 spaces"),
+    ],
+)
+def test_indentation_that_is_not_whole_levels_is_rejected(line, error):
+    text = f"function f(param1):\nwhen (param1 > 0)\n{line}\n"
+    with pytest.raises(InvalidDescription, match=error):
+        chunk_flat_text(text)
+
+
+@given(st.text(alphabet=" \t\u00a0\u3000", max_size=12))
+def test_indentation_gives_its_exact_depth_or_invalid_description(prefix):
+    text = f"function f(a):\nit returns a\n{prefix}it returns b\n"
+    whole_levels = set(prefix) <= {" "} and len(prefix) % INDENT_WIDTH == 0
+    try:
+        desc = chunk_flat_text(text)
+    except InvalidDescription as exc:
+        assert not whole_levels
+        assert "line 3: " in str(exc)
+        return
+    assert whole_levels
+    assert desc.functions[0].sentences[1] == Sentence(
+        "it returns b", len(prefix) // INDENT_WIDTH
+    )
 
 
 def test_signature_normalization():

@@ -8,6 +8,7 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 import requests
 
+from fundflow.cli import main
 from fundflow.errors import CorruptStore, ReplayMiss, TransportError
 from fundflow.transport import (
     LiveTransport,
@@ -156,6 +157,29 @@ def test_record_over_corrupt_store_names_the_line(tmp_path):
     store.write_text(store_record("p", "r") + '{"key": "0f3a", "resp', encoding="utf-8")
     with pytest.raises(CorruptStore, match=r"store\.jsonl:2: "):
         RecordTransport(EchoTransport(PARAMS), str(store))
+
+
+@pytest.mark.parametrize(
+    "store_line, row_line, problem",
+    [
+        (b'{"key": "0f3a", "resp', b'{"id": "b", "lab', "not JSON"),
+        (b'["0f3a", "r"]', b'["b", "benign"]', "expected an object with"),
+        (b'{"key": "0f3a"}', b'{"id": "b"}', "expected an object with"),
+        (b'{"key": "0f3a", "response": 5}', b'{"id": "b", "label": 5}', "expected an object with"),
+        (b'\xff\xfe{"key": "0f3a"}', b'\xff\xfe{"id": "b"}', "not JSON"),
+    ],
+    ids=["torn", "not-an-object", "missing-field", "wrong-type", "not-utf8"],
+)
+def test_store_and_eval_report_a_bad_line_alike(tmp_path, capsys, store_line, row_line, problem):
+    store = tmp_path / "store.jsonl"
+    store.write_bytes(store_record("p", "r").encode() + store_line + b"\n")
+    with pytest.raises(CorruptStore) as caught:
+        ReplayTransport(str(store), PARAMS)
+    assert str(caught.value).startswith(f"{store}:2: {problem}")
+    rows = tmp_path / "rows.jsonl"
+    rows.write_bytes(b'{"id": "a", "label": "benign"}\n' + row_line + b"\n")
+    assert main(["eval", str(rows), str(rows)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {rows}:2: {problem}")
 
 
 def test_failed_query_writes_nothing_and_is_asked_again(tmp_path):
