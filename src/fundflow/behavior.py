@@ -11,6 +11,11 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 
+# sentence kinds assigned by parse_sentence
+CONDITION = "condition"
+BEHAVIOR = "behavior"
+UNKNOWN = "unknown"
+
 CONDITION_PREFIXES = (
     "it is required that",
     "when",
@@ -129,11 +134,11 @@ def parse_sentence(text: str) -> tuple[str, ParsedBehavior | None]:
     """
     stripped = text.strip()
     if _CONDITION_RE.match(stripped):
-        return "condition", None
+        return CONDITION, None
     parsed = _match_behavior(stripped)
     if parsed is None:
-        return "unknown", None
-    return "behavior", parsed
+        return UNKNOWN, None
+    return BEHAVIOR, parsed
 
 
 def classify_sentence(text: str) -> str:

@@ -1,6 +1,7 @@
 """Command-line interface: staged analysis commands that compose via JSON.
 
-Exit codes: 0 benign or success, 3 adversarial, 1 runtime error, 2 usage.
+Exit codes: 0 benign or success, 3 adversarial, 2 usage (flags, the config
+file, ``--grid``, the transport/store choice), 1 any other error.
 API keys are read from the environment only; config files and flags never
 carry secrets.
 """
@@ -16,7 +17,7 @@ import typing
 from pathlib import Path
 
 from .description import load_description
-from .errors import FundflowError, InvalidInput
+from .errors import FundflowError, InvalidInput, UsageError
 from .forest import build_forest, forest_to_json
 from .metrics import compute_metrics, sweep_to_csv, threshold_sweep
 from .pipeline import (
@@ -51,11 +52,14 @@ def read_config_file(path: str) -> dict:
             if not line:
                 continue
             if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected key=value, got {raw!r}")
+                raise UsageError(f"{path}:{lineno}: expected key=value, got {raw!r}")
             key, value = (part.strip() for part in line.split("=", 1))
             if key not in _CONFIG_TYPES:
-                raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
-            values[key] = _CONFIG_TYPES[key](value)
+                raise UsageError(f"{path}:{lineno}: unknown config key {key!r}")
+            try:
+                values[key] = _CONFIG_TYPES[key](value)
+            except ValueError as exc:
+                raise UsageError(f"{path}:{lineno}: {key}: {exc}") from exc
     return values
 
 
@@ -186,7 +190,10 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def _parse_grid(raw: str) -> list[float]:
-    return [float(tok) for tok in raw.split(",") if tok.strip()]
+    try:
+        return [float(tok) for tok in raw.split(",") if tok.strip()]
+    except ValueError as exc:
+        raise UsageError(f"--grid: {exc}") from exc
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
@@ -268,13 +275,10 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as exc:
+    except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except FundflowError as exc:
+    except (FundflowError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

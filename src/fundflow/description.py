@@ -143,6 +143,14 @@ def _require_keys(obj: dict, allowed: set[str], where: str) -> None:
         raise InvalidDescription(f"unknown key(s) {sorted(unknown)} in {where}")
 
 
+def _require_utf8(value: str, where: str) -> None:
+    """Artifacts are UTF-8; a lone surrogate would fail only when written."""
+    try:
+        value.encode()
+    except UnicodeEncodeError as exc:
+        raise InvalidDescription(f"{where} is not encodable as UTF-8: {exc}") from exc
+
+
 def description_from_json(data: str | dict) -> ContractDescription:
     """Parse the canonical JSON input; unknown keys are rejected."""
     if isinstance(data, str):
@@ -156,6 +164,7 @@ def description_from_json(data: str | dict) -> ContractDescription:
     contract = data.get("contract")
     if not isinstance(contract, str) or not contract:
         raise InvalidDescription("'contract' must be a non-empty string")
+    _require_utf8(contract, "'contract'")
     raw_functions = data.get("functions")
     if not isinstance(raw_functions, list):
         raise InvalidDescription("'functions' must be a list")
@@ -168,6 +177,7 @@ def description_from_json(data: str | dict) -> ContractDescription:
         sig = fn.get("signature")
         if not isinstance(sig, str) or "(" not in sig or not sig.endswith(")"):
             raise InvalidDescription(f"functions[{i}].signature must look like 'name(params)'")
+        _require_utf8(sig, f"functions[{i}].signature")
         raw_sentences = fn.get("sentences", [])
         if not isinstance(raw_sentences, list):
             raise InvalidDescription(f"functions[{i}].sentences must be a list")
@@ -180,6 +190,7 @@ def description_from_json(data: str | dict) -> ContractDescription:
             depth = raw.get("depth")
             if not isinstance(text, str) or not text:
                 raise InvalidDescription(f"functions[{i}].sentences[{j}].text must be a non-empty string")
+            _require_utf8(text, f"functions[{i}].sentences[{j}].text")
             if not isinstance(depth, int) or isinstance(depth, bool) or depth < 0:
                 raise InvalidDescription(f"functions[{i}].sentences[{j}].depth must be a nonnegative integer")
             sentences.append(Sentence(text, depth))

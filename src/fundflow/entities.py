@@ -19,8 +19,9 @@ from .errors import ConstantEntity
 VARIABLE = "variable"
 OPERATION = "operation"
 
-# contract-level names that carry funds or identity into every function
-BARE_GLOBALS = frozenset({"caller", "call value"})
+# the lifter's names for transaction fields: contract-level in every
+# function, and aliases of the predefined ingress names they stand for
+LIFTER_ALIASES = {"caller": "msg.sender", "call value": "msg.value"}
 
 _DECIMAL_RE = re.compile(r"[+-]?\d+(?:\.\d+)?")
 _HEX_RE = re.compile(r"0x[0-9a-fA-F]*(?:\.\.\.[0-9a-fA-F]*)?")
@@ -79,7 +80,7 @@ def is_global_name(name: str, extra_globals: frozenset[str] = frozenset()) -> bo
     return (
         name.startswith("stor_")
         or "." in name
-        or name in BARE_GLOBALS
+        or name in LIFTER_ALIASES
         or name in extra_globals
     )
 

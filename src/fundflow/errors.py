@@ -5,6 +5,10 @@ class FundflowError(Exception):
     """Base class for all toolkit errors."""
 
 
+class UsageError(FundflowError, ValueError):
+    """A flag, the config file, ``--grid`` or the transport/store choice is wrong."""
+
+
 class InvalidDescription(FundflowError):
     """Canonical JSON input violates the description schema."""
 

@@ -9,14 +9,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .behavior import ParsedBehavior, parse_sentence
+from .behavior import BEHAVIOR, ParsedBehavior, parse_sentence
 from .description import ContractDescription, FunctionChunk, split_signature
 from .errors import MalformedNesting
 
 FUNCTION = "function"
-BEHAVIOR = "behavior"
-CONDITION = "condition"
-UNKNOWN = "unknown"
 
 
 @dataclass
@@ -37,9 +34,6 @@ class ContractForest:
     contract_id: str
     nodes: list[DepNode] = field(default_factory=list)
     roots: list[int] = field(default_factory=list)
-
-    def node(self, node_id: int) -> DepNode:
-        return self.nodes[node_id]
 
     def function_name(self, root_id: int) -> str:
         return split_signature(self.nodes[root_id].text)[0]

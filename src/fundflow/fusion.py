@@ -9,7 +9,7 @@ scores then collapse into a two-way decision statistic.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .errors import InvalidThreshold, NoProbes
 from .probing import LABELS, ProbeDistribution
@@ -48,17 +48,7 @@ class FusionResult:
     surviving: int
 
     def to_json(self) -> dict:
-        return {
-            "per_probe": [
-                {"probe": s.probe, "entropy": s.entropy, "weight": s.weight}
-                for s in self.per_probe
-            ],
-            "raw_scores": dict(self.raw_scores),
-            "normalized": dict(self.normalized),
-            "adv_score": self.adv_score,
-            "be_score": self.be_score,
-            "surviving": self.surviving,
-        }
+        return asdict(self)
 
 
 def fuse(probes: list[ProbeDistribution]) -> FusionResult:
@@ -97,12 +87,7 @@ class Verdict:
     threshold: float | None = None
 
     def to_json(self) -> dict:
-        return {
-            "label": self.label,
-            "adv_score": self.adv_score,
-            "be_score": self.be_score,
-            "threshold": self.threshold,
-        }
+        return asdict(self)
 
 
 def decide(result: FusionResult, threshold: float | None = None) -> Verdict:

@@ -1,31 +1,21 @@
 """Entity-level flow graph built from the control-dependency forest.
 
-Each function's tree is traversed depth-first with a stack of enclosing
-condition sentences. Behavior nodes propagate taint from already-visited
-sources to their destination, and every edge carries the source's inherited
-conditions plus the conditions pushed since the source was recorded. After
-all per-function passes, same-named global entities collapse into one node,
-which is what links flows across functions.
+Each function's tree is walked once, depth-first, and every node carries the
+chain of condition sentences that enclose it. Behavior nodes propagate taint
+from already-visited sources to their destination, and every edge carries the
+source's inherited conditions plus the conditions pushed since the source was
+recorded. After all per-function passes, same-named global entities collapse
+into one node, which is what links flows across functions.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import chain
 
+from .behavior import CONDITION
 from .entities import EntityId, PropagationTuple, extract_tuple, resolve_sources
-from .forest import BEHAVIOR, CONDITION, ContractForest
-
-
-@dataclass
-class VisitRecord:
-    """First-visit state of an entity within one function traversal:
-    ``condition_snapshot`` is the number of conditions pushed before it."""
-
-    entity: EntityId
-    conditions: tuple[str, ...]
-    condition_snapshot: int
+from .forest import ContractForest
 
 
 @dataclass(frozen=True)
@@ -82,9 +72,6 @@ def transform(
     return graph
 
 
-_POP = -1  # work-stack marker: leave the innermost condition (node ids are >= 0)
-
-
 def _transform_function(
     graph: FlowGraph,
     forest: ContractForest,
@@ -92,73 +79,59 @@ def _transform_function(
     extra_globals: frozenset[str],
 ) -> None:
     scope = forest.function_name(root_id)
-    visited: dict[EntityId, VisitRecord] = {}
+    # first-visit conditions of each entity the function has reached
+    visited: dict[EntityId, tuple[str, ...]] = {}
 
     def seed(entity: EntityId) -> None:
         if entity not in visited:
-            visited[entity] = VisitRecord(entity, (), 0)
+            visited[entity] = ()
             graph.add_node(entity)
 
     params = forest.function_parameters(root_id)
     for entity in resolve_sources(params, scope, extra_globals):
         seed(entity)
 
-    # One preorder pass extracts the propagation tuples, so operation
-    # occurrence numbers follow document order, and seeds the globals the
-    # function reads: they are live on entry.
+    # One preorder walk. Each work item carries its enclosing conditions as a
+    # linked chain ``(text, enclosing chain)``, innermost first. The walk
+    # extracts the propagation tuples, so operation occurrence numbers follow
+    # document order, and seeds the globals the function reads: they are
+    # live on entry, so edges wait until the walk is done.
     op_counts: dict[str, int] = {}
-    tuples: dict[int, PropagationTuple] = {}
-    for node in forest.iter_tree(root_id):
-        if node.kind == BEHAVIOR and node.behavior is not None:
+    steps: list[tuple[PropagationTuple, tuple | None]] = []
+    work: list[tuple[int, tuple | None]] = [(root_id, None)]
+    while work:
+        node_id, enclosing = work.pop()
+        node = forest.nodes[node_id]
+        if node.kind == CONDITION:
+            enclosing = (node.text, enclosing)
+        elif node.behavior is not None:
             prop = extract_tuple(node.behavior, scope, extra_globals, op_counts)
-            tuples[node.id] = prop
             for source in prop.sources:
                 if not source.scope:
                     seed(source)
+            steps.append((prop, enclosing))
+        work.extend((child, enclosing) for child in reversed(node.children))
 
-    # Depth-first walk with an explicit stack. ``held`` holds the texts of
-    # the enclosing conditions, outermost first, and ``pushed`` the push
-    # number of each. Push numbers only grow, so the conditions pushed after
-    # a record's snapshot are a suffix of ``held``, even across pops.
-    held: list[str] = []
-    pushed: list[int] = []
-    pushes = 0
-
-    def process_behavior(node_id: int) -> None:
-        prop = tuples.get(node_id)
-        if prop is None or prop.dst is None:
-            return
-        if prop.dst in visited:
-            return
-        contributing = [visited[s] for s in prop.sources if s in visited]
-        if not contributing:
-            return
-        annotations: list[tuple[str, ...]] = []
-        for record in contributing:
-            delta = held[bisect_right(pushed, record.condition_snapshot) :]
-            annotation = _ordered_union(record.conditions, delta)
-            graph.add_edge(
-                FlowEdge(record.entity, prop.dst, annotation, function=scope)
-            )
-            annotations.append(annotation)
-        visited[prop.dst] = VisitRecord(prop.dst, _ordered_union(*annotations), pushes)
-
-    work = list(reversed(forest.node(root_id).children))
-    while work:
-        node_id = work.pop()
-        if node_id == _POP:
-            held.pop()
-            pushed.pop()
+    # An edge carries its source's conditions plus the enclosing ones pushed
+    # since the source was visited. Every visited entity already carries all
+    # the conditions enclosing its first visit, so adding every enclosing
+    # condition, outermost first, gives the same ordered union.
+    for prop, enclosing in steps:
+        dst = prop.dst
+        if dst is None or dst in visited:
             continue
-        node = forest.node(node_id)
-        if node.kind == CONDITION:
-            pushes += 1
-            held.append(node.text)
-            pushed.append(pushes)
-            work.append(_POP)
-        elif node.kind == BEHAVIOR:
-            process_behavior(node_id)
-        work.extend(reversed(node.children))
+        sources = [s for s in prop.sources if s in visited]
+        if not sources:
+            continue
+        texts: list[str] = []
+        while enclosing is not None:
+            texts.append(enclosing[0])
+            enclosing = enclosing[1]
+        texts.reverse()
+        annotations = [_ordered_union(visited[s], texts) for s in sources]
+        for source, annotation in zip(sources, annotations):
+            graph.add_edge(FlowEdge(source, dst, annotation, function=scope))
+        visited[dst] = _ordered_union(*annotations)
 
 
 def graph_to_json(graph: FlowGraph) -> dict:

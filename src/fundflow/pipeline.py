@@ -13,6 +13,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 from .description import ContractDescription, description_to_json
+from .errors import UsageError
 from .forest import build_forest, forest_to_json
 from .fusion import FusionResult, Verdict, decide, fuse
 from .graph import transform, graph_to_json
@@ -63,9 +64,9 @@ class RunConfig:
 
 def make_transport(config: RunConfig):
     if config.transport not in ("live", "record", "replay"):
-        raise ValueError(f"unknown transport mode: {config.transport!r}")
+        raise UsageError(f"unknown transport mode: {config.transport!r}")
     if config.transport != "live" and not config.store:
-        raise ValueError(f"{config.transport} transport requires --store")
+        raise UsageError(f"{config.transport} transport requires --store")
     if config.transport == "replay":
         return ReplayTransport(config.store, config.params())
     live = LiveTransport(
@@ -78,15 +79,17 @@ def write_json(out_dir: str, name: str, payload: dict) -> str:
     """Write ``payload`` as one line of compact UTF-8 JSON plus a newline.
 
     ``json.dumps`` without ``indent`` runs on the C encoder, which ``indent``
-    or ``json.dump`` to a file would leave for the pure-Python one. The
-    newline is a second ``write`` so the encoded text is not copied.
+    or ``json.dump`` to a file would leave for the pure-Python one. The text
+    is encoded before the file is opened, so text that UTF-8 cannot encode
+    (a lone surrogate) leaves no file; the newline is a second ``write`` so
+    the encoded bytes are not copied.
     """
+    data = json.dumps(payload, ensure_ascii=False, separators=(",", ":")).encode()
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, name)
-    text = json.dumps(payload, ensure_ascii=False, separators=(",", ":"))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
-        fh.write("\n")
+    with open(path, "wb") as fh:
+        fh.write(data)
+        fh.write(b"\n")
     return path
 
 

@@ -78,13 +78,7 @@ class AnalysisBundle:
     paths: list[str] = field(default_factory=list)  # rendered fund-flow paths
 
     def to_json(self) -> dict:
-        return {
-            "contract_summary": self.contract_summary,
-            "functions": [asdict(f) for f in self.functions],
-            "unknown_functions": [asdict(u) for u in self.unknown_functions],
-            "indicators": self.indicators.to_json() if self.indicators else None,
-            "paths": list(self.paths),
-        }
+        return asdict(self)
 
 
 def build_stage1_prompts(desc: ContractDescription) -> tuple[str, list[str]]:

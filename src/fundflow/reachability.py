@@ -13,7 +13,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass, field
 from operator import attrgetter, itemgetter
 
-from .entities import OPERATION, VARIABLE, EntityId, resolve_sources
+from .entities import LIFTER_ALIASES, OPERATION, VARIABLE, EntityId, resolve_sources
 from .forest import ContractForest
 from .graph import FlowGraph
 
@@ -36,12 +36,6 @@ PREDEFINED_EGRESS = (
     "delegatecall",
 )
 
-# lifter vocabulary for transaction fields differs from the predefined names
-DEFAULT_ALIASES = {
-    "caller": "msg.sender",
-    "call value": "msg.value",
-}
-
 _EGRESS_LOWER = frozenset(name.lower() for name in PREDEFINED_EGRESS)
 
 
@@ -61,7 +55,7 @@ def identify_ingress(
     for ent in graph.nodes.values():
         if ent.flavor != VARIABLE or ent.scope:
             continue
-        canonical = DEFAULT_ALIASES.get(ent.name, ent.name)
+        canonical = LIFTER_ALIASES.get(ent.name, ent.name)
         if canonical in PREDEFINED_INGRESS:
             out.add(ent)
     for root_id in forest.roots:

@@ -7,6 +7,8 @@ probe gets its row of a rank table, rendered as a ranked-guess answer.
 
 from __future__ import annotations
 
+from .prompts import HINT_ADVERSARIAL, HINT_BENIGN
+
 # ranked rows (letter, confidence) per probe kind: an adversarial contract
 ADVERSARIAL_ROWS = {
     "g_normal": (("B", 60), ("A", 25), ("C", 10), ("D", 5)),
@@ -60,8 +62,8 @@ class ScriptedTransport:
     def _probe_kind(prompt: str) -> str:
         general = "=== Contract-Level Information ===" in prompt
         side = "g" if general else "s"
-        if prompt.rstrip().endswith("(A) adversarial."):
+        if prompt.rstrip().endswith(HINT_ADVERSARIAL):
             return f"{side}_mislead_adv"
-        if prompt.rstrip().endswith("(D) benign."):
+        if prompt.rstrip().endswith(HINT_BENIGN):
             return f"{side}_mislead_be"
         return f"{side}_normal"

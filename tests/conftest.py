@@ -3,6 +3,9 @@ from the scripted model's rank tables, and the fixture contract text."""
 
 from __future__ import annotations
 
+import os
+import sys
+
 import pytest
 
 from fundflow.behavior import parse_behavior
@@ -13,6 +16,11 @@ from fundflow.scripted import (  # noqa: F401  (shared with the test modules)
     BENIGN_ROWS,
     ScriptedTransport,
 )
+
+# test modules import the brute-force reachability oracles from
+# scripts/audit_reachability.py
+_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(_ROOT, "scripts"))
 
 
 def distribution(kind: str, rows) -> ProbeDistribution:

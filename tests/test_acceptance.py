@@ -8,9 +8,8 @@ import time
 import pytest
 
 from fundflow.description import chunk_flat_text
-from fundflow.entities import EntityId
 from fundflow.fusion import decide, fuse
-from fundflow.graph import FlowEdge, FlowGraph, transform
+from fundflow.graph import transform
 from fundflow.metrics import compute_metrics
 from fundflow.pipeline import RunConfig, run_detect
 from fundflow.reachability import (
@@ -24,6 +23,7 @@ from fundflow.reachability import (
 )
 from fundflow.transport import RecordTransport
 
+from audit_reachability import all_simple_paths, closure, random_graph
 from conftest import (
     ADVERSARIAL_ROWS,
     BENIGN_ROWS,
@@ -142,64 +142,15 @@ def test_criterion_5_metrics_identity():
     check(5, "TPR 0.8950 / TNR 0.9517 reproduce BAC 0.92335", body)
 
 
-def _closure(graph, starts):
-    seen = set()
-    frontier = list(starts)
-    while frontier:
-        key = frontier.pop()
-        if key in seen:
-            continue
-        seen.add(key)
-        frontier.extend(e.dst.key() for e in graph.out_edges(key))
-    return seen
-
-
-def _all_simple_paths(graph, ingress_keys, egress_keys):
-    found = []
-
-    def dfs(path):
-        cur = path[-1]
-        if cur in egress_keys:
-            found.append(tuple(path))
-            return
-        for edge in sorted(graph.out_edges(cur), key=lambda e: e.dst.key()):
-            if edge.dst.key() in path:
-                continue
-            path.append(edge.dst.key())
-            dfs(path)
-            path.pop()
-
-    for start in sorted(ingress_keys):
-        dfs([start])
-    return found
-
-
 def test_criterion_6_reachability_oracle():
     def body():
         rng = random.Random(20260819)
         started = time.monotonic()
         for round_no in range(1000):
-            n = rng.randint(2, 20)
-            p = 1.8 / n
-            graph = FlowGraph()
-            names = [f"n{i:02d}" for i in range(n)]
-            for name in names:
-                graph.add_node(EntityId("", name))
-            for a in names:
-                for b in names:
-                    if a != b and rng.random() < p:
-                        conds = (f"c{rng.randint(0, 5)}",) if rng.random() < 0.3 else ()
-                        graph.add_edge(
-                            FlowEdge(EntityId("", a), EntityId("", b), conds, "f")
-                        )
-            k_in = rng.randint(1, min(3, n - 1))
-            ingress_names = set(rng.sample(names, k_in))
-            rest = [x for x in names if x not in ingress_names]
-            egress_names = set(rng.sample(rest, rng.randint(1, min(3, len(rest)))))
-
+            graph, ingress_names, egress_names = random_graph(rng, 20)
             ingress = {graph.nodes[x] for x in ingress_names}
             got_reach = {e.key() for e in forward_reach(graph, ingress)}
-            assert got_reach == _closure(graph, ingress_names), round_no
+            assert got_reach == closure(graph, ingress_names), round_no
 
             anchors = AnchorSets(
                 ingress=ingress, egress={graph.nodes[x] for x in egress_names}
@@ -211,7 +162,7 @@ def test_criterion_6_reachability_oracle():
                 ReachLimits(max_depth=10_000, max_paths=10_000_000),
             )
             got = [tuple(h.key() for h in p.hops) for p in result.paths]
-            assert got == _all_simple_paths(graph, ingress_names, egress_names), round_no
+            assert got == all_simple_paths(graph, ingress_names, egress_names), round_no
             assert not result.truncated
         elapsed = time.monotonic() - started
         assert elapsed < 30.0, f"oracle sweep took {elapsed:.1f}s"

@@ -436,3 +436,43 @@ def test_config_file_typing(tmp_path):
     values = read_config_file(str(config_path))
     assert values == {"max_paths": 7, "temperature": 0.5}
     assert isinstance(values["max_paths"], int)
+
+
+@pytest.mark.parametrize("command", ["parse", "flow"])
+def test_lone_surrogate_in_json_description_is_runtime_error(tmp_path, capsys, command):
+    path = tmp_path / "c.json"
+    path.write_text(
+        '{"contract": "c", "functions": [{"signature": "f(a)", '
+        '"sentences": [{"text": "it returns \\ud800", "depth": 0}]}]}',
+        encoding="utf-8",
+    )
+    out = tmp_path / "out"
+    assert main([command, "-i", str(path), "-o", str(out)]) == 1
+    assert "functions[0].sentences[0].text" in capsys.readouterr().err
+    assert not out.exists() or not os.listdir(out)
+
+
+def test_unencodable_model_answer_is_runtime_error(tmp_path, fixture_file, adv_store, capsys):
+    with open(adv_store, encoding="utf-8") as fh:
+        records = [json.loads(line) for line in fh]
+    for record in records:
+        if record["response"].startswith("contract summary:"):
+            record["response"] = "contract summary: \ud800"
+    with open(adv_store, "w", encoding="utf-8") as fh:
+        fh.writelines(json.dumps(record) + "\n" for record in records)
+    out = tmp_path / "out"
+    code = main(
+        [
+            "detect", "-i", fixture_file, "-o", str(out),
+            "--transport", "replay", "--store", adv_store,
+        ]
+    )
+    assert code == 1
+    assert "usage error" not in capsys.readouterr().err
+    assert (out / "paths.json").exists()
+    assert not (out / "bundle.json").exists()
+
+
+def test_unparsable_grid_is_usage_error(tmp_path, capsys):
+    assert main(["sweep", "-i", scores_file(tmp_path), "--grid", "0.5,half"]) == 2
+    assert "usage error: --grid" in capsys.readouterr().err

@@ -1,6 +1,14 @@
+from bisect import bisect_right
+from itertools import chain
+
+from hypothesis import given, settings, strategies as st
+
 from fundflow.description import chunk_flat_text
+from fundflow.entities import extract_tuple, resolve_sources
 from fundflow.forest import build_forest
 from fundflow.graph import (
+    FlowEdge,
+    FlowGraph,
     graph_to_json,
     transform,
 )
@@ -199,3 +207,112 @@ def test_operation_destinations_numbered_in_document_order():
         "it triggers the external call to stor_5.run(b)\n"
     )
     assert [e.dst.key() for e in graph.edges] == ["f:stor_5.run#1", "f:stor_5.run#2"]
+
+
+def _union(*sequences):
+    return tuple(dict.fromkeys(chain.from_iterable(sequences)))
+
+
+def _reference_transform(forest, extra_globals=frozenset()):
+    """The earlier two-walk transform, kept as an oracle: one preorder pass
+    for tuples and global seeds, then a stack walk with pop markers that
+    tracks the held conditions and their push numbers."""
+    graph = FlowGraph()
+    for root_id in forest.roots:
+        scope = forest.function_name(root_id)
+        visited = {}  # entity -> (conditions, number of pushes before it)
+
+        def seed(entity):
+            if entity not in visited:
+                visited[entity] = ((), 0)
+                graph.add_node(entity)
+
+        params = forest.function_parameters(root_id)
+        for entity in resolve_sources(params, scope, extra_globals):
+            seed(entity)
+        op_counts = {}
+        tuples = {}
+        for node in forest.iter_tree(root_id):
+            if node.kind == "behavior" and node.behavior is not None:
+                prop = extract_tuple(node.behavior, scope, extra_globals, op_counts)
+                tuples[node.id] = prop
+                for source in prop.sources:
+                    if not source.scope:
+                        seed(source)
+
+        held, pushed, pushes = [], [], 0
+        work = list(reversed(forest.nodes[root_id].children))
+        while work:
+            node_id = work.pop()
+            if node_id == -1:
+                held.pop()
+                pushed.pop()
+                continue
+            node = forest.nodes[node_id]
+            if node.kind == "condition":
+                pushes += 1
+                held.append(node.text)
+                pushed.append(pushes)
+                work.append(-1)
+            elif node.kind == "behavior":
+                prop = tuples.get(node_id)
+                if prop is not None and prop.dst is not None and prop.dst not in visited:
+                    annotations = []
+                    for src in prop.sources:
+                        if src not in visited:
+                            continue
+                        conditions, snapshot = visited[src]
+                        delta = held[bisect_right(pushed, snapshot) :]
+                        annotation = _union(conditions, delta)
+                        graph.add_edge(FlowEdge(src, prop.dst, annotation, scope))
+                        annotations.append(annotation)
+                    if annotations:
+                        visited[prop.dst] = (_union(*annotations), pushes)
+            work.extend(reversed(node.children))
+    return graph
+
+
+_NAMES = ("a", "b", "t", "u", "stor_1", "stor_2", "caller", "call value", "g")
+_CONDITIONS = ("when (a > 0)", "if (stor_1 == caller)", "while (t)", "otherwise")
+_sentence = st.one_of(
+    st.sampled_from(_CONDITIONS),
+    st.builds(
+        "it updates the state variable {} to {}".format,
+        st.sampled_from(_NAMES),
+        st.sampled_from(_NAMES + ("0",)),
+    ),
+    st.builds(
+        "it transfers {} wei to {}".format,
+        st.sampled_from(_NAMES + ("1",)),
+        st.sampled_from(_NAMES),
+    ),
+    st.builds(
+        lambda callee, args: f"it triggers the external call to {callee}({', '.join(args)})",
+        st.sampled_from(("stor_5.flashLoan", "token.transfer", "op")),
+        st.lists(st.sampled_from(_NAMES + ("7",)), max_size=3),
+    ),
+    st.just("it reverts"),
+)
+
+
+def _function_text(index, body):
+    """Clamp each depth to one past its predecessor, so nesting is well formed."""
+    lines, depth = [f"function f{index}(a, b):"], -1
+    for want, sentence in body:
+        depth = min(want, depth + 1)
+        lines.append("  " * depth + sentence)
+    return "\n".join(lines)
+
+
+_flat_text = st.lists(
+    st.lists(st.tuples(st.integers(0, 6), _sentence), max_size=25), min_size=1, max_size=3
+).map(lambda bodies: "\n".join(_function_text(i, b) for i, b in enumerate(bodies)) + "\n")
+
+
+@settings(deadline=None, max_examples=300)
+@given(_flat_text, st.sampled_from([frozenset(), frozenset({"t", "g"})]))
+def test_one_walk_matches_two_walk_reference(text, extra_globals):
+    forest = build_forest(chunk_flat_text(text))
+    assert graph_to_json(transform(forest, extra_globals)) == graph_to_json(
+        _reference_transform(forest, extra_globals)
+    )

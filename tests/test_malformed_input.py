@@ -63,25 +63,29 @@ _json = st.recursive(
     ),
     max_leaves=16,
 )
+# text that may hold lone surrogates (category Cs), which UTF-8 cannot encode
+_odd_text = st.text(st.characters(categories=["Cs"]) | st.characters(), min_size=1, max_size=10)
 # documents close to the schema, so the checks past the first few are reached
 _sentence_obj = st.fixed_dictionaries(
     {},
     optional={
-        "text": st.one_of(st.just("it returns a"), _scalar),
+        "text": st.one_of(st.just("it returns a"), _odd_text.map("it returns {}".format), _scalar),
         "depth": st.one_of(st.integers(-1, 3), _scalar),
     },
 )
 _function = st.fixed_dictionaries(
     {},
     optional={
-        "signature": st.one_of(st.sampled_from(["f()", "g(a, b)", "h(", "x"]), _scalar),
+        "signature": st.one_of(
+            st.sampled_from(["f()", "g(a, b)", "h(", "x"]), _odd_text.map("f({})".format), _scalar
+        ),
         "sentences": st.one_of(st.lists(st.one_of(_sentence_obj, _json), max_size=3), _json),
     },
 )
 _document = st.fixed_dictionaries(
     {},
     optional={
-        "contract": st.one_of(st.just("c"), _scalar),
+        "contract": st.one_of(st.just("c"), _odd_text, _scalar),
         "functions": st.one_of(st.lists(st.one_of(_function, _json), max_size=3), _json),
     },
 )
@@ -89,10 +93,15 @@ _values = st.one_of(_json, _document)
 
 
 @example({"contract": "c", "functions": [{"signature": "f()", "sentences": 5}]})
+@example({"contract": "c", "functions": [{"signature": "f(\ud800)", "sentences": []}]})
 @example("[" * 100_000)
+@settings(deadline=None)
 @given(st.one_of(_values, _values.map(json.dumps), st.text()))
 def test_json_values_raise_only_fundflow_errors(value):
-    try:
-        description_from_json(value)
-    except FundflowError:
-        pass
+    """An accepted document also goes through the static half, which
+    writes every string of it into the artifacts."""
+    with tempfile.TemporaryDirectory() as out:
+        try:
+            run_static(description_from_json(value), RunConfig(out_dir=out))
+        except FundflowError:
+            pass

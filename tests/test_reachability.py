@@ -17,6 +17,7 @@ from fundflow.reachability import (
     render_path,
 )
 
+from audit_reachability import all_simple_paths, closure
 from conftest import FIXTURE_TEXT, TOY_GLOBALS, make_toy_forest
 
 
@@ -251,47 +252,12 @@ def random_graph(rng, n_nodes, edge_prob):
     return graph, names
 
 
-def bfs_oracle(graph, start_keys):
-    seen = set()
-    frontier = [k for k in start_keys if k in graph.nodes]
-    while frontier:
-        nxt = []
-        for key in frontier:
-            if key in seen:
-                continue
-            seen.add(key)
-            nxt.extend(e.dst.key() for e in graph.out_edges(key))
-        frontier = nxt
-    return seen
-
-
-def path_oracle(graph, ingress_keys, egress_keys):
-    """Exhaustive simple-path listing in the engine's documented order."""
-    found = []
-
-    def dfs(path):
-        cur = path[-1]
-        if cur in egress_keys:
-            found.append(tuple(path))
-            return
-        for edge in sorted(graph.out_edges(cur), key=lambda e: e.dst.key()):
-            if edge.dst.key() in path:
-                continue
-            path.append(edge.dst.key())
-            dfs(path)
-            path.pop()
-
-    for start in sorted(ingress_keys):
-        dfs([start])
-    return found
-
-
 def test_forward_reach_matches_bfs_oracle():
     rng = random.Random(7)
     graph, names = random_graph(rng, 200, 0.02)
     ingress = {graph.nodes[n] for n in rng.sample(names, 5)}
     got = {e.key() for e in forward_reach(graph, ingress)}
-    assert got == bfs_oracle(graph, {e.key() for e in ingress})
+    assert got == closure(graph, {e.key() for e in ingress})
 
 
 def test_enumeration_matches_exhaustive_oracle():
@@ -313,7 +279,7 @@ def test_enumeration_matches_exhaustive_oracle():
             ReachLimits(max_depth=10_000, max_paths=1_000_000),
         )
         got = [tuple(h.key() for h in p.hops) for p in result.paths]
-        assert got == path_oracle(graph, ingress_names, egress_names)
+        assert got == all_simple_paths(graph, ingress_names, egress_names)
         assert not result.truncated
 
 
