@@ -17,7 +17,7 @@ import typing
 from pathlib import Path
 
 from .description import load_description
-from .errors import FundflowError, InvalidInput, UsageError
+from .errors import FundflowError, InvalidDescription, InvalidInput, UsageError
 from .forest import build_forest, forest_to_json
 from .metrics import compute_metrics, sweep_to_csv, threshold_sweep
 from .pipeline import (
@@ -99,13 +99,25 @@ def add_reach_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _load_batch(path: str):
-    """Every .txt and .json description in a directory, by file name."""
+    """Every .txt and .json description in a directory, by file name. Two
+    files that describe one contract id would write one output directory,
+    so that is an error."""
     files = sorted(
         f for f in Path(path).iterdir() if f.suffix in {".txt", ".json"} and f.is_file()
     )
     if not files:
         raise FundflowError(f"no .txt or .json descriptions in {path}")
-    return [load_description(str(f)) for f in files]
+    descriptions = []
+    first_file: dict[str, Path] = {}
+    for f in files:
+        desc = load_description(str(f))
+        other = first_file.setdefault(desc.contract_id, f)
+        if other != f:
+            raise InvalidDescription(
+                f"{other} and {f} both describe contract {desc.contract_id!r}"
+            )
+        descriptions.append(desc)
+    return descriptions
 
 
 def cmd_parse(args: argparse.Namespace) -> int:

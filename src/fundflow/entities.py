@@ -85,39 +85,51 @@ def is_global_name(name: str, extra_globals: frozenset[str] = frozenset()) -> bo
     )
 
 
-def normalize_entity(
-    raw: str, scope: str, extra_globals: frozenset[str] = frozenset()
-) -> EntityId:
-    """Resolve a mention to a canonical data entity; literals are rejected."""
+def _resolve(
+    raw: str, scope: str, extra_globals: frozenset[str], resolved: dict | None
+) -> EntityId | None:
+    """The data entity a mention names, or None for a literal.
+
+    ``resolved`` memoizes ``raw -> EntityId | None`` for one scope and one
+    ``extra_globals``: a function mentions few distinct names, many times.
+    """
+    if resolved is not None and raw in resolved:
+        return resolved[raw]
     name = raw.strip()
     if is_constant(name):
+        entity = None
+    elif is_global_name(name, extra_globals):
+        entity = EntityId(scope="", name=name, flavor=VARIABLE)
+    else:
+        entity = EntityId(scope=scope, name=name, flavor=VARIABLE)
+    if resolved is not None:
+        resolved[raw] = entity
+    return entity
+
+
+def normalize_entity(
+    raw: str,
+    scope: str,
+    extra_globals: frozenset[str] = frozenset(),
+    resolved: dict | None = None,
+) -> EntityId:
+    """Resolve a mention to a canonical data entity; literals are rejected."""
+    entity = _resolve(raw, scope, extra_globals, resolved)
+    if entity is None:
         raise ConstantEntity(f"{raw!r} is a literal, not an entity")
-    return _variable(name, scope, extra_globals)
-
-
-def _variable(name: str, scope: str, extra_globals: frozenset[str]) -> EntityId:
-    """Data entity for a stripped name already known not to be a literal."""
-    if is_global_name(name, extra_globals):
-        return EntityId(scope="", name=name, flavor=VARIABLE)
-    return EntityId(scope=scope, name=name, flavor=VARIABLE)
+    return entity
 
 
 def resolve_sources(
-    raws: Iterable[str], scope: str, extra_globals: frozenset[str] = frozenset()
+    raws: Iterable[str],
+    scope: str,
+    extra_globals: frozenset[str] = frozenset(),
+    resolved: dict | None = None,
 ) -> tuple[EntityId, ...]:
     """Data entities of the mentions in ``raws``, in order and without
     repeats; literals drop out."""
-    out: list[EntityId] = []
-    seen: set[EntityId] = set()
-    for raw in raws:
-        name = raw.strip()
-        if is_constant(name):
-            continue
-        ent = _variable(name, scope, extra_globals)
-        if ent not in seen:
-            seen.add(ent)
-            out.append(ent)
-    return tuple(out)
+    entities = (_resolve(raw, scope, extra_globals, resolved) for raw in raws)
+    return tuple(dict.fromkeys(e for e in entities if e is not None))
 
 
 @dataclass(frozen=True)
@@ -133,12 +145,14 @@ def extract_tuple(
     scope: str,
     extra_globals: frozenset[str] = frozenset(),
     op_counts: dict[str, int] | None = None,
+    resolved: dict | None = None,
 ) -> PropagationTuple:
     """Map a parsed behavior to its propagation tuple.
 
     ``op_counts`` tracks per-function operation occurrences in place; pass the
     same dict for every behavior of one function so instances stay numbered in
-    document order.
+    document order. ``resolved`` is the function's mention memo, as
+    ``resolve_sources`` takes it.
     """
     if op_counts is None:
         op_counts = {}
@@ -153,29 +167,29 @@ def extract_tuple(
     f = parsed.fields
     if kind == bh.ASSIGNMENT:
         return PropagationTuple(
-            sources=resolve_sources([f["rhs"]], scope, extra_globals),
-            dst=normalize_entity(f["lhs"], scope, extra_globals),
+            sources=resolve_sources([f["rhs"]], scope, extra_globals, resolved),
+            dst=normalize_entity(f["lhs"], scope, extra_globals, resolved),
         )
     if kind == bh.EXTERNAL_CALL:
         return PropagationTuple(
-            sources=resolve_sources(f["args"], scope, extra_globals),
+            sources=resolve_sources(f["args"], scope, extra_globals, resolved),
             dst=op_entity(f["callee"]),
         )
     if kind == bh.DELEGATE_CALL:
         return PropagationTuple(
-            sources=resolve_sources(f["args"], scope, extra_globals),
+            sources=resolve_sources(f["args"], scope, extra_globals, resolved),
             dst=op_entity("delegatecall"),
         )
     if kind == bh.CONTRACT_CREATION:
         salt = [f["salt"]] if "salt" in f else []
         return PropagationTuple(
-            sources=resolve_sources(salt, scope, extra_globals),
-            dst=normalize_entity(f["address"], scope, extra_globals),
+            sources=resolve_sources(salt, scope, extra_globals, resolved),
+            dst=normalize_entity(f["address"], scope, extra_globals, resolved),
         )
     if kind == bh.TRANSFER:
         # recipient receives funds but does not feed data into the sink
         return PropagationTuple(
-            sources=resolve_sources([f["value"]], scope, extra_globals),
+            sources=resolve_sources([f["value"]], scope, extra_globals, resolved),
             dst=op_entity("transfer"),
         )
     return PropagationTuple(sources=(), dst=None)

@@ -53,7 +53,11 @@ class ContractForest:
         return [n for n in self.nodes if n.kind == BEHAVIOR]
 
 
-def _build_tree(forest: ContractForest, chunk: FunctionChunk) -> int:
+def _build_tree(
+    forest: ContractForest,
+    chunk: FunctionChunk,
+    parsed: dict[str, tuple[str, ParsedBehavior | None]],
+) -> int:
     root = DepNode(id=len(forest.nodes), kind=FUNCTION, text=chunk.signature)
     forest.nodes.append(root)
     forest.roots.append(root.id)
@@ -67,9 +71,12 @@ def _build_tree(forest: ContractForest, chunk: FunctionChunk) -> int:
                 f"in {chunk.signature}: sentence {sentence.text!r} at depth "
                 f"{sentence.depth} after depth {prev_depth}"
             )
-        kind, parsed = parse_sentence(sentence.text)
+        parse = parsed.get(sentence.text)
+        if parse is None:
+            parse = parsed[sentence.text] = parse_sentence(sentence.text)
+        kind, behavior = parse
         node = DepNode(
-            id=len(forest.nodes), kind=kind, text=sentence.text, behavior=parsed
+            id=len(forest.nodes), kind=kind, text=sentence.text, behavior=behavior
         )
         forest.nodes.append(node)
         forest.nodes[parents[sentence.depth]].children.append(node.id)
@@ -80,10 +87,15 @@ def _build_tree(forest: ContractForest, chunk: FunctionChunk) -> int:
 
 
 def build_forest(desc: ContractDescription) -> ContractForest:
-    """Build the control-dependency forest for a whole contract description."""
+    """Build the control-dependency forest for a whole contract description.
+
+    Each distinct sentence text is parsed once; nodes with the same text
+    share its parse, which nothing mutates.
+    """
     forest = ContractForest(contract_id=desc.contract_id)
+    parsed: dict[str, tuple[str, ParsedBehavior | None]] = {}
     for chunk in desc.functions:
-        _build_tree(forest, chunk)
+        _build_tree(forest, chunk, parsed)
     return forest
 
 

@@ -87,8 +87,10 @@ def _transform_function(
             visited[entity] = ()
             graph.add_node(entity)
 
+    # each distinct mention is resolved once per function
+    resolved: dict[str, EntityId | None] = {}
     params = forest.function_parameters(root_id)
-    for entity in resolve_sources(params, scope, extra_globals):
+    for entity in resolve_sources(params, scope, extra_globals, resolved):
         seed(entity)
 
     # One preorder walk. Each work item carries its enclosing conditions as a
@@ -105,7 +107,9 @@ def _transform_function(
         if node.kind == CONDITION:
             enclosing = (node.text, enclosing)
         elif node.behavior is not None:
-            prop = extract_tuple(node.behavior, scope, extra_globals, op_counts)
+            prop = extract_tuple(
+                node.behavior, scope, extra_globals, op_counts, resolved
+            )
             for source in prop.sources:
                 if not source.scope:
                     seed(source)

@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import os
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import ExitStack, closing
 from dataclasses import dataclass, replace
 
 from .description import ContractDescription, description_to_json
@@ -18,7 +19,7 @@ from .forest import build_forest, forest_to_json
 from .fusion import FusionResult, Verdict, decide, fuse
 from .graph import transform, graph_to_json
 from .indicators import compute_indicators, is_unknown_function
-from .probing import ProbeDistribution, Stage2Result, run_stage1, run_stage2
+from .probing import ProbeDistribution, Stage2Result, query_pool, run_stage1, run_stage2
 from .prompts import AnalysisBundle, UnknownFunction
 from .reachability import (
     AnchorSets,
@@ -62,7 +63,10 @@ class RunConfig:
         )
 
 
-def make_transport(config: RunConfig):
+def make_transport(config: RunConfig, threads: int | None = None):
+    """The transport ``config`` names; the caller closes it. A live endpoint
+    keeps a connection open for each of the ``threads`` (by default
+    ``config.concurrency``) that query it at once."""
     if config.transport not in ("live", "record", "replay"):
         raise UsageError(f"unknown transport mode: {config.transport!r}")
     if config.transport != "live" and not config.store:
@@ -72,6 +76,9 @@ def make_transport(config: RunConfig):
     live = LiveTransport(
         config.params(), endpoint=config.endpoint, api_key_env=config.api_key_env
     )
+    # set, not passed, so that a stand-in for LiveTransport needs only the
+    # call above
+    live.connections = threads or max(1, config.concurrency)
     return live if config.transport == "live" else RecordTransport(live, config.store)
 
 
@@ -79,12 +86,16 @@ def write_json(out_dir: str, name: str, payload: dict) -> str:
     """Write ``payload`` as one line of compact UTF-8 JSON plus a newline.
 
     ``json.dumps`` without ``indent`` runs on the C encoder, which ``indent``
-    or ``json.dump`` to a file would leave for the pure-Python one. The text
-    is encoded before the file is opened, so text that UTF-8 cannot encode
-    (a lone surrogate) leaves no file; the newline is a second ``write`` so
-    the encoded bytes are not copied.
+    or ``json.dump`` to a file would leave for the pure-Python one. The
+    converters build fresh payloads, which may share an object but hold no
+    cycle, so the encoder skips its cycle check. The text is encoded before
+    the file is opened, so text that UTF-8 cannot encode (a lone surrogate)
+    leaves no file; the newline is a second ``write`` so the encoded bytes
+    are not copied.
     """
-    data = json.dumps(payload, ensure_ascii=False, separators=(",", ":")).encode()
+    data = json.dumps(
+        payload, ensure_ascii=False, separators=(",", ":"), check_circular=False
+    ).encode()
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, name)
     with open(path, "wb") as fh:
@@ -146,21 +157,25 @@ def assemble_bundle(
 
 
 def run_probes(
-    desc: ContractDescription, config: RunConfig, transport=None
+    desc: ContractDescription, config: RunConfig, transport=None, pool=None
 ) -> tuple[AnalysisBundle, Stage2Result]:
     """The static half, then both model stages: writes the five static
     artifacts, ``bundle.json`` and ``probes.json``.
 
     The transport is built only after the static artifacts are on disk, so a
-    missing or corrupt store still leaves them.
+    missing or corrupt store still leaves them; one built here is closed
+    here. Both stages run their queries on ``pool`` when given, else on one
+    ``query_pool`` of ``config.concurrency`` threads.
     """
     static = run_static(desc, config)
-    if transport is None:
-        transport = make_transport(config)
-    stage1 = run_stage1(desc, transport, config.concurrency)
-    bundle = assemble_bundle(desc, static, stage1)
-    write_json(config.out_dir, "bundle.json", bundle.to_json())
-    stage2 = run_stage2(bundle, transport, config.concurrency, config.retries)
+    with ExitStack() as stack:
+        if transport is None:
+            transport = stack.enter_context(closing(make_transport(config)))
+        pool = stack.enter_context(query_pool(transport, config.concurrency, pool))
+        stage1 = run_stage1(desc, transport, config.concurrency, pool)
+        bundle = assemble_bundle(desc, static, stage1)
+        write_json(config.out_dir, "bundle.json", bundle.to_json())
+        stage2 = run_stage2(bundle, transport, config.concurrency, config.retries, pool)
     write_json(config.out_dir, "probes.json", stage2.to_json())
     return bundle, stage2
 
@@ -178,10 +193,10 @@ def run_fusion(
 
 
 def run_detect(
-    desc: ContractDescription, config: RunConfig, transport=None
+    desc: ContractDescription, config: RunConfig, transport=None, pool=None
 ) -> tuple[Verdict, AnalysisBundle]:
     """Full pipeline for one contract; artifacts land in config.out_dir."""
-    bundle, stage2 = run_probes(desc, config, transport)
+    bundle, stage2 = run_probes(desc, config, transport, pool)
     _, verdict = run_fusion(stage2.distributions, config)
     return verdict, bundle
 
@@ -194,15 +209,22 @@ def run_batch(
 
     All contracts share one transport, so a store is loaded once per batch,
     a record store has one writer, and a prompt that several contracts share
-    is asked once.
+    is asked once. Their live or recorded queries share one ``query_pool``
+    of N×N threads for N workers, so a contract may use the query slots its
+    neighbours leave idle while they run their static half.
     """
-    transport = make_transport(config)
+    workers = max(1, config.concurrency)
+    threads = workers * workers
+    with (
+        closing(make_transport(config, threads)) as transport,
+        query_pool(transport, threads) as queries,
+        ThreadPoolExecutor(max_workers=workers) as pool,
+    ):
 
-    def worker(desc: ContractDescription) -> tuple[str, Verdict]:
-        sub = replace(config, out_dir=os.path.join(config.out_dir, desc.contract_id))
-        verdict, _ = run_detect(desc, sub, transport)
-        return desc.contract_id, verdict
+        def worker(desc: ContractDescription) -> tuple[str, Verdict]:
+            sub = replace(config, out_dir=os.path.join(config.out_dir, desc.contract_id))
+            verdict, _ = run_detect(desc, sub, transport, queries)
+            return desc.contract_id, verdict
 
-    with ThreadPoolExecutor(max_workers=max(1, config.concurrency)) as pool:
         results = list(pool.map(worker, descriptions))
     return dict(results)

@@ -3,15 +3,17 @@
 Stage I collects free-text summaries (one contract-level, one per function).
 Stage II sends six ranked-guess probes built from the analysis bundle and
 parses each response into a confidence distribution over the four labels.
-Within a stage, queries to a live or recording transport run concurrently,
-while a replay store answers them inline; Stage II starts only after Stage I
-finished because its prompts embed Stage-I output.
+Queries to a live or recording transport run concurrently on a query pool,
+which the two stages, and in a batch all contracts, may share, while a replay
+store answers them inline; Stage II starts only after Stage I finished
+because its prompts embed Stage-I output.
 """
 
 from __future__ import annotations
 
 import re
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 from .description import ContractDescription
@@ -137,31 +139,43 @@ def _parse_stage1_function(name: str, text: str) -> FunctionSummary:
     )
 
 
-def _map_queries(fn, items, transport, concurrency: int) -> list:
-    """``[fn(item) for item in items]``, with the calls overlapped when that
-    helps.
+def query_pool(transport, threads: int, shared=None):
+    """A context giving the pool to run ``transport``'s queries on, or None
+    to run them in the caller's thread.
 
-    A replay store answers from memory and never waits, so a pool would only
-    add thread hand-offs: its calls, like any with ``concurrency <= 1``, run
-    in the caller's thread. Other transports, record included, wait on the
-    model, and up to ``concurrency`` of their calls are in flight at once.
+    ``shared`` is given back as is and left open. A replay store answers
+    from memory and never waits, so a pool would only add thread hand-offs:
+    its queries, like any with ``threads <= 1``, run inline. Other
+    transports, record included, wait on the model and get a new pool of
+    ``threads``, shut down when the context ends.
     """
+    if shared is not None:
+        return nullcontext(shared)
     inline = isinstance(transport, ReplayTransport) and not isinstance(
         transport, RecordTransport
     )
-    if concurrency <= 1 or inline:
+    if threads <= 1 or inline:
+        return nullcontext()
+    return ThreadPoolExecutor(max_workers=threads)
+
+
+def _map_queries(fn, items, pool) -> list:
+    """``[fn(item) for item in items]``, overlapped on ``pool`` unless it is
+    None."""
+    if pool is None:
         return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=concurrency) as pool:
-        return list(pool.map(fn, items))
+    return list(pool.map(fn, items))
 
 
 def run_stage1(
-    desc: ContractDescription, transport, concurrency: int = 4
+    desc: ContractDescription, transport, concurrency: int = 4, pool=None
 ) -> Stage1Result:
-    """Query the contract summary and all function summaries."""
+    """Query the contract summary and all function summaries, on ``pool``
+    or on a ``query_pool`` of ``concurrency`` threads."""
     general_prompt, function_prompts = build_stage1_prompts(desc)
     prompts = [general_prompt] + function_prompts
-    responses = _map_queries(transport.query, prompts, transport, concurrency)
+    with query_pool(transport, concurrency, pool) as pool:
+        responses = _map_queries(transport.query, prompts, pool)
     functions = [
         _parse_stage1_function(chunk.name, response)
         for chunk, response in zip(desc.functions, responses[1:])
@@ -201,9 +215,14 @@ def _run_probe(kind: str, prompt: str, transport, retries: int) -> ProbeDistribu
 
 
 def run_stage2(
-    bundle: AnalysisBundle, transport, concurrency: int = 4, retries: int = 2
+    bundle: AnalysisBundle,
+    transport,
+    concurrency: int = 4,
+    retries: int = 2,
+    pool=None,
 ) -> Stage2Result:
-    """Run all six probes; probes that stay malformed are dropped from the
+    """Run all six probes, on ``pool`` or on a ``query_pool`` of
+    ``concurrency`` threads; probes that stay malformed are dropped from the
     result rather than failing the stage."""
     prompts = {kind: build_stage2_prompt(kind, bundle) for kind in PROBE_KINDS}
 
@@ -213,7 +232,8 @@ def run_stage2(
         except RetryExhausted as exc:
             return exc
 
-    outcomes = _map_queries(worker, PROBE_KINDS, transport, concurrency)
+    with query_pool(transport, concurrency, pool) as pool:
+        outcomes = _map_queries(worker, PROBE_KINDS, pool)
 
     result = Stage2Result()
     for kind, outcome in zip(PROBE_KINDS, outcomes):

@@ -212,15 +212,20 @@ def render_path(path: FundFlowPath) -> str:
 
 
 def paths_to_json(result: EnumerationResult, rendered: list[str]) -> dict:
-    """``rendered`` holds ``render_path`` of each path, in result order."""
+    """``rendered`` holds ``render_path`` of each path, in result order.
+    Each entity's hop object is built once and shared by every path that
+    passes through it."""
+    hops: dict[EntityId, dict] = {}
+    for p in result.paths:
+        for h in p.hops:
+            if h not in hops:
+                hops[h] = {"id": h.key(), "display": h.display}
     return {
         "truncated": result.truncated,
         "paths": [
             {
                 "rendered": text,
-                "hops": [
-                    {"id": h.key(), "display": h.display} for h in p.hops
-                ],
+                "hops": [hops[h] for h in p.hops],
                 "conditions": [list(c) for c in p.conditions],
             }
             for p, text in zip(result.paths, rendered, strict=True)

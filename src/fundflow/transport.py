@@ -14,9 +14,11 @@ import hashlib
 import json
 import os
 import threading
+import weakref
 from dataclasses import dataclass
 
 import requests
+from requests.adapters import DEFAULT_POOLSIZE, HTTPAdapter
 
 from .errors import CorruptStore, ReplayMiss, TransportError
 
@@ -75,7 +77,11 @@ def read_jsonl(path: str, error: type[Exception], **fields: str) -> list[tuple]:
 
 
 class LiveTransport:
-    """Chat-completions over HTTP; the API key comes from the environment."""
+    """Chat-completions over HTTP; the API key comes from the environment.
+
+    All queries go through one ``requests.Session``, so a connection is kept
+    open and reused by the next query. ``close()`` closes the session.
+    """
 
     def __init__(
         self,
@@ -88,6 +94,24 @@ class LiveTransport:
         self.endpoint = endpoint
         self.api_key_env = api_key_env
         self.timeout = timeout
+        self.session = requests.Session()
+        self.connections = DEFAULT_POOLSIZE
+
+    @property
+    def connections(self) -> int:
+        """Connections kept open for reuse: one per thread that queries at
+        once, so that none is opened only to be discarded."""
+        return self._connections
+
+    @connections.setter
+    def connections(self, count: int) -> None:
+        self._connections = count
+        adapter = HTTPAdapter(pool_maxsize=count)
+        self.session.mount("https://", adapter)
+        self.session.mount("http://", adapter)
+
+    def close(self) -> None:
+        self.session.close()
 
     def query(self, prompt: str, attempt: int = 0) -> str:
         del attempt  # part of the query identity, not of the request
@@ -103,7 +127,7 @@ class LiveTransport:
             "max_tokens": self.params.max_tokens,
         }
         try:
-            response = requests.post(
+            response = self.session.post(
                 self.endpoint,
                 json=body,
                 headers={"Authorization": f"Bearer {api_key}"},
@@ -149,19 +173,27 @@ class ReplayTransport:
     def _miss(self, key: str, prompt: str, attempt: int) -> str:
         raise ReplayMiss(key=key, context=f"attempt {attempt}")
 
+    def close(self) -> None:
+        """A replay store holds nothing open once loaded."""
+
 
 class RecordTransport(ReplayTransport):
     """A store that asks an inner transport on a miss and appends the answer.
 
     An existing store is read first, so a rerun asks only for missing keys.
     When several threads miss one key, one asks and the others wait for its
-    answer. A failed query appends nothing.
+    answer. A failed query appends nothing. The first answer opens the store
+    for appending, and it stays open until ``close()``, which closes the
+    inner transport too when that has a ``close()``. Each answer is written
+    and flushed as one whole line, so a crash leaves at most a torn last
+    line.
     """
 
     def __init__(self, inner, store_path: str) -> None:
         self.inner = inner
         self._lock = threading.Lock()  # guards the store file and _asking
         self._asking: dict[str, threading.Lock] = {}
+        self._store = None  # opened by the first answer
         super().__init__(store_path, inner.params)
 
     def _load(self) -> dict[str, str]:
@@ -178,9 +210,22 @@ class RecordTransport(ReplayTransport):
             if response is None:
                 response = self.inner.query(prompt, attempt)
                 record = {"key": key, "model": self.params.model, "response": response}
-                line = json.dumps(record, ensure_ascii=False) + "\n"
+                line = (json.dumps(record, ensure_ascii=False) + "\n").encode()
                 with self._lock:
-                    with open(self.store_path, "a", encoding="utf-8") as fh:
-                        fh.write(line)
+                    if self._store is None:
+                        self._store = open(self.store_path, "ab")
+                        # a transport dropped without close() still closes it
+                        weakref.finalize(self, self._store.close)
+                    self._store.write(line)
+                    self._store.flush()
                     self._responses[key] = response
         return response
+
+    def close(self) -> None:
+        with self._lock:
+            if self._store is not None:
+                self._store.close()
+                self._store = None
+        close_inner = getattr(self.inner, "close", None)
+        if close_inner is not None:
+            close_inner()

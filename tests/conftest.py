@@ -4,6 +4,7 @@ from the scripted model's rank tables, and the fixture contract text."""
 from __future__ import annotations
 
 import os
+import socket
 import sys
 
 import pytest
@@ -21,6 +22,23 @@ from fundflow.scripted import (  # noqa: F401  (shared with the test modules)
 # scripts/audit_reachability.py
 _ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(_ROOT, "scripts"))
+
+
+LOOPBACK = {"localhost", "127.0.0.1", "::1"}
+
+
+@pytest.fixture(autouse=True)
+def loopback_only(monkeypatch):
+    """Tests stay off the network: resolving any host but the loopback
+    fails, before a connection could be tried."""
+    resolve = socket.getaddrinfo
+
+    def guarded(host, *args, **kwargs):
+        if host not in LOOPBACK:
+            raise OSError(f"tests do not resolve {host!r}")
+        return resolve(host, *args, **kwargs)
+
+    monkeypatch.setattr(socket, "getaddrinfo", guarded)
 
 
 def distribution(kind: str, rows) -> ProbeDistribution:

@@ -4,6 +4,7 @@ pass/fail line (run with -s to see them on success)."""
 import os
 import random
 import time
+from pathlib import Path
 
 import pytest
 
@@ -208,7 +209,7 @@ def test_criterion_8_hermetic_detect(tmp_path, monkeypatch):
             assert verdict.label == "adversarial"
             snapshots.append(
                 {
-                    name: open(os.path.join(out, name), "rb").read()
+                    name: Path(out, name).read_bytes()
                     for name in artifact_names
                 }
             )

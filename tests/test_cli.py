@@ -1,10 +1,11 @@
 import json
 import os
+from pathlib import Path
 
 import pytest
 
 from fundflow.cli import build_config, build_parser, main, read_config_file
-from fundflow.description import chunk_flat_text
+from fundflow.description import chunk_flat_text, description_to_json
 from fundflow.pipeline import RunConfig, run_detect
 from fundflow.transport import RecordTransport
 
@@ -155,6 +156,26 @@ def test_detect_on_a_one_file_directory_is_a_batch(tmp_path, adv_store, capsys):
     assert capsys.readouterr().out.startswith("c_adv\tadversarial\t0.615")
     assert os.listdir(out) == ["c_adv"]
     assert os.path.exists(os.path.join(out, "c_adv", "verdict.json"))
+
+
+def test_batch_with_a_repeated_contract_id_is_an_error(tmp_path, adv_store, capsys):
+    """Two files that describe one contract id would share one output
+    directory; the batch stops before any contract runs."""
+    batch_dir = tmp_path / "contracts"
+    batch_dir.mkdir()
+    (batch_dir / "a.txt").write_text(FIXTURE_TEXT, encoding="utf-8")
+    same_id = description_to_json(chunk_flat_text(BENIGN_TEXT, "a"))
+    (batch_dir / "b.json").write_text(json.dumps(same_id), encoding="utf-8")
+    out = tmp_path / "out"
+    code = main(
+        ["detect", "-i", str(batch_dir), "-o", str(out), "--transport", "replay", "--store", adv_store]
+    )
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert str(batch_dir / "a.txt") in captured.err
+    assert str(batch_dir / "b.json") in captured.err
+    assert not out.exists()
 
 
 def test_probe_command(tmp_path, fixture_file, adv_store, capsys):
@@ -322,7 +343,7 @@ def test_sweep_writes_csv(tmp_path, capsys):
     assert main(["sweep", "-i", scores_file(tmp_path), "-o", out, "--grid", "0.5"]) == 0
     out_path = capsys.readouterr().out.strip()
     assert out_path == os.path.join(out, "sweep.csv")
-    assert open(out_path, encoding="utf-8").read().startswith("threshold,")
+    assert Path(out_path).read_text(encoding="utf-8").startswith("threshold,")
 
 
 def test_sweep_rejects_out_of_range_grid(tmp_path, capsys):

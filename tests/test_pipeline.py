@@ -3,12 +3,14 @@ import json
 import os
 import sys
 import threading
+import time
+from pathlib import Path
 
 import pytest
 
 from fundflow.description import chunk_flat_text
 from fundflow import pipeline
-from fundflow.errors import ReplayMiss
+from fundflow.errors import ReplayMiss, TransportError
 from fundflow.pipeline import (
     RunConfig,
     assemble_bundle,
@@ -66,13 +68,13 @@ def test_run_static_writes_every_artifact(tmp_path):
 
 def test_artifacts_end_with_newline(tmp_path):
     path = write_json(str(tmp_path), "x.json", {"a": "ü"})
-    raw = open(path, "rb").read()
+    raw = Path(path).read_bytes()
     assert raw.endswith(b"\n")
     assert "ü".encode("utf-8") in raw  # not ascii-escaped
 
     # one compact line, newlines inside strings stay escaped
     payload = {"text": "zwölf\nlines", "nested": [{"a": 1.5, "b": None}, []]}
-    raw = open(write_json(str(tmp_path), "y.json", payload), "rb").read()
+    raw = Path(write_json(str(tmp_path), "y.json", payload)).read_bytes()
     assert raw.count(b"\n") == 1 and raw.endswith(b"\n")
     assert b" " not in raw
     assert json.loads(raw.decode("utf-8")) == payload
@@ -167,8 +169,8 @@ def test_record_then_replay_identical_artifacts(tmp_path):
 
     assert rep_verdict == rec_verdict
     for name in STATIC_NAMES + MODEL_NAMES:
-        rec_bytes = open(os.path.join(rec_out, name), "rb").read()
-        rep_bytes = open(os.path.join(rep_out, name), "rb").read()
+        rec_bytes = Path(rec_out, name).read_bytes()
+        rep_bytes = Path(rep_out, name).read_bytes()
         assert rec_bytes == rep_bytes, name
 
 
@@ -430,3 +432,151 @@ def test_record_batch_with_drifting_model_replays_byte_identically(tmp_path, mon
                 desc.contract_id,
                 name,
             )
+
+
+class SleepingModel(ScriptedTransport):
+    """The scripted model after a sleep, counting the queries it answers and
+    the most it had in flight at once. From call ``fail_from`` on, it raises."""
+
+    def __init__(self, params, delay=0.05, fail_from=None):
+        super().__init__(params, ADVERSARIAL_ROWS)
+        self.delay = delay
+        self.fail_from = fail_from
+        self.calls = self.in_flight = self.peak = 0
+        self._lock = threading.Lock()
+
+    def query(self, prompt, attempt=0):
+        with self._lock:
+            self.calls += 1
+            call = self.calls
+            self.in_flight += 1
+            self.peak = max(self.peak, self.in_flight)
+        try:
+            time.sleep(self.delay)
+            if self.fail_from is not None and call >= self.fail_from:
+                raise TransportError(f"call {call} refused")
+            return super().query(prompt, attempt)
+        finally:
+            with self._lock:
+                self.in_flight -= 1
+
+
+def use_model(monkeypatch, model):
+    """Make every transport the pipeline builds ask ``model``."""
+    monkeypatch.setattr(pipeline, "LiveTransport", lambda params, **_: model)
+    return model
+
+
+def distinct_contracts(count):
+    """Contracts that share no prompt: each has a function of its own."""
+    return [
+        chunk_flat_text(
+            FIXTURE_TEXT + f"function extra{i}(param1):\nit returns stor_{i + 10}\n", f"c{i}"
+        )
+        for i in range(count)
+    ]
+
+
+def record_config(tmp_path, **overrides):
+    return RunConfig(
+        transport="record",
+        store=str(tmp_path / "store.jsonl"),
+        out_dir=str(tmp_path / "rec"),
+        **overrides,
+    )
+
+
+def test_one_contract_batch_uses_the_whole_query_pool(tmp_path, monkeypatch):
+    """A batch's N workers share N×N query threads, so a lone contract has
+    more than N queries in flight."""
+    model = use_model(monkeypatch, SleepingModel(RunConfig().params()))
+    run_batch(distinct_contracts(1), record_config(tmp_path, concurrency=2))
+    assert model.peak > 2
+
+
+def test_batch_never_exceeds_n_times_n_queries_in_flight(tmp_path, monkeypatch):
+    model = use_model(monkeypatch, SleepingModel(RunConfig().params(), delay=0.01))
+    run_batch(distinct_contracts(6), record_config(tmp_path, concurrency=2))
+    assert model.peak <= 4
+
+
+@pytest.mark.parametrize("contracts", [1, 6])
+def test_record_batch_creates_two_pools_whatever_its_size(tmp_path, monkeypatch, contracts):
+    """The batch's worker pool and its query pool, and no pool per stage."""
+    from concurrent.futures import ThreadPoolExecutor
+
+    from fundflow import probing
+
+    created = {"pipeline": 0, "probing": 0}
+
+    def counting_pool(module):
+        class Pool(ThreadPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                created[module] += 1
+                super().__init__(*args, **kwargs)
+
+        return Pool
+
+    monkeypatch.setattr(pipeline, "ThreadPoolExecutor", counting_pool("pipeline"))
+    monkeypatch.setattr(probing, "ThreadPoolExecutor", counting_pool("probing"))
+    use_model(monkeypatch, SleepingModel(RunConfig().params(), delay=0))
+    run_batch(distinct_contracts(contracts), record_config(tmp_path, concurrency=2))
+    assert created == {"pipeline": 1, "probing": 1}
+
+
+@pytest.mark.parametrize("batch", [True, False])
+def test_record_store_is_opened_once_and_closed_after_the_run(tmp_path, monkeypatch, batch):
+    from fundflow import transport
+
+    config = record_config(tmp_path, concurrency=2)
+    handles = []
+
+    def counting_open(path, *args, **kwargs):
+        handle = open(path, *args, **kwargs)
+        if path == config.store:
+            handles.append(handle)
+        return handle
+
+    monkeypatch.setattr(transport, "open", counting_open, raising=False)
+    built = []  # keeps each transport alive, so only close() closes its store
+
+    class Kept(RecordTransport):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append(self)
+
+    monkeypatch.setattr(pipeline, "RecordTransport", Kept)
+    model = use_model(monkeypatch, SleepingModel(config.params(), delay=0))
+    if batch:
+        run_batch(distinct_contracts(3), config)
+    else:
+        run_detect(distinct_contracts(1)[0], config)
+    assert len(Path(config.store).read_text(encoding="utf-8").splitlines()) == model.calls
+    assert len(built) == len(handles) == 1
+    assert handles[0].closed
+
+
+def test_record_batch_failing_mid_way_leaves_whole_lines_and_resumes(tmp_path, monkeypatch):
+    """A model that fails mid-batch leaves only whole store lines; a rerun
+    asks only for the keys still missing, and the store then replays."""
+    config = record_config(tmp_path, concurrency=2)
+    descs = distinct_contracts(4)
+    failing = use_model(monkeypatch, SleepingModel(config.params(), delay=0.001, fail_from=12))
+    with pytest.raises(TransportError):
+        run_batch(descs, config)
+    ReplayTransport(config.store, config.params())  # CorruptStore on a torn line
+    kept = len(Path(config.store).read_text(encoding="utf-8").splitlines())
+    assert 0 < kept < failing.calls
+
+    model = use_model(monkeypatch, SleepingModel(config.params(), delay=0))
+    recorded = run_batch(descs, config)
+    keys = [
+        json.loads(line)["key"]
+        for line in Path(config.store).read_text(encoding="utf-8").splitlines()
+    ]
+    assert len(keys) == len(set(keys)) == kept + model.calls
+    replayed = run_batch(
+        descs,
+        RunConfig(transport="replay", store=config.store, out_dir=str(tmp_path / "rep")),
+    )
+    assert replayed == recorded

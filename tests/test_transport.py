@@ -242,7 +242,7 @@ def test_live_transport_success(monkeypatch):
         captured.update(url=url, body=json, headers=headers, timeout=timeout)
         return FakeResponse({"choices": [{"message": {"content": "hello back"}}]})
 
-    monkeypatch.setattr("fundflow.transport.requests.post", fake_post)
+    monkeypatch.setattr(requests.Session, "post", staticmethod(fake_post))
     monkeypatch.setenv("FAKE_API_KEY_VAR", "test-key-123")
     live = LiveTransport(PARAMS, "https://example.invalid/v1/chat", "FAKE_API_KEY_VAR")
     assert live.query("ping", attempt=3) == "hello back"
@@ -260,7 +260,7 @@ def test_live_transport_success(monkeypatch):
 def test_live_transport_requires_env_key(monkeypatch):
     calls = []
     monkeypatch.setattr(
-        "fundflow.transport.requests.post", lambda *a, **k: calls.append(1)
+        requests.Session, "post", staticmethod(lambda *a, **k: calls.append(1))
     )
     monkeypatch.delenv("FAKE_API_KEY_VAR", raising=False)
     live = LiveTransport(PARAMS, "https://example.invalid", "FAKE_API_KEY_VAR")
@@ -273,7 +273,7 @@ def test_live_transport_http_error(monkeypatch):
     def fake_post(url, **kwargs):
         return FakeResponse({}, error=requests.HTTPError("429 too many requests"))
 
-    monkeypatch.setattr("fundflow.transport.requests.post", fake_post)
+    monkeypatch.setattr(requests.Session, "post", staticmethod(fake_post))
     monkeypatch.setenv("FAKE_API_KEY_VAR", "k")
     live = LiveTransport(PARAMS, "https://example.invalid", "FAKE_API_KEY_VAR")
     with pytest.raises(TransportError):
@@ -284,7 +284,7 @@ def test_live_transport_connection_error(monkeypatch):
     def fake_post(url, **kwargs):
         raise requests.ConnectionError("refused")
 
-    monkeypatch.setattr("fundflow.transport.requests.post", fake_post)
+    monkeypatch.setattr(requests.Session, "post", staticmethod(fake_post))
     monkeypatch.setenv("FAKE_API_KEY_VAR", "k")
     live = LiveTransport(PARAMS, "https://example.invalid", "FAKE_API_KEY_VAR")
     with pytest.raises(TransportError, match="refused"):
@@ -293,8 +293,9 @@ def test_live_transport_connection_error(monkeypatch):
 
 def test_live_transport_unexpected_shape(monkeypatch):
     monkeypatch.setattr(
-        "fundflow.transport.requests.post",
-        lambda url, **kwargs: FakeResponse({"unexpected": True}),
+        requests.Session,
+        "post",
+        staticmethod(lambda url, **kwargs: FakeResponse({"unexpected": True})),
     )
     monkeypatch.setenv("FAKE_API_KEY_VAR", "k")
     live = LiveTransport(PARAMS, "https://example.invalid", "FAKE_API_KEY_VAR")
@@ -305,3 +306,46 @@ def test_live_transport_unexpected_shape(monkeypatch):
 def test_record_wraps_live_params(tmp_path):
     recorder = RecordTransport(EchoTransport(PARAMS), str(tmp_path / "s.jsonl"))
     assert recorder.params == PARAMS
+
+
+def test_live_transport_reuses_one_connection(monkeypatch):
+    """Queries go over one kept-alive connection to a loopback server."""
+    from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+
+    connections = []
+    body = json.dumps({"choices": [{"message": {"content": "pong"}}]}).encode()
+
+    class Handler(BaseHTTPRequestHandler):
+        protocol_version = "HTTP/1.1"  # keep-alive
+
+        def setup(self):
+            super().setup()
+            connections.append(self.client_address)
+
+        def do_POST(self):
+            self.rfile.read(int(self.headers["Content-Length"]))
+            self.send_response(200)
+            self.send_header("Content-Type", "application/json")
+            self.send_header("Content-Length", str(len(body)))
+            self.end_headers()
+            self.wfile.write(body)
+
+        def log_message(self, *args):
+            pass
+
+    server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
+    server.daemon_threads = True
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    monkeypatch.setenv("FAKE_API_KEY_VAR", "k")
+    monkeypatch.setenv("NO_PROXY", "127.0.0.1")
+    endpoint = f"http://127.0.0.1:{server.server_address[1]}/v1/chat/completions"
+    live = LiveTransport(PARAMS, endpoint, "FAKE_API_KEY_VAR")
+    try:
+        assert [live.query(p) for p in ("a", "b", "c")] == ["pong"] * 3
+    finally:
+        live.close()
+        server.shutdown()
+        server.server_close()
+        thread.join()
+    assert len(connections) == 1
