@@ -19,6 +19,7 @@ from pathlib import Path
 from .description import load_description
 from .errors import FundflowError, InvalidDescription, InvalidInput, UsageError
 from .forest import build_forest, forest_to_json
+from .fusion import check_threshold
 from .metrics import compute_metrics, sweep_to_csv, threshold_sweep
 from .pipeline import (
     RunConfig,
@@ -212,8 +213,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     scores = read_jsonl(args.input, InvalidInput, id="string", adv_score="number", label="string")
     grid = _parse_grid(args.grid)
     for t in grid:
-        if not 0.0 <= t <= 1.0:
-            raise FundflowError(f"grid threshold {t} outside [0, 1]")
+        check_threshold(t)
     csv_text = sweep_to_csv(threshold_sweep(scores, grid))
     if args.out_dir:
         os.makedirs(args.out_dir, exist_ok=True)

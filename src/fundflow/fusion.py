@@ -90,14 +90,19 @@ class Verdict:
         return asdict(self)
 
 
+def check_threshold(threshold: float) -> None:
+    """The one range rule for a decision threshold: it lies in [0, 1]."""
+    if not 0.0 <= threshold <= 1.0:
+        raise InvalidThreshold(f"threshold {threshold} outside [0, 1]")
+
+
 def decide(result: FusionResult, threshold: float | None = None) -> Verdict:
     """Default rule: adversarial iff adv_score > be_score (ties are benign).
     With a threshold t: adversarial iff adv_score > t."""
     if threshold is None:
         adversarial = result.adv_score > result.be_score
     else:
-        if not 0.0 <= threshold <= 1.0:
-            raise InvalidThreshold(f"threshold {threshold} outside [0, 1]")
+        check_threshold(threshold)
         adversarial = result.adv_score > threshold
     return Verdict(
         label="adversarial" if adversarial else "benign",

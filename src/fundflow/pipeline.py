@@ -14,9 +14,9 @@ from contextlib import ExitStack, closing
 from dataclasses import dataclass, replace
 
 from .description import ContractDescription, description_to_json
-from .errors import UsageError
+from .errors import InvalidDescription, UsageError
 from .forest import build_forest, forest_to_json
-from .fusion import FusionResult, Verdict, decide, fuse
+from .fusion import FusionResult, Verdict, check_threshold, decide, fuse
 from .graph import transform, graph_to_json
 from .indicators import compute_indicators, is_unknown_function
 from .probing import ProbeDistribution, Stage2Result, query_pool, run_stage1, run_stage2
@@ -34,6 +34,7 @@ from .reachability import (
 from .transport import LiveTransport, RecordTransport, ReplayTransport, TransportParams
 
 DEFAULT_ENDPOINT = "https://api.openai.com/v1/chat/completions"
+_SEPARATORS = ("/", os.sep, os.altsep, "\0")
 
 
 @dataclass
@@ -51,6 +52,11 @@ class RunConfig:
     max_depth: int = 32
     max_paths: int = 256
     out_dir: str = "out"
+
+    def __post_init__(self) -> None:
+        # checked here, so a bad threshold fails before any model work
+        if self.threshold is not None:
+            check_threshold(self.threshold)
 
     def limits(self) -> ReachLimits:
         return ReachLimits(max_depth=self.max_depth, max_paths=self.max_paths)
@@ -163,19 +169,20 @@ def run_probes(
     artifacts, ``bundle.json`` and ``probes.json``.
 
     The transport is built only after the static artifacts are on disk, so a
-    missing or corrupt store still leaves them; one built here is closed
-    here. Both stages run their queries on ``pool`` when given, else on one
-    ``query_pool`` of ``config.concurrency`` threads.
+    missing or corrupt store still leaves them. One built here is closed
+    here, and both stages share its ``query_pool`` of ``config.concurrency``
+    threads. A ``transport`` passed in is queried on ``pool``, or in the
+    calling thread when that is None.
     """
     static = run_static(desc, config)
     with ExitStack() as stack:
         if transport is None:
             transport = stack.enter_context(closing(make_transport(config)))
-        pool = stack.enter_context(query_pool(transport, config.concurrency, pool))
-        stage1 = run_stage1(desc, transport, config.concurrency, pool)
+            pool = stack.enter_context(query_pool(transport, config.concurrency))
+        stage1 = run_stage1(desc, transport, pool)
         bundle = assemble_bundle(desc, static, stage1)
         write_json(config.out_dir, "bundle.json", bundle.to_json())
-        stage2 = run_stage2(bundle, transport, config.concurrency, config.retries, pool)
+        stage2 = run_stage2(bundle, transport, config.retries, pool)
     write_json(config.out_dir, "probes.json", stage2.to_json())
     return bundle, stage2
 
@@ -195,7 +202,8 @@ def run_fusion(
 def run_detect(
     desc: ContractDescription, config: RunConfig, transport=None, pool=None
 ) -> tuple[Verdict, AnalysisBundle]:
-    """Full pipeline for one contract; artifacts land in config.out_dir."""
+    """Full pipeline for one contract; artifacts land in config.out_dir. A
+    ``transport`` passed in is queried on ``pool``, or inline when it is None."""
     bundle, stage2 = run_probes(desc, config, transport, pool)
     _, verdict = run_fusion(stage2.distributions, config)
     return verdict, bundle
@@ -212,7 +220,17 @@ def run_batch(
     is asked once. Their live or recorded queries share one ``query_pool``
     of N×N threads for N workers, so a contract may use the query slots its
     neighbours leave idle while they run their static half.
+
+    Each contract id names its output directory, so an id that is not one
+    plain path component (empty, ``.``, ``..``, or holding a path separator
+    or NUL) raises ``InvalidDescription`` before any contract runs.
     """
+    for desc in descriptions:
+        cid = desc.contract_id
+        if cid in ("", ".", "..") or any(c and c in cid for c in _SEPARATORS):
+            raise InvalidDescription(
+                f"contract id {cid!r} is not a plain directory name under {config.out_dir}"
+            )
     workers = max(1, config.concurrency)
     threads = workers * workers
     with (

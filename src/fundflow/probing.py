@@ -3,10 +3,10 @@
 Stage I collects free-text summaries (one contract-level, one per function).
 Stage II sends six ranked-guess probes built from the analysis bundle and
 parses each response into a confidence distribution over the four labels.
-Queries to a live or recording transport run concurrently on a query pool,
-which the two stages, and in a batch all contracts, may share, while a replay
-store answers them inline; Stage II starts only after Stage I finished
-because its prompts embed Stage-I output.
+Each stage maps its queries on the query pool it is given, or in the calling
+thread when it is given none; the code that builds the transport picks the
+pool with ``query_pool``. Stage II starts only after Stage I finished because
+its prompts embed Stage-I output.
 """
 
 from __future__ import annotations
@@ -139,18 +139,15 @@ def _parse_stage1_function(name: str, text: str) -> FunctionSummary:
     )
 
 
-def query_pool(transport, threads: int, shared=None):
+def query_pool(transport, threads: int):
     """A context giving the pool to run ``transport``'s queries on, or None
     to run them in the caller's thread.
 
-    ``shared`` is given back as is and left open. A replay store answers
-    from memory and never waits, so a pool would only add thread hand-offs:
-    its queries, like any with ``threads <= 1``, run inline. Other
-    transports, record included, wait on the model and get a new pool of
-    ``threads``, shut down when the context ends.
+    A replay store answers from memory and never waits, so a pool would only
+    add thread hand-offs: its queries, like any with ``threads <= 1``, run
+    inline. Other transports, record included, wait on the model and get a
+    new pool of ``threads``, shut down when the context ends.
     """
-    if shared is not None:
-        return nullcontext(shared)
     inline = isinstance(transport, ReplayTransport) and not isinstance(
         transport, RecordTransport
     )
@@ -167,15 +164,11 @@ def _map_queries(fn, items, pool) -> list:
     return list(pool.map(fn, items))
 
 
-def run_stage1(
-    desc: ContractDescription, transport, concurrency: int = 4, pool=None
-) -> Stage1Result:
+def run_stage1(desc: ContractDescription, transport, pool=None) -> Stage1Result:
     """Query the contract summary and all function summaries, on ``pool``
-    or on a ``query_pool`` of ``concurrency`` threads."""
+    or, when it is None, in the calling thread."""
     general_prompt, function_prompts = build_stage1_prompts(desc)
-    prompts = [general_prompt] + function_prompts
-    with query_pool(transport, concurrency, pool) as pool:
-        responses = _map_queries(transport.query, prompts, pool)
+    responses = _map_queries(transport.query, [general_prompt] + function_prompts, pool)
     functions = [
         _parse_stage1_function(chunk.name, response)
         for chunk, response in zip(desc.functions, responses[1:])
@@ -215,15 +208,11 @@ def _run_probe(kind: str, prompt: str, transport, retries: int) -> ProbeDistribu
 
 
 def run_stage2(
-    bundle: AnalysisBundle,
-    transport,
-    concurrency: int = 4,
-    retries: int = 2,
-    pool=None,
+    bundle: AnalysisBundle, transport, retries: int = 2, pool=None
 ) -> Stage2Result:
-    """Run all six probes, on ``pool`` or on a ``query_pool`` of
-    ``concurrency`` threads; probes that stay malformed are dropped from the
-    result rather than failing the stage."""
+    """Run all six probes, on ``pool`` or, when it is None, in the calling
+    thread; probes that stay malformed are dropped from the result rather
+    than failing the stage."""
     prompts = {kind: build_stage2_prompt(kind, bundle) for kind in PROBE_KINDS}
 
     def worker(kind: str) -> ProbeDistribution | RetryExhausted:
@@ -232,9 +221,7 @@ def run_stage2(
         except RetryExhausted as exc:
             return exc
 
-    with query_pool(transport, concurrency, pool) as pool:
-        outcomes = _map_queries(worker, PROBE_KINDS, pool)
-
+    outcomes = _map_queries(worker, PROBE_KINDS, pool)
     result = Stage2Result()
     for kind, outcome in zip(PROBE_KINDS, outcomes):
         if isinstance(outcome, RetryExhausted):

@@ -10,7 +10,14 @@ from fundflow.pipeline import RunConfig, run_detect
 from fundflow.transport import RecordTransport
 
 from conftest import ADVERSARIAL_ROWS, BENIGN_ROWS, FIXTURE_TEXT, ScriptedTransport
-from test_pipeline import BENIGN_TEXT, MODEL_NAMES, STATIC_NAMES, read_json
+from test_pipeline import (
+    BENIGN_TEXT,
+    MODEL_NAMES,
+    STATIC_NAMES,
+    CountingScripted,
+    read_json,
+    use_model,
+)
 
 
 @pytest.fixture
@@ -175,6 +182,66 @@ def test_batch_with_a_repeated_contract_id_is_an_error(tmp_path, adv_store, caps
     assert captured.out == ""
     assert str(batch_dir / "a.txt") in captured.err
     assert str(batch_dir / "b.json") in captured.err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "name, content, contract_id",
+    [
+        ("...txt", FIXTURE_TEXT, ".."),  # Path.stem of "...txt"
+        (
+            "c.json",
+            json.dumps(
+                {**description_to_json(chunk_flat_text(FIXTURE_TEXT)), "contract": "../escaped"}
+            ),
+            "../escaped",
+        ),
+    ],
+    ids=["dot_dot_stem", "json_id_with_slash"],
+)
+def test_batch_rejects_an_id_that_leaves_the_output_directory(
+    tmp_path, monkeypatch, capsys, name, content, contract_id
+):
+    """Each contract id names a directory under -o; one that is not a plain
+    name is an error before any contract runs, and nothing is written."""
+    batch_dir = tmp_path / "contracts"
+    batch_dir.mkdir()
+    (batch_dir / name).write_text(content, encoding="utf-8")
+    model = use_model(monkeypatch, CountingScripted(RunConfig().params(), ADVERSARIAL_ROWS))
+    work = tmp_path / "work"
+    store = tmp_path / "store.jsonl"
+    code = main(
+        [
+            "detect", "-i", str(batch_dir), "-o", str(work / "out"),
+            "--transport", "record", "--store", str(store),
+        ]
+    )
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"contract id {contract_id!r}" in captured.err
+    assert model.calls == 0
+    assert not work.exists() and not store.exists()
+
+
+class LiveStandIn(CountingScripted):
+    """The counting scripted model, closed like ``LiveTransport``."""
+
+    def close(self):
+        pass
+
+
+def test_detect_checks_the_threshold_before_any_model_work(
+    tmp_path, fixture_file, monkeypatch, capsys
+):
+    model = use_model(monkeypatch, LiveStandIn(RunConfig().params(), ADVERSARIAL_ROWS))
+    out = tmp_path / "out"
+    code = main(
+        ["detect", "-i", fixture_file, "-o", str(out), "--transport", "live", "--threshold", "1.5"]
+    )
+    assert code == 1
+    assert "error: threshold 1.5 outside [0, 1]" in capsys.readouterr().err
+    assert model.calls == 0
     assert not out.exists()
 
 

@@ -1,13 +1,19 @@
 """Malformed input ends in a FundflowError and never in any other exception."""
 
 import json
+import os
 import tempfile
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from fundflow import pipeline
+from fundflow.cli import main
 from fundflow.description import chunk_flat_text, description_from_json
 from fundflow.errors import FundflowError
 from fundflow.pipeline import RunConfig, run_static
+
+from conftest import ADVERSARIAL_ROWS, ScriptedTransport
 
 # Words of the sentence templates, so that generated text reaches the
 # header, condition and behavior parsers and not only their fallbacks.
@@ -46,6 +52,25 @@ def test_text_through_static_half_raises_only_fundflow_errors(text):
             run_static(chunk_flat_text(text, "c"), RunConfig(out_dir=out))
         except FundflowError:
             pass
+
+
+def _scripted_live(params, **_):
+    return ScriptedTransport(params, ADVERSARIAL_ROWS)
+
+
+@settings(deadline=None, max_examples=50)
+@given(st.one_of(st.text(), _soup))
+def test_text_through_detect_ends_in_an_exit_code(text):
+    """The whole pipeline, from the command line, recording from the
+    scripted model: a verdict (0 or 3) or a typed error (1), never a raise."""
+    with tempfile.TemporaryDirectory() as work, pytest.MonkeyPatch.context() as patch:
+        patch.setattr(pipeline, "LiveTransport", _scripted_live)
+        path = os.path.join(work, "c.txt")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        args = ["detect", "-i", path, "-o", os.path.join(work, "out")]
+        store = os.path.join(work, "store.jsonl")
+        assert main(args + ["--transport", "record", "--store", store]) in (0, 1, 3)
 
 
 _scalar = st.one_of(

@@ -580,3 +580,74 @@ def test_record_batch_failing_mid_way_leaves_whole_lines_and_resumes(tmp_path, m
         RunConfig(transport="replay", store=config.store, out_dir=str(tmp_path / "rep")),
     )
     assert replayed == recorded
+
+
+def count_pools(monkeypatch):
+    """Count the thread pools ``pipeline`` and ``probing`` create, by module."""
+    from concurrent.futures import ThreadPoolExecutor
+
+    from fundflow import probing
+
+    created = {"pipeline": 0, "probing": 0}
+
+    def counting_pool(module):
+        class Pool(ThreadPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                created[module] += 1
+                super().__init__(*args, **kwargs)
+
+        return Pool
+
+    monkeypatch.setattr(pipeline, "ThreadPoolExecutor", counting_pool("pipeline"))
+    monkeypatch.setattr(probing, "ThreadPoolExecutor", counting_pool("probing"))
+    return created
+
+
+def test_run_detect_builds_one_pool_to_record_and_none_to_replay(tmp_path, monkeypatch):
+    """The pool comes with the transport ``run_detect`` builds: one for both
+    stages when it records, none when it replays."""
+    created = count_pools(monkeypatch)
+    use_model(monkeypatch, SleepingModel(RunConfig().params(), delay=0))
+    desc = distinct_contracts(1)[0]
+    config = record_config(tmp_path, concurrency=2)
+    run_detect(desc, config)
+    assert created == {"pipeline": 0, "probing": 1}
+
+    created.update(pipeline=0, probing=0)
+    run_detect(
+        desc, RunConfig(transport="replay", store=config.store, out_dir=str(tmp_path / "rep"))
+    )
+    assert created == {"pipeline": 0, "probing": 0}
+
+
+class ThreadWatchingScripted(ScriptedTransport):
+    """The scripted model, noting every thread that queries it."""
+
+    def __init__(self, params, probe_rows):
+        super().__init__(params, probe_rows)
+        self.threads = set()
+
+    def query(self, prompt, attempt=0):
+        self.threads.add(threading.current_thread())
+        return super().query(prompt, attempt)
+
+
+def test_passed_transport_without_a_pool_is_queried_inline(tmp_path):
+    config = RunConfig(out_dir=str(tmp_path / "run"), concurrency=4)
+    transport = ThreadWatchingScripted(config.params(), ADVERSARIAL_ROWS)
+    verdict, _ = run_detect(chunk_flat_text(FIXTURE_TEXT, "c"), config, transport)
+    assert verdict.label == "adversarial"
+    assert transport.threads == {threading.current_thread()}
+
+
+def test_passed_transport_overlaps_its_queries_on_the_passed_pool(tmp_path):
+    from concurrent.futures import ThreadPoolExecutor
+
+    from test_probing import OverlapTransport
+
+    config = RunConfig(out_dir=str(tmp_path / "run"))
+    transport = OverlapTransport(config.params(), ADVERSARIAL_ROWS)
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        verdict, _ = run_detect(chunk_flat_text(FIXTURE_TEXT, "c"), config, transport, pool)
+    assert verdict.label == "adversarial"
+    assert transport.max_in_flight == 2

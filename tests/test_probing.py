@@ -9,6 +9,7 @@ from fundflow.probing import (
     LETTER_TO_LABEL,
     ProbeDistribution,
     parse_ranked_response,
+    query_pool,
     run_stage1,
     run_stage2,
 )
@@ -149,7 +150,8 @@ class FlakyTransport:
 
 def run_probes(transport, retries=2):
     bundle = make_bundle_rows()
-    return run_stage2(bundle, transport, concurrency=2, retries=retries)
+    with query_pool(transport, 2) as pool:
+        return run_stage2(bundle, transport, retries=retries, pool=pool)
 
 
 def test_retry_recovers_after_malformed():
@@ -213,7 +215,7 @@ def test_stage2_probe_labels_match_kinds():
 def test_stage1_parses_summaries():
     desc = chunk_flat_text(FIXTURE_TEXT)
     transport = ScriptedTransport(PARAMS, ADVERSARIAL_ROWS)
-    result = run_stage1(desc, transport, concurrency=3)
+    result = run_stage1(desc, transport)
     assert result.contract_summary == "Moves funds through guarded external calls."
     assert [f.name for f in result.functions] == ["unknownfffcf3a1", "withdrawAll"]
     assert result.functions[0].suspicious is True
@@ -267,12 +269,14 @@ class OverlapTransport(ScriptedTransport):
 def test_non_replay_stages_overlap_queries():
     desc = chunk_flat_text(FIXTURE_TEXT)
     stage1_transport = OverlapTransport(PARAMS, ADVERSARIAL_ROWS)
-    stage1 = run_stage1(desc, stage1_transport, concurrency=2)
+    with query_pool(stage1_transport, 2) as pool:
+        stage1 = run_stage1(desc, stage1_transport, pool)
     assert [f.name for f in stage1.functions] == ["unknownfffcf3a1", "withdrawAll"]
     assert stage1_transport.max_in_flight == 2
 
     stage2_transport = OverlapTransport(PARAMS, ADVERSARIAL_ROWS)
-    stage2 = run_stage2(make_bundle_rows(), stage2_transport, concurrency=2)
+    with query_pool(stage2_transport, 2) as pool:
+        stage2 = run_stage2(make_bundle_rows(), stage2_transport, pool=pool)
     assert [d.probe for d in stage2.distributions] == list(PROBE_KINDS)
     assert stage2_transport.max_in_flight == 2
 
@@ -300,8 +304,10 @@ def test_replay_stages_run_inline(tmp_path, monkeypatch):
             return super().query(prompt, attempt)
 
     replay = WatchedReplay(str(store), PARAMS)
-    stage1 = run_stage1(desc, replay, concurrency=4)
-    stage2 = run_stage2(make_bundle_rows(), replay, concurrency=4)
+    with query_pool(replay, 4) as pool:
+        assert pool is None
+        stage1 = run_stage1(desc, replay, pool)
+        stage2 = run_stage2(make_bundle_rows(), replay, pool=pool)
     assert stage1.contract_summary == "Moves funds through guarded external calls."
     assert [d.probe for d in stage2.distributions] == list(PROBE_KINDS)
     assert seen_threads == {main_thread}
