@@ -1,8 +1,10 @@
 """Randomized audit of the reachability engine against brute-force oracles.
 
 Generates random directed graphs, compares forward reachability with a
-plain worklist closure and path enumeration with an unbounded DFS, and
-reports throughput. Any mismatch aborts with the offending seed.
+plain worklist closure and path enumeration with an unbounded DFS, then runs
+each graph again under small random limits and checks the result against
+the same DFS cut to those limits. Reports throughput. Any mismatch aborts
+with the offending seed.
 
 Usage: python3 scripts/audit_reachability.py [--graphs N] [--max-nodes K] [--seed S]
 """
@@ -53,6 +55,36 @@ def all_simple_paths(graph: FlowGraph, ingress_keys: set, egress_keys: set) -> l
     return found
 
 
+def is_acyclic(graph: FlowGraph) -> bool:
+    """Kahn's algorithm: every node can be removed once its in-edges are."""
+    indegree = {key: len(graph.in_edges(key)) for key in graph.nodes}
+    ready = [key for key, count in indegree.items() if count == 0]
+    for key in ready:
+        for edge in graph.out_edges(key):
+            indegree[edge.dst.key()] -= 1
+            if indegree[edge.dst.key()] == 0:
+                ready.append(edge.dst.key())
+    return len(ready) == len(graph.nodes)
+
+
+def limit_problem(graph, want: list, limits: ReachLimits, result) -> str | None:
+    """What is wrong with ``result``, an enumeration under ``limits``, given
+    ``want``, the unlimited ``all_simple_paths``; None when nothing is."""
+    got = [tuple(h.key() for h in p.hops) for p in result.paths]
+    cut = [p for p in want if len(p) - 1 <= limits.max_depth][: limits.max_paths]
+    if result.expansions > limits.budget:
+        return f"{result.expansions} expansions over the budget of {limits.budget}"
+    if result.expansions == limits.budget:  # the budget may have cut the list
+        cut = cut[: len(got)]
+    if got != cut:
+        return "paths differ from the unlimited ones cut to the limits"
+    if got != want and not result.truncated:
+        return "paths differ from the unlimited ones, not truncated"
+    if is_acyclic(graph) and result.truncated and got == want:
+        return "acyclic graph truncated with every path found"
+    return None
+
+
 def random_graph(rng: random.Random, max_nodes: int):
     n = rng.randint(2, max_nodes)
     p = 1.8 / n
@@ -80,6 +112,8 @@ def main() -> int:
     args = parser.parse_args()
 
     rng = random.Random(args.seed)
+    # its own generator, so the graphs stay those of the unlimited audit
+    limit_rng = random.Random(args.seed + 1)
     no_limits = ReachLimits(max_depth=10_000, max_paths=10_000_000)
     total_paths = 0
     started = time.monotonic()
@@ -87,29 +121,36 @@ def main() -> int:
         graph, ingress_names, egress_names = random_graph(rng, args.max_nodes)
         ingress = {graph.nodes[x] for x in ingress_names}
 
-        got_reach = {e.key() for e in forward_reach(graph, ingress)}
-        want_reach = closure(graph, ingress_names)
-        if got_reach != want_reach:
+        reach = forward_reach(graph, ingress)
+        if {e.key() for e in reach} != closure(graph, ingress_names):
             print(f"REACHABILITY MISMATCH at graph {round_no} (seed {args.seed})")
             return 1
 
         anchors = AnchorSets(
             ingress=ingress, egress={graph.nodes[x] for x in egress_names}
         )
-        result = prune_and_enumerate(
-            graph, forward_reach(graph, ingress), anchors, no_limits
-        )
+        result = prune_and_enumerate(graph, reach, anchors, no_limits)
         got = [tuple(h.key() for h in p.hops) for p in result.paths]
         want = all_simple_paths(graph, ingress_names, egress_names)
         if got != want or result.truncated:
             print(f"PATH MISMATCH at graph {round_no} (seed {args.seed})")
             return 1
         total_paths += len(got)
+
+        limits = ReachLimits(
+            max_depth=limit_rng.randint(0, 6), max_paths=limit_rng.randint(0, 8)
+        )
+        problem = limit_problem(
+            graph, want, limits, prune_and_enumerate(graph, reach, anchors, limits)
+        )
+        if problem:
+            print(f"LIMIT MISMATCH at graph {round_no} (seed {args.seed}): {problem}")
+            return 1
     elapsed = time.monotonic() - started
 
     print(
         f"{args.graphs} graphs (2..{args.max_nodes} nodes, seed {args.seed}): "
-        f"all closures and path lists match the oracles"
+        f"all closures and path lists match the oracles, with and without limits"
     )
     print(f"{total_paths} paths cross-checked in {elapsed:.2f}s")
     return 0

@@ -54,9 +54,12 @@ class RunConfig:
     out_dir: str = "out"
 
     def __post_init__(self) -> None:
-        # checked here, so a bad threshold fails before any model work
+        # checked here, so a bad value fails before any model work
         if self.threshold is not None:
             check_threshold(self.threshold)
+        for name in ("max_depth", "max_paths"):
+            if getattr(self, name) < 0:
+                raise UsageError(f"{name} must be 0 or more, got {getattr(self, name)}")
 
     def limits(self) -> ReachLimits:
         return ReachLimits(max_depth=self.max_depth, max_paths=self.max_paths)

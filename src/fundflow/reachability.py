@@ -2,16 +2,15 @@
 
 Ingress nodes are where attacker-influenced value enters (transaction fields
 plus every function parameter); egress nodes are fund-moving operations.
-Reachability runs forward from ingress, prunes against backward reachability
-from egress, and enumerates simple ingress-to-egress paths with the edge
+Reachability runs forward from ingress, prunes to the nodes that reach
+egress, and enumerates simple ingress-to-egress paths with the edge
 conditions carried along verbatim.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator
 from dataclasses import dataclass, field
-from operator import attrgetter, itemgetter
+from operator import itemgetter
 
 from .entities import LIFTER_ALIASES, OPERATION, VARIABLE, EntityId, resolve_sources
 from .forest import ContractForest
@@ -83,25 +82,14 @@ def identify_egress(graph: FlowGraph) -> set[EntityId]:
 
 def forward_reach(graph: FlowGraph, ingress: set[EntityId]) -> set[EntityId]:
     """All nodes reachable from any ingress node along directed edges."""
-    return {graph.nodes[key] for key in _closure(graph, ingress, forward=True)}
-
-
-def _closure(graph: FlowGraph, starts: set[EntityId], forward: bool) -> set[str]:
-    """Keys of the nodes reachable from ``starts`` along edges, or against
-    them when ``forward`` is false."""
-    edges_of = graph.out_edges if forward else graph.in_edges
-    end = attrgetter("dst" if forward else "src")
     seen: set[str] = set()
-    stack = [ent.key() for ent in starts if ent.key() in graph.nodes]
+    stack = [ent.key() for ent in ingress if ent.key() in graph.nodes]
     while stack:
         key = stack.pop()
-        if key in seen:
-            continue
-        seen.add(key)
-        for edge in edges_of(key):
-            if end(edge).key() not in seen:
-                stack.append(end(edge).key())
-    return seen
+        if key not in seen:
+            seen.add(key)
+            stack.extend(e.dst.key() for e in graph.out_edges(key))
+    return {graph.nodes[key] for key in seen}
 
 
 @dataclass(frozen=True)
@@ -117,12 +105,26 @@ class ReachLimits:
     max_depth: int = 32
     max_paths: int = 256
 
+    @property
+    def budget(self) -> int:
+        """Expansions an enumeration may make before it stops, truncated.
+
+        It bounds graphs with cycles, where a successor can pass the
+        distance test and still dead-end on nodes already on the path. On an
+        acyclic graph the shortest way to egress never meets the path, so
+        every expanded partial path is a proper prefix of one of the at most
+        max_paths + 1 paths found before the cut: at most (max_paths + 1) x
+        max_depth expansions, and the budget never fires there.
+        """
+        return 16 * (self.max_paths + 1) * (self.max_depth + 1)
+
 
 @dataclass
 class EnumerationResult:
     paths: list[FundFlowPath]
-    truncated: bool = False  # a limit cut the enumeration short
+    truncated: bool = False  # a limit or the work budget cut the enumeration short
     retained_nodes: set[EntityId] = field(default_factory=set)
+    expansions: int = 0  # partial paths whose successors were tried
 
 
 def prune_and_enumerate(
@@ -134,71 +136,60 @@ def prune_and_enumerate(
     """Keep nodes on some ingress-egress chain, then list simple paths.
 
     Enumeration is depth-first with successors ordered by node key, so the
-    output order is stable. Hitting either limit sets the truncated flag
-    instead of raising.
+    output order is stable. A successor is skipped when it is already on
+    the path, or when its fewest hops to egress do not fit in the depth
+    left. Skipping one for depth, finding more than ``max_paths`` paths, or
+    running out of the work budget sets the truncated flag instead of
+    raising.
     """
-    backward = _closure(graph, anchors.egress, forward=False)
-    retained_keys = {e.key() for e in reach} & backward
+    # fewest hops from each node to an egress node, by a breadth-first pass
+    # against the edges; its keys are the nodes that can reach egress
+    hops = {ent.key(): 0 for ent in anchors.egress if ent.key() in graph.nodes}
+    queue = list(hops)
+    for key in queue:  # grows while it is walked, so in order of hops
+        for edge in graph.in_edges(key):
+            if edge.src.key() not in hops:
+                hops[edge.src.key()] = hops[key] + 1
+                queue.append(edge.src.key())
+    retained_keys = {e.key() for e in reach} & hops.keys()
     result = EnumerationResult(
         paths=[], retained_nodes={graph.nodes[k] for k in retained_keys}
     )
-    egress_keys = {e.key() for e in anchors.egress}
-    starts = sorted(
-        (e.key() for e in anchors.ingress if e.key() in retained_keys),
-    )
-    # (dst key, conditions) of each retained node's out-edges within the
+    # (dst key, conditions) of an expanded node's out-edges within the
     # retained set, sorted stably by destination key
     successors: dict[str, list[tuple[str, tuple[str, ...]]]] = {}
-    for key in retained_keys:
-        steps = [
-            (e.dst.key(), e.conditions)
-            for e in graph.out_edges(key)
-            if e.dst.key() in retained_keys
-        ]
-        steps.sort(key=itemgetter(0))
-        successors[key] = steps
-
-    # Depth-first with an explicit stack: frames[i] iterates the successors
-    # of path_keys[i] still to be tried, and conds[i] is the condition list
-    # of the edge into path_keys[i + 1].
-    for start in starts:
-        path_keys = [start]
-        conds: list[tuple[str, ...]] = []
-        on_path = {start}
-        frames: list[Iterator[tuple[str, tuple[str, ...]]]] = []
-        while True:
-            current = path_keys[-1]
-            if current in egress_keys:
-                if len(result.paths) >= limits.max_paths:
-                    result.truncated = True
-                    return result
-                result.paths.append(
-                    FundFlowPath(
-                        hops=tuple(graph.nodes[k] for k in path_keys),
-                        conditions=tuple(conds),
-                    )
-                )
-                steps = []
-            else:
-                steps = [s for s in successors[current] if s[0] not in on_path]
-                if steps and len(path_keys) - 1 >= limits.max_depth:
-                    result.truncated = True
-                    steps = []
-            frames.append(iter(steps))
-            # backtrack to the deepest hop with a successor left to try
-            while frames:
-                step = next(frames[-1], None)
-                if step is not None:
-                    break
-                frames.pop()
-                on_path.remove(path_keys.pop())
-                if conds:
-                    conds.pop()
-            if not frames:
-                break
-            path_keys.append(step[0])
-            conds.append(step[1])
-            on_path.add(step[0])
+    starts = {e.key() for e in anchors.ingress} & retained_keys
+    budget = limits.budget
+    # (node keys, condition list of each edge) of the partial paths still to
+    # extend; successors go on in reverse so the smallest key comes off first
+    stack = [((key,), ()) for key in sorted(starts, reverse=True)]
+    while stack:
+        path, conds = stack.pop()
+        key = path[-1]
+        if hops[key] == 0:
+            if len(result.paths) >= limits.max_paths:
+                result.truncated = True
+                return result
+            result.paths.append(
+                FundFlowPath(hops=tuple(graph.nodes[k] for k in path), conditions=conds)
+            )
+            continue
+        if result.expansions >= budget:
+            result.truncated = True
+            return result
+        result.expansions += 1
+        if key not in successors:
+            edges = graph.out_edges(key)
+            steps = [(e.dst.key(), e.conditions) for e in edges if e.dst.key() in retained_keys]
+            successors[key] = sorted(steps, key=itemgetter(0))
+        depth_left = limits.max_depth - len(path)  # after one more edge
+        for dst, cond in reversed(successors[key]):
+            if dst in path:
+                continue
+            if hops[dst] > depth_left:
+                result.truncated = True
+                continue
+            stack.append((path + (dst,), conds + (cond,)))
     return result
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import logging
 import os
 import threading
 import weakref
@@ -21,6 +22,8 @@ import requests
 from requests.adapters import DEFAULT_POOLSIZE, HTTPAdapter
 
 from .errors import CorruptStore, ReplayMiss, TransportError
+
+_log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -186,7 +189,8 @@ class RecordTransport(ReplayTransport):
     for appending, and it stays open until ``close()``, which closes the
     inner transport too when that has a ``close()``. Each answer is written
     and flushed as one whole line, so a crash leaves at most a torn last
-    line.
+    line, one with no newline. Loading cuts such a line off with a warning,
+    so its key is asked again and the next answer starts a line of its own.
     """
 
     def __init__(self, inner, store_path: str) -> None:
@@ -200,6 +204,14 @@ class RecordTransport(ReplayTransport):
         # the first answer creates the store; its directory may not exist yet
         if not os.path.exists(self.store_path):
             return {}
+        with open(self.store_path, "rb") as fh:
+            data = fh.read()
+        whole = data.rfind(b"\n") + 1
+        if whole < len(data):
+            os.truncate(self.store_path, whole)
+            _log.warning(
+                "%s: cut a torn last line of %d bytes", self.store_path, len(data) - whole
+            )
         return super()._load()
 
     def _miss(self, key: str, prompt: str, attempt: int) -> str:

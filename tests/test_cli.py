@@ -4,9 +4,11 @@ from pathlib import Path
 
 import pytest
 
+from fundflow import pipeline
 from fundflow.cli import build_config, build_parser, main, read_config_file
 from fundflow.description import chunk_flat_text, description_to_json
 from fundflow.pipeline import RunConfig, run_detect
+from fundflow.reachability import prune_and_enumerate
 from fundflow.transport import RecordTransport
 
 from conftest import ADVERSARIAL_ROWS, BENIGN_ROWS, FIXTURE_TEXT, ScriptedTransport
@@ -98,6 +100,76 @@ def test_flow_command_long_chain(tmp_path, capsys):
     (only,) = read_json(out, "paths.json")["paths"]
     assert len(only["hops"]) == hops + 1
     assert only["hops"][-1]["display"] == "transfer"
+
+
+def diamond_ladder(width, stages):
+    """``param1`` flows through ``stages`` diamonds of ``width`` branches,
+    each a function of its own, then ten copies to a transfer: width**stages
+    paths of 2 x stages + 12 edges."""
+    lines = ["function f(param1):", "it updates the state variable stor_s0 to param1"]
+    for i in range(stages):
+        lines.append(f"function g{i}():")
+        for j in range(width):
+            lines.append(f"it updates the state variable stor_b{i}x{j} to stor_s{i}")
+        for j in range(width):
+            lines.append(f"function h{i}x{j}():")
+            lines.append(f"it updates the state variable stor_s{i + 1} to stor_b{i}x{j}")
+    source = f"stor_s{stages}"
+    for k in range(10):
+        lines += [f"function t{k}():", f"it updates the state variable stor_t{k} to {source}"]
+        source = f"stor_t{k}"
+    lines += ["function pay():", f"it transfers {source} wei to caller"]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("width, stages", [(3, 16), (4, 16)])
+def test_flow_ends_on_a_diamond_ladder(tmp_path, capsys, monkeypatch, width, stages):
+    """No path fits in the default depth of 32, so the distance to egress
+    prunes every branch at once, however many paths the ladder holds."""
+    results = []
+
+    def enumerate_and_keep(*args):
+        results.append(prune_and_enumerate(*args))
+        return results[-1]
+
+    monkeypatch.setattr(pipeline, "prune_and_enumerate", enumerate_and_keep)
+    path = tmp_path / "ladder.txt"
+    path.write_text(diamond_ladder(width, stages), encoding="utf-8")
+    assert main(["flow", "-i", str(path), "-o", str(tmp_path / "out")]) == 0
+    printed = capsys.readouterr()
+    assert printed.out == ""
+    assert printed.err == "warning: enumeration truncated by limits\n"
+    (result,) = results
+    assert result.truncated and result.expansions <= 32
+
+
+@pytest.mark.parametrize(
+    "flag, field, value, code",
+    [
+        ("--max-paths", "max_paths", "-1", 2),
+        ("--max-depth", "max_depth", "-3", 2),
+        ("--max-paths", "max_paths", "0", 0),
+    ],
+)
+def test_reach_limit_flags_reject_negatives(
+    tmp_path, fixture_file, capsys, flag, field, value, code
+):
+    out = tmp_path / "out"
+    assert main(["flow", "-i", fixture_file, "-o", str(out), flag, value]) == code
+    if code:
+        usage = f"usage error: {field} must be 0 or more, got {value}\n"
+        assert capsys.readouterr().err == usage
+        assert not out.exists()
+
+
+def test_config_file_rejects_a_negative_reach_limit(tmp_path, fixture_file, capsys):
+    config_path = tmp_path / "run.cfg"
+    config_path.write_text("max_depth = -3\n", encoding="utf-8")
+    out = tmp_path / "out"
+    code = main(["flow", "-i", fixture_file, "-o", str(out), "--config", str(config_path)])
+    assert code == 2
+    assert capsys.readouterr().err == "usage error: max_depth must be 0 or more, got -3\n"
+    assert not out.exists()
 
 
 def test_indicators_command(tmp_path, fixture_file, capsys):

@@ -174,6 +174,42 @@ def test_record_then_replay_identical_artifacts(tmp_path):
         assert rec_bytes == rep_bytes, name
 
 
+def test_record_resumes_after_a_torn_last_line(tmp_path, caplog):
+    """A crash mid-write may cut the last store line at any byte. A record
+    rerun cuts the torn line off, asks the model only for its key, and the
+    store then replays the recorded artifacts."""
+    desc = chunk_flat_text(FIXTURE_TEXT, "fixture")
+    store = tmp_path / "store.jsonl"
+    config = RunConfig(out_dir=str(tmp_path / "rec"))
+    scripted = ScriptedTransport(config.params(), ADVERSARIAL_ROWS)
+    recorder = RecordTransport(scripted, str(store))
+    run_detect(desc, config, transport=recorder)
+    recorder.close()
+    whole = store.read_bytes()
+    names = STATIC_NAMES + MODEL_NAMES
+    recorded = {name: Path(config.out_dir, name).read_bytes() for name in names}
+    last_line = whole.rindex(b"\n", 0, -1) + 1
+    rerun_config = RunConfig(out_dir=str(tmp_path / "rerun"))
+    replay_config = RunConfig(
+        transport="replay", store=str(store), out_dir=str(tmp_path / "rep")
+    )
+    for cut in range(last_line, len(whole)):
+        store.write_bytes(whole[:cut])
+        caplog.clear()
+        model = CountingScripted(config.params(), ADVERSARIAL_ROWS)
+        rerun = RecordTransport(model, str(store))
+        run_detect(desc, rerun_config, transport=rerun)
+        rerun.close()
+        assert model.calls == 1, cut
+        assert store.read_bytes() == whole, cut
+        torn = cut - last_line
+        warned = [f"{store}: cut a torn last line of {torn} bytes"] if torn else []
+        assert [r.getMessage() for r in caplog.records] == warned
+        run_detect(desc, replay_config)
+        for name, data in recorded.items():
+            assert Path(replay_config.out_dir, name).read_bytes() == data, (cut, name)
+
+
 def test_static_artifacts_survive_model_failure(tmp_path):
     out = str(tmp_path / "run")
     store = str(tmp_path / "empty.jsonl")
@@ -301,23 +337,8 @@ def test_run_batch_loads_the_replay_store_once(tmp_path, monkeypatch):
 
 
 def test_replay_batch_creates_only_the_batch_pool(tmp_path, monkeypatch):
-    from concurrent.futures import ThreadPoolExecutor
-
-    from fundflow import probing
-
     descs, store = _recorded_batch(tmp_path)
-    created = {"pipeline": 0, "probing": 0}
-
-    def counting_pool(module):
-        class Pool(ThreadPoolExecutor):
-            def __init__(self, *args, **kwargs):
-                created[module] += 1
-                super().__init__(*args, **kwargs)
-
-        return Pool
-
-    monkeypatch.setattr(pipeline, "ThreadPoolExecutor", counting_pool("pipeline"))
-    monkeypatch.setattr(probing, "ThreadPoolExecutor", counting_pool("probing"))
+    created = count_pools(monkeypatch)
     config = RunConfig(
         transport="replay", store=store, out_dir=str(tmp_path / "batch"), concurrency=4
     )
@@ -503,22 +524,7 @@ def test_batch_never_exceeds_n_times_n_queries_in_flight(tmp_path, monkeypatch):
 @pytest.mark.parametrize("contracts", [1, 6])
 def test_record_batch_creates_two_pools_whatever_its_size(tmp_path, monkeypatch, contracts):
     """The batch's worker pool and its query pool, and no pool per stage."""
-    from concurrent.futures import ThreadPoolExecutor
-
-    from fundflow import probing
-
-    created = {"pipeline": 0, "probing": 0}
-
-    def counting_pool(module):
-        class Pool(ThreadPoolExecutor):
-            def __init__(self, *args, **kwargs):
-                created[module] += 1
-                super().__init__(*args, **kwargs)
-
-        return Pool
-
-    monkeypatch.setattr(pipeline, "ThreadPoolExecutor", counting_pool("pipeline"))
-    monkeypatch.setattr(probing, "ThreadPoolExecutor", counting_pool("probing"))
+    created = count_pools(monkeypatch)
     use_model(monkeypatch, SleepingModel(RunConfig().params(), delay=0))
     run_batch(distinct_contracts(contracts), record_config(tmp_path, concurrency=2))
     assert created == {"pipeline": 1, "probing": 1}

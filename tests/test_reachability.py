@@ -1,5 +1,8 @@
 import random
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
 from fundflow.description import chunk_flat_text
 from fundflow.entities import EntityId, OPERATION
 from fundflow.forest import build_forest
@@ -17,7 +20,7 @@ from fundflow.reachability import (
     render_path,
 )
 
-from audit_reachability import all_simple_paths, closure
+from audit_reachability import all_simple_paths, closure, limit_problem
 from conftest import FIXTURE_TEXT, TOY_GLOBALS, make_toy_forest
 
 
@@ -306,3 +309,69 @@ def test_adding_edges_never_removes_paths():
         )
     )
     assert before <= after
+
+
+@st.composite
+def limited_graphs(draw):
+    """A small graph, cyclic or not, its anchors and small limits."""
+    n = draw(st.integers(2, 7))
+    names = [f"n{i}" for i in range(n)]
+    acyclic = draw(st.booleans())
+    pairs = [(a, b) for i, a in enumerate(names) for j, b in enumerate(names) if i != j]
+    if acyclic:
+        pairs = [(a, b) for a, b in pairs if a < b]
+    graph = FlowGraph()
+    for name in names:
+        graph.add_node(EntityId("", name))
+    for a, b in draw(st.lists(st.sampled_from(pairs), unique=True)):
+        graph.add_edge(FlowEdge(EntityId("", a), EntityId("", b), (f"{a}{b}",), "f"))
+    ingress = draw(st.sets(st.sampled_from(names[:-1]), min_size=1))
+    rest = [x for x in names if x not in ingress]
+    egress = draw(st.sets(st.sampled_from(rest), min_size=1))
+    limits = ReachLimits(max_depth=draw(st.integers(0, 6)), max_paths=draw(st.integers(0, 6)))
+    return graph, ingress, egress, limits
+
+
+@settings(deadline=None)
+@given(limited_graphs())
+def test_limited_enumeration_is_the_oracle_cut_to_the_limits(case):
+    graph, ingress, egress, limits = case
+    anchors = AnchorSets(
+        ingress={graph.nodes[x] for x in ingress}, egress={graph.nodes[x] for x in egress}
+    )
+    result = prune_and_enumerate(graph, forward_reach(graph, anchors.ingress), anchors, limits)
+    want = all_simple_paths(graph, ingress, egress)
+    assert limit_problem(graph, want, limits, result) is None
+
+
+def looping_graph(n):
+    """``i -> x -> z`` with ``x <-> a_k`` for n nodes ``a_k`` that form a
+    complete digraph, which the search tries before ``z``: one path, found
+    after every simple path through the ``a_k`` has dead-ended on ``x``."""
+    graph = FlowGraph()
+    loop = [EntityId("", f"a{k:02d}") for k in range(n)]
+    x = EntityId("", "x")
+    graph.add_edge(FlowEdge(EntityId("", "i"), x, (), "f"))
+    for a in loop:
+        graph.add_edge(FlowEdge(x, a, (), "f"))
+        graph.add_edge(FlowEdge(a, x, (), "f"))
+        for b in loop:
+            if a != b:
+                graph.add_edge(FlowEdge(a, b, (), "f"))
+    graph.add_edge(FlowEdge(x, EntityId("", "z"), (), "f"))
+    return graph, AnchorSets(ingress={graph.nodes["i"]}, egress={graph.nodes["z"]})
+
+
+@pytest.mark.parametrize("n, expansions", [(8, 109_602), (9, None), (12, None)])
+def test_work_budget_ends_enumeration_on_cycles(n, expansions):
+    """Distance pruning cannot cut the loops, so the budget does: 8 looping
+    nodes still give the path, 9 or more run out, truncated."""
+    graph, anchors = looping_graph(n)
+    limits = ReachLimits()
+    result = prune_and_enumerate(graph, forward_reach(graph, anchors.ingress), anchors, limits)
+    if expansions is None:
+        assert result.paths == [] and result.truncated
+        assert result.expansions == limits.budget == 135_696
+    else:
+        assert rendered(result) == ["i --[]--> x --[]--> z"] and not result.truncated
+        assert result.expansions == expansions

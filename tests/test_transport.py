@@ -154,7 +154,10 @@ def test_first_line_of_a_key_wins(tmp_path):
 
 def test_record_over_corrupt_store_names_the_line(tmp_path):
     store = tmp_path / "store.jsonl"
-    store.write_text(store_record("p", "r") + '{"key": "0f3a", "resp', encoding="utf-8")
+    store.write_text(
+        store_record("p", "r") + '{"key": "0f3a", "resp\n' + store_record("q", "s"),
+        encoding="utf-8",
+    )
     with pytest.raises(CorruptStore, match=r"store\.jsonl:2: "):
         RecordTransport(EchoTransport(PARAMS), str(store))
 
