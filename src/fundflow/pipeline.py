@@ -91,6 +91,14 @@ def make_transport(config: RunConfig, threads: int | None = None):
     return live if config.transport == "live" else RecordTransport(live, config.store)
 
 
+def _once_per_key(transport):
+    """``transport`` behind an in-memory memo that asks each query key once,
+    unless it is a record store, which already does."""
+    if isinstance(transport, RecordTransport):
+        return transport
+    return RecordTransport(transport)
+
+
 def write_json(out_dir: str, name: str, payload: dict) -> str:
     """Write ``payload`` as one line of compact UTF-8 JSON plus a newline.
 
@@ -172,16 +180,18 @@ def run_probes(
     artifacts, ``bundle.json`` and ``probes.json``.
 
     The transport is built only after the static artifacts are on disk, so a
-    missing or corrupt store still leaves them. One built here is closed
-    here, and both stages share its ``query_pool`` of ``config.concurrency``
-    threads. A ``transport`` passed in is queried on ``pool``, or in the
-    calling thread when that is None.
+    missing or corrupt store still leaves them. One built here asks each
+    query key once and is closed here, and both stages share its
+    ``query_pool`` of ``config.concurrency`` threads. A ``transport`` passed
+    in is queried as it is, on ``pool``, or in the calling thread when that
+    is None.
     """
     static = run_static(desc, config)
     with ExitStack() as stack:
         if transport is None:
-            transport = stack.enter_context(closing(make_transport(config)))
-            pool = stack.enter_context(query_pool(transport, config.concurrency))
+            bare = make_transport(config)
+            transport = stack.enter_context(closing(_once_per_key(bare)))
+            pool = stack.enter_context(query_pool(bare, config.concurrency))
         stage1 = run_stage1(desc, transport, pool)
         bundle = assemble_bundle(desc, static, stage1)
         write_json(config.out_dir, "bundle.json", bundle.to_json())
@@ -218,11 +228,15 @@ def run_batch(
     """Detect over many contracts with a bounded worker pool; each contract
     writes into its own subdirectory of the configured output directory.
 
-    All contracts share one transport, so a store is loaded once per batch,
-    a record store has one writer, and a prompt that several contracts share
-    is asked once. Their live or recorded queries share one ``query_pool``
-    of N×N threads for N workers, so a contract may use the query slots its
-    neighbours leave idle while they run their static half.
+    All contracts share one transport, so a store is loaded once per batch
+    and a record store has one writer. Whatever the transport, each distinct
+    query key is asked once per batch: a live or replay transport is put
+    behind an in-memory memo that keeps every answer until the batch ends,
+    and a record store already asks each missing key once. A query that
+    fails is asked again by the next contract that needs it. Live or
+    recorded queries share one ``query_pool`` of N×N threads for N workers,
+    so a contract may use the query slots its neighbours leave idle while
+    they run their static half.
 
     Each contract id names its output directory, so an id that is not one
     plain path component (empty, ``.``, ``..``, or holding a path separator
@@ -236,9 +250,10 @@ def run_batch(
             )
     workers = max(1, config.concurrency)
     threads = workers * workers
+    bare = make_transport(config, threads)
     with (
-        closing(make_transport(config, threads)) as transport,
-        query_pool(transport, threads) as queries,
+        closing(_once_per_key(bare)) as transport,
+        query_pool(bare, threads) as queries,
         ThreadPoolExecutor(max_workers=workers) as pool,
     ):
 

@@ -5,7 +5,7 @@ parameters (attempt number included, so retries get their own slot). Replay
 mode serves solely from a JSONL store and never opens a connection, which is
 what makes pipeline runs hermetic and reproducible. Record mode is the same
 store with a miss path: it asks any inner transport once per missing key and
-appends the answer.
+appends the answer; without a store file it is an in-memory memo.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import requests
 from requests.adapters import DEFAULT_POOLSIZE, HTTPAdapter
+from urllib3.util import Retry
 
 from .errors import CorruptStore, ReplayMiss, TransportError
 
@@ -79,11 +80,32 @@ def read_jsonl(path: str, error: type[Exception], **fields: str) -> list[tuple]:
     return rows
 
 
+# A request that fails to connect, or is answered 429 or 5xx, is sent again
+# up to three times: at once, then after 1 s, then after 2 s, each wait plus
+# up to 0.5 s of jitter, unless the answer's Retry-After asks for a wait (at
+# most 60 s). read=0: a request sent but not answered in time is not sent
+# again, so the timeout is never multiplied.
+RETRY = Retry(
+    total=3,
+    connect=3,
+    read=0,
+    status=3,
+    other=0,
+    status_forcelist=(429, 500, 502, 503, 504),
+    allowed_methods=frozenset({"POST"}),
+    backoff_factor=0.5,
+    backoff_jitter=0.5,
+    retry_after_max=60,
+    raise_on_status=False,
+)
+
+
 class LiveTransport:
     """Chat-completions over HTTP; the API key comes from the environment.
 
     All queries go through one ``requests.Session``, so a connection is kept
-    open and reused by the next query. ``close()`` closes the session.
+    open and reused by the next query, and a failed request is retried as
+    ``RETRY`` says. ``close()`` closes the session.
     """
 
     def __init__(
@@ -109,7 +131,7 @@ class LiveTransport:
     @connections.setter
     def connections(self, count: int) -> None:
         self._connections = count
-        adapter = HTTPAdapter(pool_maxsize=count)
+        adapter = HTTPAdapter(pool_maxsize=count, max_retries=RETRY)
         self.session.mount("https://", adapter)
         self.session.mount("http://", adapter)
 
@@ -154,7 +176,7 @@ class ReplayTransport:
     When a key has several lines, the first one is served.
     """
 
-    def __init__(self, store_path: str, params: TransportParams) -> None:
+    def __init__(self, store_path: str | None, params: TransportParams) -> None:
         self.params = params
         self.store_path = store_path
         self._responses = self._load()
@@ -185,15 +207,19 @@ class RecordTransport(ReplayTransport):
 
     An existing store is read first, so a rerun asks only for missing keys.
     When several threads miss one key, one asks and the others wait for its
-    answer. A failed query appends nothing. The first answer opens the store
-    for appending, and it stays open until ``close()``, which closes the
-    inner transport too when that has a ``close()``. Each answer is written
-    and flushed as one whole line, so a crash leaves at most a torn last
-    line, one with no newline. Loading cuts such a line off with a warning,
-    so its key is asked again and the next answer starts a line of its own.
+    answer. A failed query appends nothing and is asked again on the next
+    miss. With ``store_path`` None the answers stay in memory and no file is
+    read or written, so the transport is a memo that asks each key once.
+
+    The first answer opens the store for appending, and it stays open until
+    ``close()``, which closes the inner transport too when that has a
+    ``close()``. Each answer is written and flushed as one whole line, so a
+    crash leaves at most a torn last line, one with no newline. Loading cuts
+    such a line off with a warning, so its key is asked again and the next
+    answer starts a line of its own.
     """
 
-    def __init__(self, inner, store_path: str) -> None:
+    def __init__(self, inner, store_path: str | None = None) -> None:
         self.inner = inner
         self._lock = threading.Lock()  # guards the store file and _asking
         self._asking: dict[str, threading.Lock] = {}
@@ -202,7 +228,7 @@ class RecordTransport(ReplayTransport):
 
     def _load(self) -> dict[str, str]:
         # the first answer creates the store; its directory may not exist yet
-        if not os.path.exists(self.store_path):
+        if self.store_path is None or not os.path.exists(self.store_path):
             return {}
         with open(self.store_path, "rb") as fh:
             data = fh.read()
@@ -221,16 +247,17 @@ class RecordTransport(ReplayTransport):
             response = self._responses.get(key)
             if response is None:
                 response = self.inner.query(prompt, attempt)
-                record = {"key": key, "model": self.params.model, "response": response}
-                line = (json.dumps(record, ensure_ascii=False) + "\n").encode()
-                with self._lock:
-                    if self._store is None:
-                        self._store = open(self.store_path, "ab")
-                        # a transport dropped without close() still closes it
-                        weakref.finalize(self, self._store.close)
-                    self._store.write(line)
-                    self._store.flush()
-                    self._responses[key] = response
+                if self.store_path is not None:
+                    record = {"key": key, "model": self.params.model, "response": response}
+                    line = (json.dumps(record, ensure_ascii=False) + "\n").encode()
+                    with self._lock:
+                        if self._store is None:
+                            self._store = open(self.store_path, "ab")
+                            # a transport dropped without close() still closes it
+                            weakref.finalize(self, self._store.close)
+                        self._store.write(line)
+                        self._store.flush()
+                self._responses[key] = response
         return response
 
     def close(self) -> None:

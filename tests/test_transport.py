@@ -352,3 +352,112 @@ def test_live_transport_reuses_one_connection(monkeypatch):
         server.server_close()
         thread.join()
     assert len(connections) == 1
+
+
+def test_memo_without_a_store_asks_each_key_once_and_writes_nothing(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    inner = CountingEcho(PARAMS, fail={"flaky"})
+    memo = RecordTransport(inner)
+    sent = [(f"prompt {i % 5}", i % 2) for i in range(30)]
+
+    def ask_all(offset):
+        rotated = sent[offset:] + sent[:offset]
+        return sorted(zip(rotated, (memo.query(p, a) for p, a in rotated)))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=6) as pool:
+            answers = list(pool.map(ask_all, range(6)))
+    finally:
+        sys.setswitchinterval(interval)
+    assert all(a == answers[0] for a in answers)
+    assert answers[0] == sorted((q, EchoTransport(PARAMS).query(*q)) for q in sent)
+    assert inner.asked == Counter({query_key(p, PARAMS, a): 1 for p, a in sent})
+    for _ in range(2):  # a failed query is not remembered
+        with pytest.raises(TransportError):
+            memo.query("flaky")
+    assert inner.asked[query_key("flaky", PARAMS)] == 2
+    memo.close()
+    assert list(tmp_path.iterdir()) == []
+
+
+def serve(statuses):
+    """A loopback chat endpoint answering each POST with the next of
+    ``statuses`` (the last one repeats), 503s and 500s with
+    ``Retry-After: 0``. Returns the server, its endpoint URL, and the list
+    of statuses sent so far; the caller shuts the server down."""
+    from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+
+    sent = []
+    ok = json.dumps({"choices": [{"message": {"content": "pong"}}]}).encode()
+
+    class Handler(BaseHTTPRequestHandler):
+        protocol_version = "HTTP/1.1"
+
+        def do_POST(self):
+            self.rfile.read(int(self.headers["Content-Length"]))
+            status = statuses[min(len(sent), len(statuses) - 1)]
+            sent.append(status)
+            body = ok if status == 200 else b"{}"
+            self.send_response(status)
+            if status != 200:
+                self.send_header("Retry-After", "0")
+            self.send_header("Content-Type", "application/json")
+            self.send_header("Content-Length", str(len(body)))
+            self.end_headers()
+            self.wfile.write(body)
+
+        def log_message(self, *args):
+            pass
+
+    server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
+    server.daemon_threads = True
+    threading.Thread(target=server.serve_forever, daemon=True).start()
+    return server, f"http://127.0.0.1:{server.server_address[1]}/v1/chat/completions", sent
+
+
+@pytest.fixture
+def no_backoff(monkeypatch):
+    """The live transport's retry policy without its waits between tries."""
+    from fundflow import transport
+
+    immediate = transport.RETRY.new(backoff_factor=0, backoff_jitter=0)
+    monkeypatch.setattr(transport, "RETRY", immediate)
+    monkeypatch.setenv("FAKE_API_KEY_VAR", "k")
+    monkeypatch.setenv("NO_PROXY", "127.0.0.1")
+    return immediate
+
+
+def test_live_transport_retries_until_the_endpoint_answers(no_backoff):
+    server, endpoint, sent = serve([503, 503, 200])
+    live = LiveTransport(PARAMS, endpoint, "FAKE_API_KEY_VAR")
+    try:
+        assert live.query("ping") == "pong"
+    finally:
+        live.close()
+        server.shutdown()
+        server.server_close()
+    assert sent == [503, 503, 200]
+
+
+def test_live_transport_gives_up_after_its_bounded_retries(no_backoff):
+    server, endpoint, sent = serve([500])
+    live = LiveTransport(PARAMS, endpoint, "FAKE_API_KEY_VAR")
+    try:
+        with pytest.raises(TransportError, match="500"):
+            live.query("ping")
+    finally:
+        live.close()
+        server.shutdown()
+        server.server_close()
+    assert sent == [500] * (1 + no_backoff.status)
+
+
+def test_live_retry_policy_never_resends_an_unanswered_request():
+    from fundflow.transport import RETRY
+
+    assert RETRY.read == 0
+    assert "POST" in RETRY.allowed_methods
+    assert set(RETRY.status_forcelist) == {429, 500, 502, 503, 504}
+    assert RETRY.respect_retry_after_header and RETRY.retry_after_max <= 60
