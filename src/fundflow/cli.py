@@ -45,9 +45,9 @@ _CONFIG_TYPES = {f.name: _value_type(_HINTS[f.name]) for f in dataclasses.fields
 
 
 def read_config_file(path: str) -> dict:
-    """key=value lines; blank lines and #-comments ignored."""
+    """key=value lines; blank lines, #-comments and a byte-order mark ignored."""
     values: dict = {}
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:

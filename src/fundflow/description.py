@@ -213,9 +213,9 @@ def description_to_json(desc: ContractDescription) -> dict:
 
 
 def load_description(path: str) -> ContractDescription:
-    """Load a description from a file, dispatching on a JSON-vs-text sniff."""
+    """Load a description (after any byte-order mark), sniffing JSON vs text."""
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             raw = fh.read()
     except UnicodeDecodeError as exc:
         raise InvalidDescription(f"{path}: not UTF-8 text: {exc}") from exc

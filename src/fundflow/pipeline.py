@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 import os
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import ExitStack, closing
+from contextlib import closing, contextmanager, nullcontext
 from dataclasses import dataclass, replace
 
 from .description import ContractDescription, description_to_json
@@ -55,9 +55,13 @@ class RunConfig:
 
     def __post_init__(self) -> None:
         # checked here, so a bad value fails before any model work
+        if self.transport not in ("live", "record", "replay"):
+            raise UsageError(f"unknown transport mode: {self.transport!r}")
+        if self.concurrency < 1:
+            raise UsageError(f"concurrency must be 1 or more, got {self.concurrency}")
         if self.threshold is not None:
             check_threshold(self.threshold)
-        for name in ("max_depth", "max_paths"):
+        for name in ("max_depth", "max_paths", "retries"):
             if getattr(self, name) < 0:
                 raise UsageError(f"{name} must be 0 or more, got {getattr(self, name)}")
 
@@ -72,31 +76,33 @@ class RunConfig:
         )
 
 
-def make_transport(config: RunConfig, threads: int | None = None):
-    """The transport ``config`` names; the caller closes it. A live endpoint
-    keeps a connection open for each of the ``threads`` (by default
-    ``config.concurrency``) that query it at once."""
-    if config.transport not in ("live", "record", "replay"):
-        raise UsageError(f"unknown transport mode: {config.transport!r}")
+@contextmanager
+def open_model(config: RunConfig, threads: int):
+    """The run's model as ``(transport, pool)``, both closed when the context
+    ends: the transport ``config`` names behind a memo that asks each query
+    key once, and the pool of ``threads`` to query it on, or None to query it
+    in the calling thread.
+
+    ``record`` is the store itself, which already asks each missing key once;
+    ``live`` and ``replay`` get an in-memory memo. A replay store answers from
+    memory and never waits, so a pool would only add thread hand-offs: its
+    queries run inline. A live endpoint keeps a connection open for each of
+    the ``threads``.
+    """
     if config.transport != "live" and not config.store:
         raise UsageError(f"{config.transport} transport requires --store")
     if config.transport == "replay":
-        return ReplayTransport(config.store, config.params())
-    live = LiveTransport(
-        config.params(), endpoint=config.endpoint, api_key_env=config.api_key_env
-    )
-    # set, not passed, so that a stand-in for LiveTransport needs only the
-    # call above
-    live.connections = threads or max(1, config.concurrency)
-    return live if config.transport == "live" else RecordTransport(live, config.store)
-
-
-def _once_per_key(transport):
-    """``transport`` behind an in-memory memo that asks each query key once,
-    unless it is a record store, which already does."""
-    if isinstance(transport, RecordTransport):
-        return transport
-    return RecordTransport(transport)
+        inner, store, threads = ReplayTransport(config.store, config.params()), None, 1
+    else:
+        inner = LiveTransport(
+            config.params(), endpoint=config.endpoint, api_key_env=config.api_key_env
+        )
+        # set, not passed, so that a stand-in for LiveTransport needs only the
+        # call above
+        inner.connections = threads
+        store = config.store if config.transport == "record" else None
+    with closing(RecordTransport(inner, store)) as transport, query_pool(threads) as pool:
+        yield transport, pool
 
 
 def write_json(out_dir: str, name: str, payload: dict) -> str:
@@ -179,19 +185,18 @@ def run_probes(
     """The static half, then both model stages: writes the five static
     artifacts, ``bundle.json`` and ``probes.json``.
 
-    The transport is built only after the static artifacts are on disk, so a
-    missing or corrupt store still leaves them. One built here asks each
-    query key once and is closed here, and both stages share its
-    ``query_pool`` of ``config.concurrency`` threads. A ``transport`` passed
-    in is queried as it is, on ``pool``, or in the calling thread when that
-    is None.
+    The model is opened only after the static artifacts are on disk, so a
+    missing or corrupt store still leaves them. Without a ``transport``,
+    both stages share what ``open_model`` gives for ``config.concurrency``
+    threads. A ``transport`` passed in is queried as it is, on ``pool``, or
+    in the calling thread when that is None.
     """
     static = run_static(desc, config)
-    with ExitStack() as stack:
-        if transport is None:
-            bare = make_transport(config)
-            transport = stack.enter_context(closing(_once_per_key(bare)))
-            pool = stack.enter_context(query_pool(bare, config.concurrency))
+    if transport is None:
+        model = open_model(config, config.concurrency)
+    else:
+        model = nullcontext((transport, pool))
+    with model as (transport, pool):
         stage1 = run_stage1(desc, transport, pool)
         bundle = assemble_bundle(desc, static, stage1)
         write_json(config.out_dir, "bundle.json", bundle.to_json())
@@ -232,9 +237,9 @@ def run_batch(
     and a record store has one writer. Whatever the transport, each distinct
     query key is asked once per batch: a live or replay transport is put
     behind an in-memory memo that keeps every answer until the batch ends,
-    and a record store already asks each missing key once. A query that
-    fails is asked again by the next contract that needs it. Live or
-    recorded queries share one ``query_pool`` of N×N threads for N workers,
+    and a record store already asks each missing key once (``open_model``).
+    A query that fails is asked again by the next contract that needs it.
+    Live or recorded queries share one pool of N×N threads for N workers,
     so a contract may use the query slots its neighbours leave idle while
     they run their static half.
 
@@ -248,12 +253,9 @@ def run_batch(
             raise InvalidDescription(
                 f"contract id {cid!r} is not a plain directory name under {config.out_dir}"
             )
-    workers = max(1, config.concurrency)
-    threads = workers * workers
-    bare = make_transport(config, threads)
+    workers = config.concurrency
     with (
-        closing(_once_per_key(bare)) as transport,
-        query_pool(bare, threads) as queries,
+        open_model(config, workers * workers) as (transport, queries),
         ThreadPoolExecutor(max_workers=workers) as pool,
     ):
 

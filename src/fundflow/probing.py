@@ -4,8 +4,8 @@ Stage I collects free-text summaries (one contract-level, one per function).
 Stage II sends six ranked-guess probes built from the analysis bundle and
 parses each response into a confidence distribution over the four labels.
 Each stage maps its queries on the query pool it is given, or in the calling
-thread when it is given none; the code that builds the transport picks the
-pool with ``query_pool``. Stage II starts only after Stage I finished because
+thread when it is given none; ``pipeline.open_model`` builds the transport
+and its pool. Stage II starts only after Stage I finished because
 its prompts embed Stage-I output.
 """
 
@@ -25,7 +25,6 @@ from .prompts import (
     build_stage1_prompts,
     build_stage2_prompt,
 )
-from .transport import RecordTransport, ReplayTransport
 
 LETTER_TO_LABEL = {
     "A": "adversarial",
@@ -139,19 +138,11 @@ def _parse_stage1_function(name: str, text: str) -> FunctionSummary:
     )
 
 
-def query_pool(transport, threads: int):
-    """A context giving the pool to run ``transport``'s queries on, or None
-    to run them in the caller's thread.
-
-    A replay store answers from memory and never waits, so a pool would only
-    add thread hand-offs: its queries, like any with ``threads <= 1``, run
-    inline. Other transports, record included, wait on the model and get a
-    new pool of ``threads``, shut down when the context ends.
-    """
-    inline = isinstance(transport, ReplayTransport) and not isinstance(
-        transport, RecordTransport
-    )
-    if threads <= 1 or inline:
+def query_pool(threads: int):
+    """A context giving a new pool of ``threads`` to map queries on, shut
+    down when the context ends, or None, to map them in the caller's thread,
+    when ``threads <= 1``."""
+    if threads <= 1:
         return nullcontext()
     return ThreadPoolExecutor(max_workers=threads)
 

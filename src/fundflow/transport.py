@@ -159,8 +159,11 @@ class LiveTransport:
                 timeout=self.timeout,
             )
             response.raise_for_status()
-            data = response.json()
-            return data["choices"][0]["message"]["content"]
+            content = response.json()["choices"][0]["message"]["content"]
+            if not isinstance(content, str):
+                # a store holds only string answers
+                raise TypeError(f"content is {type(content).__name__}, not a string")
+            return content
         except requests.RequestException as exc:
             raise TransportError(str(exc)) from exc
         except (KeyError, IndexError, TypeError, ValueError) as exc:

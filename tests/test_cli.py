@@ -574,6 +574,34 @@ def test_config_file_and_flag_precedence(tmp_path):
     assert config.transport == "replay"  # untouched default
 
 
+def test_config_file_skips_a_byte_order_mark(tmp_path):
+    plain, marked = tmp_path / "plain.cfg", tmp_path / "marked.cfg"
+    plain.write_text("model = m\nretries = 3\n", encoding="utf-8")
+    marked.write_text("model = m\nretries = 3\n", encoding="utf-8-sig")
+    assert read_config_file(str(marked)) == read_config_file(str(plain)) == {
+        "model": "m",
+        "retries": 3,
+    }
+
+
+@pytest.mark.parametrize(
+    "flags, config_text",
+    [(["--retries", "-1"], ""), (["--concurrency", "0"], ""), ([], "transport = teleport\n")],
+)
+def test_bad_run_config_fails_before_any_artifact(
+    tmp_path, fixture_file, capsys, flags, config_text
+):
+    config_path = tmp_path / "run.cfg"
+    config_path.write_text(config_text, encoding="utf-8")
+    out = tmp_path / "out"
+    code = main(
+        ["detect", "-i", fixture_file, "-o", str(out), "--config", str(config_path), *flags]
+    )
+    assert code == 2
+    assert "usage error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_config_file_unknown_key(tmp_path):
     config_path = tmp_path / "bad.cfg"
     config_path.write_text("api_key = secret\n", encoding="utf-8")

@@ -161,6 +161,22 @@ def test_load_description_sniffs_json(tmp_path):
     assert loaded.functions == desc.functions
 
 
+@pytest.mark.parametrize("suffix", [".txt", ".json"])
+def test_load_description_skips_a_byte_order_mark(tmp_path, suffix):
+    desc = chunk_flat_text(
+        "function f(a):\nit transfers a to the caller\nfunction g():\nit returns 0\n",
+        contract_id="c",
+    )
+    text = render_flat_text(desc) if suffix == ".txt" else json.dumps(description_to_json(desc))
+    plain, marked = tmp_path / "plain", tmp_path / "marked"
+    for folder, prefix in ((plain, b""), (marked, b"\xef\xbb\xbf")):
+        folder.mkdir()
+        (folder / f"c{suffix}").write_bytes(prefix + text.encode("utf-8"))
+    loaded = load_description(str(marked / f"c{suffix}"))
+    assert loaded == load_description(str(plain / f"c{suffix}")) == desc
+    assert [f.name for f in loaded.functions] == ["f", "g"]
+
+
 _word = st.text(
     alphabet=st.characters(whitelist_categories=("Ll",), max_codepoint=0x7F),
     min_size=1,

@@ -14,7 +14,7 @@ from fundflow.errors import ReplayMiss, TransportError
 from fundflow.pipeline import (
     RunConfig,
     assemble_bundle,
-    make_transport,
+    open_model,
     run_batch,
     run_detect,
     run_static,
@@ -268,20 +268,24 @@ def test_run_batch_per_contract_directories(tmp_path):
         assert os.path.exists(str(tmp_path / "batch" / cid / "verdict.json"))
 
 
-def test_make_transport_validation(tmp_path):
+def test_open_model_validation(tmp_path):
+    with pytest.raises(ValueError), open_model(RunConfig(transport="replay"), 1):
+        pass
+    with pytest.raises(ValueError), open_model(RunConfig(transport="record"), 1):
+        pass
     with pytest.raises(ValueError):
-        make_transport(RunConfig(transport="replay", store=None))
-    with pytest.raises(ValueError):
-        make_transport(RunConfig(transport="record", store=None))
-    with pytest.raises(ValueError):
-        make_transport(RunConfig(transport="teleport"))
-    assert isinstance(make_transport(RunConfig(transport="live")), LiveTransport)
+        RunConfig(transport="teleport")
+    with open_model(RunConfig(transport="live"), 3) as (live, _):
+        assert isinstance(live, RecordTransport) and live.store_path is None
+        assert isinstance(live.inner, LiveTransport) and live.inner.connections == 3
     store = tmp_path / "s.jsonl"
     store.write_text("")
-    replay = make_transport(RunConfig(transport="replay", store=str(store)))
-    assert isinstance(replay, ReplayTransport)
-    record = make_transport(RunConfig(transport="record", store=str(store)))
-    assert isinstance(record, RecordTransport)
+    with open_model(RunConfig(transport="replay", store=str(store)), 4) as (replay, pool):
+        assert isinstance(replay, RecordTransport) and replay.store_path is None
+        assert isinstance(replay.inner, ReplayTransport) and pool is None
+    with open_model(RunConfig(transport="record", store=str(store)), 1) as (record, _):
+        assert isinstance(record, RecordTransport) and record.store_path == str(store)
+        assert isinstance(record.inner, LiveTransport)
 
 
 def test_default_config_values():

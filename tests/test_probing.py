@@ -150,7 +150,7 @@ class FlakyTransport:
 
 def run_probes(transport, retries=2):
     bundle = make_bundle_rows()
-    with query_pool(transport, 2) as pool:
+    with query_pool(2) as pool:
         return run_stage2(bundle, transport, retries=retries, pool=pool)
 
 
@@ -269,13 +269,13 @@ class OverlapTransport(ScriptedTransport):
 def test_non_replay_stages_overlap_queries():
     desc = chunk_flat_text(FIXTURE_TEXT)
     stage1_transport = OverlapTransport(PARAMS, ADVERSARIAL_ROWS)
-    with query_pool(stage1_transport, 2) as pool:
+    with query_pool(2) as pool:
         stage1 = run_stage1(desc, stage1_transport, pool)
     assert [f.name for f in stage1.functions] == ["unknownfffcf3a1", "withdrawAll"]
     assert stage1_transport.max_in_flight == 2
 
     stage2_transport = OverlapTransport(PARAMS, ADVERSARIAL_ROWS)
-    with query_pool(stage2_transport, 2) as pool:
+    with query_pool(2) as pool:
         stage2 = run_stage2(make_bundle_rows(), stage2_transport, pool=pool)
     assert [d.probe for d in stage2.distributions] == list(PROBE_KINDS)
     assert stage2_transport.max_in_flight == 2
@@ -304,10 +304,8 @@ def test_replay_stages_run_inline(tmp_path, monkeypatch):
             return super().query(prompt, attempt)
 
     replay = WatchedReplay(str(store), PARAMS)
-    with query_pool(replay, 4) as pool:
-        assert pool is None
-        stage1 = run_stage1(desc, replay, pool)
-        stage2 = run_stage2(make_bundle_rows(), replay, pool=pool)
+    stage1 = run_stage1(desc, replay)
+    stage2 = run_stage2(make_bundle_rows(), replay)
     assert stage1.contract_summary == "Moves funds through guarded external calls."
     assert [d.probe for d in stage2.distributions] == list(PROBE_KINDS)
     assert seen_threads == {main_thread}

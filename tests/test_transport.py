@@ -306,6 +306,25 @@ def test_live_transport_unexpected_shape(monkeypatch):
         live.query("ping")
 
 
+@pytest.mark.parametrize("content", [None, 7, ["a"]])
+def test_live_content_that_is_not_text_is_not_recorded(tmp_path, monkeypatch, content):
+    answer = {"choices": [{"message": {"content": content}}]}
+    monkeypatch.setattr(
+        requests.Session, "post", staticmethod(lambda url, **kwargs: FakeResponse(answer))
+    )
+    monkeypatch.setenv("FAKE_API_KEY_VAR", "k")
+    store = tmp_path / "s.jsonl"
+    store.write_text(json.dumps({"key": "k0", "model": "gpt-4o", "response": "r"}) + "\n")
+    before = store.read_bytes()
+    live = LiveTransport(PARAMS, "https://example.invalid", "FAKE_API_KEY_VAR")
+    recorder = RecordTransport(live, str(store))
+    with pytest.raises(TransportError, match="shape"):
+        recorder.query("ping")
+    recorder.close()
+    assert store.read_bytes() == before
+    assert ReplayTransport(str(store), PARAMS)._responses == {"k0": "r"}
+
+
 def test_record_wraps_live_params(tmp_path):
     recorder = RecordTransport(EchoTransport(PARAMS), str(tmp_path / "s.jsonl"))
     assert recorder.params == PARAMS
