@@ -8,6 +8,7 @@ computed so far on disk. Replay mode makes the whole run hermetic.
 from __future__ import annotations
 
 import json
+import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import closing, contextmanager, nullcontext
@@ -59,6 +60,12 @@ class RunConfig:
             raise UsageError(f"unknown transport mode: {self.transport!r}")
         if self.concurrency < 1:
             raise UsageError(f"concurrency must be 1 or more, got {self.concurrency}")
+        if not isinstance(self.max_tokens, int) or self.max_tokens < 1:
+            raise UsageError(f"max_tokens must be an integer, 1 or more, got {self.max_tokens!r}")
+        if not (math.isfinite(self.temperature) and self.temperature >= 0):
+            raise UsageError(
+                f"temperature must be a finite number, 0 or more, got {self.temperature!r}"
+            )
         if self.threshold is not None:
             check_threshold(self.threshold)
         for name in ("max_depth", "max_paths", "retries"):
@@ -87,7 +94,8 @@ def open_model(config: RunConfig, threads: int):
     ``live`` and ``replay`` get an in-memory memo. A replay store answers from
     memory and never waits, so a pool would only add thread hand-offs: its
     queries run inline. A live endpoint keeps a connection open for each of
-    the ``threads``.
+    the ``threads``; building it is what loads the HTTP stack, so a replay
+    run never does.
     """
     if config.transport != "live" and not config.store:
         raise UsageError(f"{config.transport} transport requires --store")

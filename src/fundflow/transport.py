@@ -18,10 +18,6 @@ import threading
 import weakref
 from dataclasses import dataclass
 
-import requests
-from requests.adapters import DEFAULT_POOLSIZE, HTTPAdapter
-from urllib3.util import Retry
-
 from .errors import CorruptStore, ReplayMiss, TransportError
 
 _log = logging.getLogger(__name__)
@@ -84,8 +80,9 @@ def read_jsonl(path: str, error: type[Exception], **fields: str) -> list[tuple]:
 # up to three times: at once, then after 1 s, then after 2 s, each wait plus
 # up to 0.5 s of jitter, unless the answer's Retry-After asks for a wait (at
 # most 60 s). read=0: a request sent but not answered in time is not sent
-# again, so the timeout is never multiplied.
-RETRY = Retry(
+# again, so the timeout is never multiplied. These are the keyword arguments
+# of the urllib3 ``Retry`` that ``LiveTransport`` mounts on its session.
+RETRY = dict(
     total=3,
     connect=3,
     read=0,
@@ -106,6 +103,10 @@ class LiveTransport:
     All queries go through one ``requests.Session``, so a connection is kept
     open and reused by the next query, and a failed request is retried as
     ``RETRY`` says. ``close()`` closes the session.
+
+    ``requests`` and ``urllib3`` are imported when a transport is built, not
+    with this module, so a run that never talks HTTP, a replay run included,
+    never loads them.
     """
 
     def __init__(
@@ -115,12 +116,14 @@ class LiveTransport:
         api_key_env: str = "OPENAI_API_KEY",
         timeout: float = 120.0,
     ) -> None:
+        import requests
+
         self.params = params
         self.endpoint = endpoint
         self.api_key_env = api_key_env
         self.timeout = timeout
         self.session = requests.Session()
-        self.connections = DEFAULT_POOLSIZE
+        self.connections = requests.adapters.DEFAULT_POOLSIZE
 
     @property
     def connections(self) -> int:
@@ -130,8 +133,11 @@ class LiveTransport:
 
     @connections.setter
     def connections(self, count: int) -> None:
+        from requests.adapters import HTTPAdapter
+        from urllib3.util import Retry
+
         self._connections = count
-        adapter = HTTPAdapter(pool_maxsize=count, max_retries=RETRY)
+        adapter = HTTPAdapter(pool_maxsize=count, max_retries=Retry(**RETRY))
         self.session.mount("https://", adapter)
         self.session.mount("http://", adapter)
 
@@ -139,6 +145,8 @@ class LiveTransport:
         self.session.close()
 
     def query(self, prompt: str, attempt: int = 0) -> str:
+        from requests import RequestException
+
         del attempt  # part of the query identity, not of the request
         api_key = os.environ.get(self.api_key_env)
         if not api_key:
@@ -164,7 +172,7 @@ class LiveTransport:
                 # a store holds only string answers
                 raise TypeError(f"content is {type(content).__name__}, not a string")
             return content
-        except requests.RequestException as exc:
+        except RequestException as exc:
             raise TransportError(str(exc)) from exc
         except (KeyError, IndexError, TypeError, ValueError) as exc:
             raise TransportError(f"unexpected response shape: {exc}") from exc
@@ -214,7 +222,8 @@ class RecordTransport(ReplayTransport):
     miss. With ``store_path`` None the answers stay in memory and no file is
     read or written, so the transport is a memo that asks each key once.
 
-    The first answer opens the store for appending, and it stays open until
+    The first answer opens the store for appending, creating the store and
+    any missing directories above it, and it stays open until
     ``close()``, which closes the inner transport too when that has a
     ``close()``. Each answer is written and flushed as one whole line, so a
     crash leaves at most a torn last line, one with no newline. Loading cuts
@@ -255,6 +264,7 @@ class RecordTransport(ReplayTransport):
                     line = (json.dumps(record, ensure_ascii=False) + "\n").encode()
                     with self._lock:
                         if self._store is None:
+                            os.makedirs(os.path.dirname(self.store_path) or ".", exist_ok=True)
                             self._store = open(self.store_path, "ab")
                             # a transport dropped without close() still closes it
                             weakref.finalize(self, self._store.close)

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import os
 import socket
+import subprocess
 import sys
 
 import pytest
@@ -25,6 +26,28 @@ sys.path.insert(0, os.path.join(_ROOT, "scripts"))
 
 
 LOOPBACK = {"localhost", "127.0.0.1", "::1"}
+HTTP_STACK = ("requests", "urllib3")
+
+
+def run_fresh(*args, cwd=None):
+    """``python -X importtime *args`` in a fresh interpreter on the sources in
+    src/. Returns the finished process and the top-level name of every
+    module it imported."""
+    env = dict(os.environ, PYTHONPATH=os.path.join(_ROOT, "src"))
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", *args],
+        cwd=cwd,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    imported = {
+        line.rsplit("|", 1)[1].strip().split(".")[0]
+        for line in proc.stderr.splitlines()
+        if line.startswith("import time:")
+    }
+    return proc, imported
 
 
 @pytest.fixture(autouse=True)

@@ -7,6 +7,7 @@ import time
 from pathlib import Path
 
 import pytest
+import requests
 
 from fundflow.description import chunk_flat_text
 from fundflow.fusion import decide, fuse
@@ -29,10 +30,12 @@ from conftest import (
     ADVERSARIAL_ROWS,
     BENIGN_ROWS,
     FIXTURE_TEXT,
+    HTTP_STACK,
     ScriptedTransport,
     TOY_GLOBALS,
     distributions,
     make_toy_forest,
+    run_fresh,
 )
 from table_rows import ROW_KINDS, check_row
 
@@ -193,8 +196,8 @@ def test_criterion_8_hermetic_detect(tmp_path, monkeypatch):
         def refuse_network(*args, **kwargs):
             raise AssertionError("network call attempted during replay")
 
-        monkeypatch.setattr("fundflow.transport.requests.post", refuse_network)
-        monkeypatch.setattr("fundflow.transport.requests.get", refuse_network)
+        # every request of every requests.Session passes through send
+        monkeypatch.setattr(requests.Session, "send", refuse_network)
 
         artifact_names = (
             "description.json", "forest.json", "graph.json", "paths.json",
@@ -215,7 +218,20 @@ def test_criterion_8_hermetic_detect(tmp_path, monkeypatch):
             )
         assert snapshots[0] == snapshots[1] == snapshots[2]
 
-    check(8, "replayed detect: 3 runs, byte-identical artifacts, no network", body)
+        # a fourth run from the command line, in a fresh interpreter, never
+        # loads the HTTP stack at all
+        text = tmp_path / "fixture.txt"
+        text.write_text(FIXTURE_TEXT, encoding="utf-8")
+        out = tmp_path / "fresh"
+        proc, imported = run_fresh(
+            "-m", "fundflow.cli", "detect", "-i", str(text), "-o", str(out),
+            "--transport", "replay", "--store", store,
+        )
+        assert proc.returncode == 3, proc.stderr
+        assert imported.isdisjoint(HTTP_STACK), imported & set(HTTP_STACK)
+        assert {name: (out / name).read_bytes() for name in artifact_names} == snapshots[0]
+
+    check(8, "replayed detect: 4 runs, byte-identical artifacts, no network", body)
 
 
 def test_criterion_9_scope_documented():

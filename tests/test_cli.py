@@ -11,7 +11,14 @@ from fundflow.pipeline import RunConfig, run_detect
 from fundflow.reachability import prune_and_enumerate
 from fundflow.transport import RecordTransport
 
-from conftest import ADVERSARIAL_ROWS, BENIGN_ROWS, FIXTURE_TEXT, ScriptedTransport
+from conftest import (
+    ADVERSARIAL_ROWS,
+    BENIGN_ROWS,
+    FIXTURE_TEXT,
+    HTTP_STACK,
+    ScriptedTransport,
+    run_fresh,
+)
 from test_pipeline import (
     BENIGN_TEXT,
     MODEL_NAMES,
@@ -586,7 +593,16 @@ def test_config_file_skips_a_byte_order_mark(tmp_path):
 
 @pytest.mark.parametrize(
     "flags, config_text",
-    [(["--retries", "-1"], ""), (["--concurrency", "0"], ""), ([], "transport = teleport\n")],
+    [
+        (["--retries", "-1"], ""),
+        (["--concurrency", "0"], ""),
+        ([], "transport = teleport\n"),
+        (["--transport", "record", "--store", "s.jsonl"], "max_tokens = -5\n"),
+        (["--transport", "record", "--store", "s.jsonl"], "max_tokens = 0\n"),
+        (["--transport", "record", "--store", "s.jsonl"], "temperature = nan\n"),
+        (["--transport", "record", "--store", "s.jsonl"], "temperature = inf\n"),
+        (["--transport", "record", "--store", "s.jsonl"], "temperature = -0.5\n"),
+    ],
 )
 def test_bad_run_config_fails_before_any_artifact(
     tmp_path, fixture_file, capsys, flags, config_text
@@ -600,6 +616,33 @@ def test_bad_run_config_fails_before_any_artifact(
     assert code == 2
     assert "usage error:" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "args, expect_http",
+    [
+        (["-c", "import fundflow.cli"], False),
+        (["-m", "fundflow.cli", "flow", "-i", "c_adv.txt", "-o", "flow"], False),
+        (
+            ["-m", "fundflow.cli", "detect", "-i", "c_adv.txt", "-o", "replay",
+             "--transport", "replay", "--store", "store.jsonl"],
+            False,
+        ),
+        # the check itself sees the stack once a live transport is built
+        (
+            ["-c", "from fundflow.pipeline import RunConfig, open_model\n"
+             "with open_model(RunConfig(transport='live'), 2): pass"],
+            True,
+        ),
+    ],
+)
+def test_only_a_live_transport_loads_the_http_stack(tmp_path, adv_store, args, expect_http):
+    (tmp_path / "c_adv.txt").write_text(FIXTURE_TEXT, encoding="utf-8")
+    proc, imported = run_fresh(*args, cwd=tmp_path)
+    assert proc.returncode in (0, 3), proc.stderr
+    assert {name: name in imported for name in HTTP_STACK} == dict.fromkeys(
+        HTTP_STACK, expect_http
+    )
 
 
 def test_config_file_unknown_key(tmp_path):

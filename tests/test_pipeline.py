@@ -10,7 +10,7 @@ import pytest
 
 from fundflow.description import chunk_flat_text
 from fundflow import pipeline
-from fundflow.errors import ReplayMiss, TransportError
+from fundflow.errors import ReplayMiss, TransportError, UsageError
 from fundflow.pipeline import (
     RunConfig,
     assemble_bundle,
@@ -286,6 +286,22 @@ def test_open_model_validation(tmp_path):
     with open_model(RunConfig(transport="record", store=str(store)), 1) as (record, _):
         assert isinstance(record, RecordTransport) and record.store_path == str(store)
         assert isinstance(record.inner, LiveTransport)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("max_tokens", 0),
+        ("max_tokens", -5),
+        ("max_tokens", 2.0),
+        ("temperature", -0.5),
+        ("temperature", float("nan")),
+        ("temperature", float("inf")),
+    ],
+)
+def test_run_config_rejects_bad_sampling_parameters(field, value):
+    with pytest.raises(UsageError, match=field):
+        RunConfig(transport="record", store="s.jsonl", **{field: value})
 
 
 def test_default_config_values():

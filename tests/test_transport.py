@@ -9,6 +9,7 @@ import pytest
 import requests
 
 from fundflow.cli import main
+from fundflow.scripted import ADVERSARIAL_ROWS, ScriptedTransport
 from fundflow.errors import CorruptStore, ReplayMiss, TransportError
 from fundflow.transport import (
     LiveTransport,
@@ -17,6 +18,9 @@ from fundflow.transport import (
     TransportParams,
     query_key,
 )
+
+from conftest import FIXTURE_TEXT
+from test_pipeline import BENIGN_TEXT, MODEL_NAMES, STATIC_NAMES
 
 PARAMS = TransportParams(model="gpt-4o", temperature=0.0, max_tokens=1024)
 
@@ -139,6 +143,17 @@ def test_record_does_not_create_the_store_before_an_answer(tmp_path):
     store.parent.mkdir()
     recorder.query("alpha")
     assert len(store.read_text(encoding="utf-8").splitlines()) == 1
+
+
+def test_record_creates_missing_directories_with_its_first_answer(tmp_path):
+    store = tmp_path / "not_yet" / "nor_this" / "store.jsonl"
+    inner = CountingEcho(PARAMS)
+    recorder = RecordTransport(inner, str(store))
+    assert not store.parent.parent.exists()
+    answer = recorder.query("alpha")
+    recorder.close()
+    assert inner.asked == Counter({query_key("alpha", PARAMS): 1})
+    assert ReplayTransport(str(store), PARAMS).query("alpha") == answer
 
 
 def test_first_line_of_a_key_wins(tmp_path):
@@ -401,24 +416,29 @@ def test_memo_without_a_store_asks_each_key_once_and_writes_nothing(tmp_path, mo
     assert list(tmp_path.iterdir()) == []
 
 
-def serve(statuses):
+def serve(statuses, answer=lambda prompt: "pong"):
     """A loopback chat endpoint answering each POST with the next of
     ``statuses`` (the last one repeats), 503s and 500s with
-    ``Retry-After: 0``. Returns the server, its endpoint URL, and the list
-    of statuses sent so far; the caller shuts the server down."""
+    ``Retry-After: 0``, and a 200 with ``answer`` of the prompt. Returns the
+    server, its endpoint URL, and the list of statuses sent so far; the
+    caller shuts the server down."""
     from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
     sent = []
-    ok = json.dumps({"choices": [{"message": {"content": "pong"}}]}).encode()
+    lock = threading.Lock()
 
     class Handler(BaseHTTPRequestHandler):
         protocol_version = "HTTP/1.1"
 
         def do_POST(self):
-            self.rfile.read(int(self.headers["Content-Length"]))
-            status = statuses[min(len(sent), len(statuses) - 1)]
-            sent.append(status)
-            body = ok if status == 200 else b"{}"
+            request = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+            with lock:
+                status = statuses[min(len(sent), len(statuses) - 1)]
+                sent.append(status)
+            body = b"{}"
+            if status == 200:
+                content = answer(request["messages"][0]["content"])
+                body = json.dumps({"choices": [{"message": {"content": content}}]}).encode()
             self.send_response(status)
             if status != 200:
                 self.send_header("Retry-After", "0")
@@ -441,7 +461,7 @@ def no_backoff(monkeypatch):
     """The live transport's retry policy without its waits between tries."""
     from fundflow import transport
 
-    immediate = transport.RETRY.new(backoff_factor=0, backoff_jitter=0)
+    immediate = {**transport.RETRY, "backoff_factor": 0, "backoff_jitter": 0}
     monkeypatch.setattr(transport, "RETRY", immediate)
     monkeypatch.setenv("FAKE_API_KEY_VAR", "k")
     monkeypatch.setenv("NO_PROXY", "127.0.0.1")
@@ -470,13 +490,50 @@ def test_live_transport_gives_up_after_its_bounded_retries(no_backoff):
         live.close()
         server.shutdown()
         server.server_close()
-    assert sent == [500] * (1 + no_backoff.status)
+    assert sent == [500] * (1 + no_backoff["status"])
 
 
 def test_live_retry_policy_never_resends_an_unanswered_request():
-    from fundflow.transport import RETRY
+    """The policy checked is the one mounted on the session, for both schemes."""
+    live = LiveTransport(PARAMS, "https://example.invalid", "FAKE_API_KEY_VAR")
+    live.connections = 3
+    try:
+        mounted = [live.session.get_adapter(f"{s}://example.invalid") for s in ("http", "https")]
+    finally:
+        live.close()
+    for retry in (adapter.max_retries for adapter in mounted):
+        assert retry.read == 0
+        assert "POST" in retry.allowed_methods
+        assert set(retry.status_forcelist) == {429, 500, 502, 503, 504}
+        assert retry.respect_retry_after_header and retry.retry_after_max <= 60
 
-    assert RETRY.read == 0
-    assert "POST" in RETRY.allowed_methods
-    assert set(RETRY.status_forcelist) == {429, 500, 502, 503, 504}
-    assert RETRY.respect_retry_after_header and RETRY.retry_after_max <= 60
+
+def test_record_batch_over_loopback_replays_byte_for_byte(tmp_path, no_backoff, capsys):
+    """A record batch asks the endpoint once per distinct query, into a store
+    whose directories do not exist yet, and replaying that store rewrites
+    every artifact byte for byte."""
+    scripted = ScriptedTransport(PARAMS, ADVERSARIAL_ROWS)
+    server, endpoint, sent = serve([200], scripted.query)
+    batch = tmp_path / "contracts"
+    batch.mkdir()
+    (batch / "c_adv.txt").write_text(FIXTURE_TEXT, encoding="utf-8")
+    (batch / "c_ben.txt").write_text(BENIGN_TEXT, encoding="utf-8")
+    store = tmp_path / "stores" / "run1" / "store.jsonl"
+    common = ["detect", "-i", str(batch), "--store", str(store), "--concurrency", "2"]
+    try:
+        recorded = main(
+            [*common, "-o", str(tmp_path / "rec"), "--transport", "record",
+             "--endpoint", endpoint, "--api-key-env", "FAKE_API_KEY_VAR"]
+        )
+    finally:
+        server.shutdown()
+        server.server_close()
+    assert recorded == 3
+    assert len(store.read_text(encoding="utf-8").splitlines()) == len(sent) > 0
+    assert main([*common, "-o", str(tmp_path / "rep"), "--transport", "replay"]) == 3
+    out = capsys.readouterr().out.splitlines()
+    assert out[:2] == out[2:] and len(out) == 4
+    for cid in ("c_adv", "c_ben"):
+        for name in (*STATIC_NAMES, *MODEL_NAMES):
+            rec = (tmp_path / "rec" / cid / name).read_bytes()
+            assert rec == (tmp_path / "rep" / cid / name).read_bytes(), (cid, name)
