@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .errors import InvalidDescription, NoFunctionsFound
 
@@ -27,8 +28,7 @@ def split_signature(signature: str) -> tuple[str, tuple[str, ...]]:
     return name, tuple(p.strip() for p in inner.split(",") if p.strip())
 
 
-@dataclass(frozen=True)
-class Sentence:
+class Sentence(NamedTuple):
     text: str
     depth: int
 
@@ -97,9 +97,10 @@ def chunk_flat_text(text: str, contract_id: str = "contract") -> ContractDescrip
         current_sentences = []
 
     for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
+        content = line.strip()
+        if not content:
             continue
-        header = _HEADER_RE.match(line.strip())
+        header = _HEADER_RE.match(content)
         if header:
             flush()
             current_sig = _normalize_signature(header.group(1) + header.group(2))
@@ -132,8 +133,8 @@ def render_flat_text(desc: ContractDescription) -> str:
     lines: list[str] = []
     for chunk in desc.functions:
         lines.append(f"function {chunk.signature}:")
-        for sentence in chunk.sentences:
-            lines.append(" " * (INDENT_WIDTH * sentence.depth) + sentence.text)
+        for text, depth in chunk.sentences:
+            lines.append(" " * (INDENT_WIDTH * depth) + text)
     return "\n".join(lines) + "\n"
 
 
@@ -205,7 +206,7 @@ def description_to_json(desc: ContractDescription) -> dict:
         "functions": [
             {
                 "signature": chunk.signature,
-                "sentences": [{"text": s.text, "depth": s.depth} for s in chunk.sentences],
+                "sentences": [{"text": text, "depth": depth} for text, depth in chunk.sentences],
             }
             for chunk in desc.functions
         ],

@@ -10,8 +10,9 @@ document order so repeated calls to the same target stay distinct.
 from __future__ import annotations
 
 import re
-from collections.abc import Iterable
+from collections.abc import Sequence
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from . import behavior as bh
 from .errors import ConstantEntity
@@ -39,12 +40,14 @@ def is_constant(raw: str) -> bool:
     return s.lower() in {"true", "false"}
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(order=True, slots=True)
 class EntityId:
     """Canonical node identity; equal ids are the same graph node.
 
     The key and the hash are computed once, at construction: graph building,
-    reachability and serialization ask for them many times per entity.
+    reachability and serialization ask for them many times per entity, so an
+    id is never changed once built. It is not frozen, because a frozen field
+    costs a call to set.
     """
 
     scope: str  # "" for contract-level entities
@@ -56,10 +59,8 @@ class EntityId:
 
     def __post_init__(self) -> None:
         base = self.name if not self.scope else f"{self.scope}:{self.name}"
-        key = f"{base}#{self.occurrence}" if self.flavor == OPERATION else base
-        object.__setattr__(self, "_key", key)
-        fields = (self.scope, self.name, self.flavor, self.occurrence)
-        object.__setattr__(self, "_hash", hash(fields))
+        self._key = f"{base}#{self.occurrence}" if self.flavor == OPERATION else base
+        self._hash = hash((self.scope, self.name, self.flavor, self.occurrence))
 
     def __hash__(self) -> int:
         return self._hash
@@ -85,24 +86,33 @@ def is_global_name(name: str, extra_globals: frozenset[str] = frozenset()) -> bo
     )
 
 
+_UNSEEN = object()
+
+
 def _resolve(
     raw: str, scope: str, extra_globals: frozenset[str], resolved: dict | None
 ) -> EntityId | None:
     """The data entity a mention names, or None for a literal.
 
-    ``resolved`` memoizes ``raw -> EntityId | None`` for one scope and one
-    ``extra_globals``: a function mentions few distinct names, many times.
+    ``resolved`` memoizes ``raw -> EntityId | None`` for one ``extra_globals``
+    across functions: whether a mention is a literal, a global or a local is
+    decided once, and a local is rebuilt once for each new scope. Nothing is
+    stored for the empty scope, where a local would read as a global.
     """
-    if resolved is not None and raw in resolved:
-        return resolved[raw]
-    name = raw.strip()
-    if is_constant(name):
-        entity = None
-    elif is_global_name(name, extra_globals):
-        entity = EntityId(scope="", name=name, flavor=VARIABLE)
-    else:
-        entity = EntityId(scope=scope, name=name, flavor=VARIABLE)
-    if resolved is not None:
+    entity = _UNSEEN if resolved is None else resolved.get(raw, _UNSEEN)
+    if entity is _UNSEEN:
+        name = raw.strip()
+        if is_constant(name):
+            entity = None
+        elif is_global_name(name, extra_globals):
+            entity = EntityId("", name)
+        else:
+            entity = EntityId(scope, name)
+    elif entity is None or not entity.scope or entity.scope == scope:
+        return entity
+    else:  # a local of the last function that mentioned it
+        entity = EntityId(scope, entity.name)
+    if resolved is not None and scope:
         resolved[raw] = entity
     return entity
 
@@ -121,19 +131,22 @@ def normalize_entity(
 
 
 def resolve_sources(
-    raws: Iterable[str],
+    raws: Sequence[str],
     scope: str,
     extra_globals: frozenset[str] = frozenset(),
     resolved: dict | None = None,
 ) -> tuple[EntityId, ...]:
     """Data entities of the mentions in ``raws``, in order and without
     repeats; literals drop out."""
-    entities = (_resolve(raw, scope, extra_globals, resolved) for raw in raws)
-    return tuple(dict.fromkeys(e for e in entities if e is not None))
+    if len(raws) == 1:  # most behaviors mention one source
+        entity = _resolve(raws[0], scope, extra_globals, resolved)
+        return () if entity is None else (entity,)
+    found = dict.fromkeys([_resolve(raw, scope, extra_globals, resolved) for raw in raws])
+    found.pop(None, None)
+    return tuple(found)
 
 
-@dataclass(frozen=True)
-class PropagationTuple:
+class PropagationTuple(NamedTuple):
     """Sources feeding a destination; dst is None for dataflow-free behaviors."""
 
     sources: tuple[EntityId, ...]
@@ -151,45 +164,33 @@ def extract_tuple(
 
     ``op_counts`` tracks per-function operation occurrences in place; pass the
     same dict for every behavior of one function so instances stay numbered in
-    document order. ``resolved`` is the function's mention memo, as
-    ``resolve_sources`` takes it.
+    document order. ``resolved`` is the mention memo ``resolve_sources``
+    takes.
     """
-    if op_counts is None:
-        op_counts = {}
-
-    def op_entity(label: str) -> EntityId:
-        op_counts[label] = op_counts.get(label, 0) + 1
-        return EntityId(
-            scope=scope, name=label, flavor=OPERATION, occurrence=op_counts[label]
-        )
-
     kind = parsed.kind
     f = parsed.fields
     if kind == bh.ASSIGNMENT:
+        sources = resolve_sources((f["rhs"],), scope, extra_globals, resolved)
         return PropagationTuple(
-            sources=resolve_sources([f["rhs"]], scope, extra_globals, resolved),
-            dst=normalize_entity(f["lhs"], scope, extra_globals, resolved),
-        )
-    if kind == bh.EXTERNAL_CALL:
-        return PropagationTuple(
-            sources=resolve_sources(f["args"], scope, extra_globals, resolved),
-            dst=op_entity(f["callee"]),
-        )
-    if kind == bh.DELEGATE_CALL:
-        return PropagationTuple(
-            sources=resolve_sources(f["args"], scope, extra_globals, resolved),
-            dst=op_entity("delegatecall"),
+            sources, normalize_entity(f["lhs"], scope, extra_globals, resolved)
         )
     if kind == bh.CONTRACT_CREATION:
-        salt = [f["salt"]] if "salt" in f else []
+        salt = (f["salt"],) if "salt" in f else ()
+        sources = resolve_sources(salt, scope, extra_globals, resolved)
         return PropagationTuple(
-            sources=resolve_sources(salt, scope, extra_globals, resolved),
-            dst=normalize_entity(f["address"], scope, extra_globals, resolved),
+            sources, normalize_entity(f["address"], scope, extra_globals, resolved)
         )
-    if kind == bh.TRANSFER:
+    if kind == bh.EXTERNAL_CALL:
+        raws, label = f["args"], f["callee"]
+    elif kind == bh.DELEGATE_CALL:
+        raws, label = f["args"], "delegatecall"
+    elif kind == bh.TRANSFER:
         # recipient receives funds but does not feed data into the sink
-        return PropagationTuple(
-            sources=resolve_sources([f["value"]], scope, extra_globals, resolved),
-            dst=op_entity("transfer"),
-        )
-    return PropagationTuple(sources=(), dst=None)
+        raws, label = (f["value"],), "transfer"
+    else:
+        return PropagationTuple((), None)
+    sources = resolve_sources(raws, scope, extra_globals, resolved)
+    if op_counts is None:
+        op_counts = {}
+    occurrence = op_counts[label] = op_counts.get(label, 0) + 1
+    return PropagationTuple(sources, EntityId(scope, label, OPERATION, occurrence))

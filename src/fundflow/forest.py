@@ -16,7 +16,7 @@ from .errors import MalformedNesting
 FUNCTION = "function"
 
 
-@dataclass
+@dataclass(slots=True)
 class DepNode:
     """One forest node; ``behavior`` is set iff kind == 'behavior'."""
 
@@ -34,12 +34,19 @@ class ContractForest:
     contract_id: str
     nodes: list[DepNode] = field(default_factory=list)
     roots: list[int] = field(default_factory=list)
+    _signatures: dict = field(default_factory=dict, repr=False, compare=False)
+
+    def function_signature(self, root_id: int) -> tuple[str, tuple[str, ...]]:
+        """``split_signature`` of a function root, parsed once per forest."""
+        if root_id not in self._signatures:
+            self._signatures[root_id] = split_signature(self.nodes[root_id].text)
+        return self._signatures[root_id]
 
     def function_name(self, root_id: int) -> str:
-        return split_signature(self.nodes[root_id].text)[0]
+        return self.function_signature(root_id)[0]
 
     def function_parameters(self, root_id: int) -> tuple[str, ...]:
-        return split_signature(self.nodes[root_id].text)[1]
+        return self.function_signature(root_id)[1]
 
     def iter_tree(self, root_id: int):
         """Yield the tree's nodes in preorder, root included."""
@@ -65,24 +72,22 @@ def _build_tree(
     # parent candidates per depth: parents[d] is the most recent node at depth d-1
     parents: list[int] = [root.id]
     prev_depth = -1
-    for sentence in chunk.sentences:
-        if sentence.depth > prev_depth + 1:
+    nodes = forest.nodes
+    for text, depth in chunk.sentences:
+        if depth > prev_depth + 1:
             raise MalformedNesting(
-                f"in {chunk.signature}: sentence {sentence.text!r} at depth "
-                f"{sentence.depth} after depth {prev_depth}"
+                f"in {chunk.signature}: sentence {text!r} at depth "
+                f"{depth} after depth {prev_depth}"
             )
-        parse = parsed.get(sentence.text)
+        parse = parsed.get(text)
         if parse is None:
-            parse = parsed[sentence.text] = parse_sentence(sentence.text)
-        kind, behavior = parse
-        node = DepNode(
-            id=len(forest.nodes), kind=kind, text=sentence.text, behavior=behavior
-        )
-        forest.nodes.append(node)
-        forest.nodes[parents[sentence.depth]].children.append(node.id)
-        del parents[sentence.depth + 1 :]
+            parse = parsed[text] = parse_sentence(text)
+        node = DepNode(len(nodes), parse[0], text, behavior=parse[1])
+        nodes.append(node)
+        nodes[parents[depth]].children.append(node.id)
+        del parents[depth + 1 :]
         parents.append(node.id)
-        prev_depth = sentence.depth
+        prev_depth = depth
     return root.id
 
 

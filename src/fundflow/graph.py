@@ -10,16 +10,17 @@ into one node, which is what links flows across functions.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field
 from itertools import chain
+from typing import NamedTuple
 
 from .behavior import CONDITION
 from .entities import EntityId, PropagationTuple, extract_tuple, resolve_sources
 from .forest import ContractForest
 
 
-@dataclass(frozen=True)
-class FlowEdge:
+class FlowEdge(NamedTuple):
     src: EntityId
     dst: EntityId
     conditions: tuple[str, ...]
@@ -32,18 +33,20 @@ class FlowGraph:
 
     nodes: dict[str, EntityId] = field(default_factory=dict)
     edges: list[FlowEdge] = field(default_factory=list)
-    _out: dict[str, list[int]] = field(default_factory=dict, repr=False)
-    _in: dict[str, list[int]] = field(default_factory=dict, repr=False)
+    _out: dict[str, list[int]] = field(default_factory=lambda: defaultdict(list), repr=False)
+    _in: dict[str, list[int]] = field(default_factory=lambda: defaultdict(list), repr=False)
 
     def add_node(self, entity: EntityId) -> None:
         self.nodes.setdefault(entity.key(), entity)
 
     def add_edge(self, edge: FlowEdge) -> None:
-        self.add_node(edge.src)
-        self.add_node(edge.dst)
+        src, dst = edge.src, edge.dst
+        src_key, dst_key = src.key(), dst.key()
+        self.nodes.setdefault(src_key, src)
+        self.nodes.setdefault(dst_key, dst)
+        self._out[src_key].append(len(self.edges))
+        self._in[dst_key].append(len(self.edges))
         self.edges.append(edge)
-        self._out.setdefault(edge.src.key(), []).append(len(self.edges) - 1)
-        self._in.setdefault(edge.dst.key(), []).append(len(self.edges) - 1)
 
     def out_edges(self, key: str) -> list[FlowEdge]:
         return [self.edges[i] for i in self._out.get(key, [])]
@@ -67,8 +70,10 @@ def transform(
     destination acquires in-edges only at the step that first visits it.
     """
     graph = FlowGraph()
+    # each distinct mention is classified once per call, not once per function
+    resolved: dict[str, EntityId | None] = {}
     for root_id in forest.roots:
-        _transform_function(graph, forest, root_id, extra_globals)
+        _transform_function(graph, forest, root_id, extra_globals, resolved)
     return graph
 
 
@@ -77,49 +82,45 @@ def _transform_function(
     forest: ContractForest,
     root_id: int,
     extra_globals: frozenset[str],
+    resolved: dict[str, EntityId | None],
 ) -> None:
-    scope = forest.function_name(root_id)
+    scope, params = forest.function_signature(root_id)
     # first-visit conditions of each entity the function has reached
     visited: dict[EntityId, tuple[str, ...]] = {}
-
-    def seed(entity: EntityId) -> None:
-        if entity not in visited:
-            visited[entity] = ()
-            graph.add_node(entity)
-
-    # each distinct mention is resolved once per function
-    resolved: dict[str, EntityId | None] = {}
-    params = forest.function_parameters(root_id)
     for entity in resolve_sources(params, scope, extra_globals, resolved):
-        seed(entity)
+        visited[entity] = ()
+        graph.add_node(entity)
 
-    # One preorder walk. Each work item carries its enclosing conditions as a
-    # linked chain ``(text, enclosing chain)``, innermost first. The walk
-    # extracts the propagation tuples, so operation occurrence numbers follow
-    # document order, and seeds the globals the function reads: they are
-    # live on entry, so edges wait until the walk is done.
+    # One preorder walk. Each work item carries its enclosing conditions,
+    # outermost first and without repeats. The walk extracts the propagation
+    # tuples, so operation occurrence numbers follow document order, and
+    # seeds the globals the function reads: they are live on entry, so edges
+    # wait until the walk is done.
     op_counts: dict[str, int] = {}
-    steps: list[tuple[PropagationTuple, tuple | None]] = []
-    work: list[tuple[int, tuple | None]] = [(root_id, None)]
+    steps: list[tuple[PropagationTuple, tuple[str, ...]]] = []
+    work: list[tuple[int, tuple[str, ...]]] = [(root_id, ())]
     while work:
         node_id, enclosing = work.pop()
         node = forest.nodes[node_id]
         if node.kind == CONDITION:
-            enclosing = (node.text, enclosing)
+            if node.text not in enclosing:
+                enclosing += (node.text,)
         elif node.behavior is not None:
             prop = extract_tuple(
                 node.behavior, scope, extra_globals, op_counts, resolved
             )
             for source in prop.sources:
-                if not source.scope:
-                    seed(source)
+                if not source.scope and source not in visited:
+                    visited[source] = ()
+                    graph.add_node(source)
             steps.append((prop, enclosing))
-        work.extend((child, enclosing) for child in reversed(node.children))
+        for child in reversed(node.children):
+            work.append((child, enclosing))
 
     # An edge carries its source's conditions plus the enclosing ones pushed
     # since the source was visited. Every visited entity already carries all
     # the conditions enclosing its first visit, so adding every enclosing
-    # condition, outermost first, gives the same ordered union.
+    # condition gives the same ordered union.
     for prop, enclosing in steps:
         dst = prop.dst
         if dst is None or dst in visited:
@@ -127,15 +128,12 @@ def _transform_function(
         sources = [s for s in prop.sources if s in visited]
         if not sources:
             continue
-        texts: list[str] = []
-        while enclosing is not None:
-            texts.append(enclosing[0])
-            enclosing = enclosing[1]
-        texts.reverse()
-        annotations = [_ordered_union(visited[s], texts) for s in sources]
+        annotations = [
+            _ordered_union(visited[s], enclosing) if visited[s] else enclosing for s in sources
+        ]
         for source, annotation in zip(sources, annotations):
-            graph.add_edge(FlowEdge(source, dst, annotation, function=scope))
-        visited[dst] = _ordered_union(*annotations)
+            graph.add_edge(FlowEdge(source, dst, annotation, scope))
+        visited[dst] = annotations[0] if len(annotations) == 1 else _ordered_union(*annotations)
 
 
 def graph_to_json(graph: FlowGraph) -> dict:

@@ -63,8 +63,8 @@ def compute_indicators(forest: ContractForest) -> Indicators:
     bot_fns = [n for n in function_names if is_bot_function(n)]
 
     transfers_in_unknown = False
-    for root_id in forest.roots:
-        if not is_unknown_function(forest.function_name(root_id)):
+    for root_id, name in zip(forest.roots, function_names):
+        if not is_unknown_function(name):
             continue
         for node in forest.iter_tree(root_id):
             if node.kind == BEHAVIOR and _moves_funds(node):

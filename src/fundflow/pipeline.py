@@ -247,6 +247,8 @@ def run_batch(
     behind an in-memory memo that keeps every answer until the batch ends,
     and a record store already asks each missing key once (``open_model``).
     A query that fails is asked again by the next contract that needs it.
+    A contract that fails cancels none of the others: every contract runs to
+    its end, and then the first failure, in input order, is raised.
     Live or recorded queries share one pool of N×N threads for N workers,
     so a contract may use the query slots its neighbours leave idle while
     they run their static half.
@@ -272,5 +274,8 @@ def run_batch(
             verdict, _ = run_detect(desc, sub, transport, queries)
             return desc.contract_id, verdict
 
-        results = list(pool.map(worker, descriptions))
+        # not pool.map, whose first failure cancels the contracts not yet
+        # started, or not, as the threads happen to run
+        futures = [pool.submit(worker, desc) for desc in descriptions]
+        results = [future.result() for future in futures]
     return dict(results)

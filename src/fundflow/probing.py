@@ -35,6 +35,7 @@ LETTER_TO_LABEL = {
 LABELS = tuple(LETTER_TO_LABEL.values())
 
 _SUM_LOW, _SUM_HIGH = 90.0, 110.0
+_MAX_CONFIDENCE = 100.0 + 1e-9  # rescaling may round a sole confidence past 100
 
 
 @dataclass(frozen=True)
@@ -58,9 +59,13 @@ class ProbeDistribution:
 
     @classmethod
     def from_json(cls, data: dict) -> "ProbeDistribution":
+        """A distribution as ``to_json`` wrote it; an empty ranking, or a
+        confidence outside [0, 100], would leave fusion nothing to weigh."""
         ranked = tuple((label, float(conf)) for label, conf in data["ranked"])
         if not isinstance(data["probe"], str) or any(l not in LABELS for l, _ in ranked):
             raise ValueError(f"expected a string probe and ranked labels among {LABELS}")
+        if not ranked or not all(0.0 <= conf <= _MAX_CONFIDENCE for _, conf in ranked):
+            raise ValueError(f"expected a non-empty ranking with confidences in [0, 100]: {ranked}")
         return cls(probe=data["probe"], ranked=ranked)
 
 

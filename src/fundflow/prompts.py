@@ -10,7 +10,7 @@ question texts live in package assets so they stay byte-stable.
 from __future__ import annotations
 
 import functools
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from importlib import resources
 
 from .description import ContractDescription, FunctionChunk, render_flat_text
@@ -78,7 +78,14 @@ class AnalysisBundle:
     paths: list[str] = field(default_factory=list)  # rendered fund-flow paths
 
     def to_json(self) -> dict:
-        return asdict(self)
+        # what dataclasses.asdict gives, without deep-copying every string
+        return {
+            "contract_summary": self.contract_summary,
+            "functions": [dict(vars(f)) for f in self.functions],
+            "unknown_functions": [dict(vars(u)) for u in self.unknown_functions],
+            "indicators": None if self.indicators is None else self.indicators.to_json(),
+            "paths": list(self.paths),
+        }
 
 
 def build_stage1_prompts(desc: ContractDescription) -> tuple[str, list[str]]:

@@ -57,10 +57,10 @@ def identify_ingress(
         canonical = LIFTER_ALIASES.get(ent.name, ent.name)
         if canonical in PREDEFINED_INGRESS:
             out.add(ent)
+    resolved: dict[str, EntityId | None] = {}
     for root_id in forest.roots:
-        scope = forest.function_name(root_id)
-        params = forest.function_parameters(root_id)
-        for ent in resolve_sources(params, scope, extra_globals):
+        scope, params = forest.function_signature(root_id)
+        for ent in resolve_sources(params, scope, extra_globals, resolved):
             if ent.key() in graph.nodes:
                 out.add(graph.nodes[ent.key()])
     return out

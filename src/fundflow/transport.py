@@ -48,6 +48,11 @@ def query_key(prompt: str, params: TransportParams, attempt: int = 0) -> str:
 _JSON_TYPES = {"string": str, "number": (int, float)}
 
 
+def _is_json_type(value, kind) -> bool:
+    # bool is an int, but JSON true is not a number
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
 def read_jsonl(path: str, error: type[Exception], **fields: str) -> list[tuple]:
     """The values of ``fields`` in each non-blank line of a JSONL file.
 
@@ -69,7 +74,7 @@ def read_jsonl(path: str, error: type[Exception], **fields: str) -> list[tuple]:
             except ValueError as exc:
                 raise error(f"{path}:{lineno}: not JSON: {exc}") from exc
             values = tuple(map(row.get, names)) if isinstance(row, dict) else None
-            if values is None or not all(map(isinstance, values, types)):
+            if values is None or not all(map(_is_json_type, values, types)):
                 expected = ", ".join(f"{kind} {name!r}" for name, kind in fields.items())
                 raise error(f"{path}:{lineno}: expected an object with {expected}")
             rows.append(values)
@@ -222,24 +227,25 @@ class RecordTransport(ReplayTransport):
     miss. With ``store_path`` None the answers stay in memory and no file is
     read or written, so the transport is a memo that asks each key once.
 
-    The first answer opens the store for appending, creating the store and
-    any missing directories above it, and it stays open until
-    ``close()``, which closes the inner transport too when that has a
-    ``close()``. Each answer is written and flushed as one whole line, so a
-    crash leaves at most a torn last line, one with no newline. Loading cuts
-    such a line off with a warning, so its key is asked again and the next
-    answer starts a line of its own.
+    The first miss opens the store for appending, creating the store and
+    any missing directories above it, before it asks the inner transport,
+    so a store that cannot be opened fails before any answer is paid for.
+    It stays open until ``close()``, which closes the inner transport too
+    when that has a ``close()``. Each answer is written and flushed as one
+    whole line, so a crash leaves at most a torn last line, one with no
+    newline. Loading cuts such a line off with a warning, so its key is
+    asked again and the next answer starts a line of its own.
     """
 
     def __init__(self, inner, store_path: str | None = None) -> None:
         self.inner = inner
         self._lock = threading.Lock()  # guards the store file and _asking
         self._asking: dict[str, threading.Lock] = {}
-        self._store = None  # opened by the first answer
+        self._store = None  # opened by the first miss
         super().__init__(store_path, inner.params)
 
     def _load(self) -> dict[str, str]:
-        # the first answer creates the store; its directory may not exist yet
+        # the first miss creates the store; its directory may not exist yet
         if self.store_path is None or not os.path.exists(self.store_path):
             return {}
         with open(self.store_path, "rb") as fh:
@@ -258,16 +264,18 @@ class RecordTransport(ReplayTransport):
         with asking:
             response = self._responses.get(key)
             if response is None:
-                response = self.inner.query(prompt, attempt)
                 if self.store_path is not None:
-                    record = {"key": key, "model": self.params.model, "response": response}
-                    line = (json.dumps(record, ensure_ascii=False) + "\n").encode()
                     with self._lock:
                         if self._store is None:
                             os.makedirs(os.path.dirname(self.store_path) or ".", exist_ok=True)
                             self._store = open(self.store_path, "ab")
                             # a transport dropped without close() still closes it
                             weakref.finalize(self, self._store.close)
+                response = self.inner.query(prompt, attempt)
+                if self.store_path is not None:
+                    record = {"key": key, "model": self.params.model, "response": response}
+                    line = (json.dumps(record, ensure_ascii=False) + "\n").encode()
+                    with self._lock:
                         self._store.write(line)
                         self._store.flush()
                 self._responses[key] = response

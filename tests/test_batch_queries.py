@@ -159,3 +159,20 @@ def test_a_failed_query_is_asked_again_by_the_next_contract(tmp_path):
     assert not (out / "c0" / "verdict.json").exists()
     assert (out / "c1" / "verdict.json").exists()
     assert model.calls == len(alone(0)[1]) + 1
+
+
+def test_a_failed_contract_cancels_none_queued_behind_it(tmp_path):
+    """With threads switching as often as they can, the batch worker may
+    not have taken the next contract yet when the first one fails."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for attempt in range(5):
+            model = PromptKeyedModel(RunConfig().params(), fail="contract summary:")
+            out = tmp_path / f"live{attempt}"
+            with pytest.raises(TransportError):
+                live_batch(batch_of([0, 1, 2]), str(out), 1, model)
+            assert (out / "c1" / "verdict.json").exists()
+            assert (out / "c2" / "verdict.json").exists()
+    finally:
+        sys.setswitchinterval(interval)

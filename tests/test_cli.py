@@ -405,6 +405,24 @@ def test_fuse_rejects_an_unknown_label(tmp_path, capsys):
     assert f"error: {path}: " in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "ranked",
+    [
+        "[]",
+        '[["adversarial", 1e400]]',
+        '[["adversarial", NaN], ["benign", 50]]',
+        '[["adversarial", -50], ["benign", 150]]',
+        '[["adversarial", 1e308]]',
+    ],
+)
+def test_fuse_rejects_a_ranking_fusion_cannot_weigh(tmp_path, capsys, ranked):
+    path = tmp_path / "probes.json"
+    path.write_text('{"distributions": [{"probe": "g", "ranked": %s}]}' % ranked)
+    assert main(["fuse", "-i", str(path), "-o", str(tmp_path / "out")]) == 1
+    assert f"error: {path}: expected probes.json's" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_eval_rejects_a_row_without_label(tmp_path, capsys):
     preds = tmp_path / "preds.jsonl"
     preds.write_text('{"id": "a", "label": "benign"}\n{"id": "b"}\n', encoding="utf-8")
@@ -469,6 +487,17 @@ def scores_file(tmp_path):
     path = tmp_path / "scores.jsonl"
     path.write_text("\n".join(json.dumps(r) for r in rows) + "\n", encoding="utf-8")
     return str(path)
+
+
+def test_sweep_rejects_a_boolean_score(tmp_path, capsys):
+    path = tmp_path / "scores.jsonl"
+    path.write_text(
+        '{"id": "a", "adv_score": 0.5, "label": "benign"}\n'
+        '{"id": "b", "adv_score": true, "label": "adversarial"}\n',
+        encoding="utf-8",
+    )
+    assert main(["sweep", "-i", str(path)]) == 1
+    assert f"error: {path}:2: expected an object with" in capsys.readouterr().err
 
 
 def test_sweep_to_stdout(tmp_path, capsys):

@@ -156,6 +156,18 @@ def test_record_creates_missing_directories_with_its_first_answer(tmp_path):
     assert ReplayTransport(str(store), PARAMS).query("alpha") == answer
 
 
+def test_a_store_that_cannot_be_opened_fails_before_any_inner_query(tmp_path):
+    blocker = tmp_path / "out.txt"
+    blocker.write_text("a file, not a directory", encoding="utf-8")
+    inner = CountingEcho(PARAMS)
+    recorder = RecordTransport(inner, str(blocker / "s.jsonl"))
+    for _ in range(2):
+        with pytest.raises(OSError):
+            recorder.query("alpha")
+    recorder.close()
+    assert inner.asked == Counter()
+
+
 def test_first_line_of_a_key_wins(tmp_path):
     store = tmp_path / "store.jsonl"
     store.write_text(
