@@ -9,7 +9,7 @@ table order: the specific templates are tried first and the action catch-all
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 # sentence kinds assigned by parse_sentence
 CONDITION = "condition"
@@ -40,87 +40,53 @@ LOG_EMISSION = "log_emission"
 BUILTIN_CALL = "builtin_call"
 OTHER = "other"
 
-@dataclass(frozen=True)
-class ParsedBehavior:
+
+class ParsedBehavior(NamedTuple):
     """A behavior sentence reduced to its kind and template capture slots."""
 
     kind: str
-    fields: dict = field(default_factory=dict)
+    fields: dict
 
     def to_json(self) -> dict:
         return {"kind": self.kind, "fields": dict(self.fields)}
 
 
-def _split_args(raw: str) -> list[str]:
-    return [a.strip() for a in raw.split(",") if a.strip()]
+_CALL = r"\s+(?P<callee>[A-Za-z_][\w.]*)\s*\((?P<args>[^)]*)\)"
 
-
-_ASSIGNMENT_RE = re.compile(
-    r"^it updates the state variable\s+(\S+)\s+to\s+(.+?)\s*$", re.IGNORECASE
-)
-_EXTERNAL_CALL_RE = re.compile(
-    r"^it triggers the external call to\s+([A-Za-z_][\w.]*)\s*\(([^)]*)\)\s*$",
-    re.IGNORECASE,
-)
-_DELEGATE_CALL_RE = re.compile(
-    r"^it delegates a call to\s+([A-Za-z_][\w.]*)\s*\(([^)]*)\)\s*$", re.IGNORECASE
-)
-_CONTRACT_CREATION_RE = re.compile(
-    r"^it creates a new smart contract with creation code\s+(\S+?)"
-    r"(?:\s+and\s+(?:optional\s+)?salt\s+(\S+?))?"
-    r"\s*,\s*and gets a new address\s+(\S+)\s*$",
-    re.IGNORECASE,
-)
-_TRANSFER_RE = re.compile(
-    r"^it transfers\s+(.+?)\s+wei to\s+(.+?)(?:\s+with gas\s+(\S+))?\s*$",
-    re.IGNORECASE,
-)
-_RETURN_RE = re.compile(r"^it returns\s+(.+?)\s*$", re.IGNORECASE)
-_LOG_EMISSION_RE = re.compile(
-    r"^it emits the log event with parameter(?:\(s\)|s)?\s+(.+?)\s*$", re.IGNORECASE
-)
-_BUILTIN_CALL_RE = re.compile(r"^it calls a built-in function\s+(.+?)\s*$", re.IGNORECASE)
-_ACTION_RE = re.compile(r"^it\s+\w+", re.IGNORECASE)
+# (kind, template, capture slots in artifact order), tried in this order
+# against the whole stripped sentence
+_TEMPLATES = [
+    (kind, re.compile(template, re.IGNORECASE), slots)
+    for kind, template, slots in (
+        (ASSIGNMENT, r"it updates the state variable\s+(?P<lhs>\S+)\s+to\s+(?P<rhs>.+?)",
+         ("lhs", "rhs")),
+        (EXTERNAL_CALL, r"it triggers the external call to" + _CALL, ("callee", "args")),
+        (DELEGATE_CALL, r"it delegates a call to" + _CALL, ("callee", "args")),
+        (CONTRACT_CREATION, r"it creates a new smart contract with creation code\s+(?P<code>\S+?)"
+         r"(?:\s+and\s+(?:optional\s+)?salt\s+(?P<salt>\S+?))?"
+         r"\s*,\s*and gets a new address\s+(?P<address>\S+)", ("code", "address", "salt")),
+        (TRANSFER, r"it transfers\s+(?P<value>.+?)\s+wei to\s+(?P<recipient>.+?)"
+         r"(?:\s+with gas\s+(?P<gas>\S+))?", ("value", "recipient", "gas")),
+        (RETURN, r"it returns\s+(?P<args>.+?)", ("args",)),
+        (LOG_EMISSION, r"it emits the log event with parameter(?:\(s\)|s)?\s+(?P<args>.+?)",
+         ("args",)),
+        (BUILTIN_CALL, r"it calls a built-in function\s+(?P<name>.+?)", ("name",)),
+        (OTHER, r"it\s+\w+(?s:.*)", ()),  # the catch-all, so last
+    )
+]
 
 
 def _match_behavior(text: str) -> ParsedBehavior | None:
-    text = text.strip()
-    m = _ASSIGNMENT_RE.match(text)
-    if m:
-        return ParsedBehavior(ASSIGNMENT, {"lhs": m.group(1), "rhs": m.group(2)})
-    m = _EXTERNAL_CALL_RE.match(text)
-    if m:
-        return ParsedBehavior(
-            EXTERNAL_CALL, {"callee": m.group(1), "args": _split_args(m.group(2))}
-        )
-    m = _DELEGATE_CALL_RE.match(text)
-    if m:
-        return ParsedBehavior(
-            DELEGATE_CALL, {"callee": m.group(1), "args": _split_args(m.group(2))}
-        )
-    m = _CONTRACT_CREATION_RE.match(text)
-    if m:
-        fields = {"code": m.group(1), "address": m.group(3)}
-        if m.group(2) is not None:
-            fields["salt"] = m.group(2)
-        return ParsedBehavior(CONTRACT_CREATION, fields)
-    m = _TRANSFER_RE.match(text)
-    if m:
-        fields = {"value": m.group(1), "recipient": m.group(2)}
-        if m.group(3) is not None:
-            fields["gas"] = m.group(3)
-        return ParsedBehavior(TRANSFER, fields)
-    m = _RETURN_RE.match(text)
-    if m:
-        return ParsedBehavior(RETURN, {"args": _split_args(m.group(1))})
-    m = _LOG_EMISSION_RE.match(text)
-    if m:
-        return ParsedBehavior(LOG_EMISSION, {"args": _split_args(m.group(1))})
-    m = _BUILTIN_CALL_RE.match(text)
-    if m:
-        return ParsedBehavior(BUILTIN_CALL, {"name": m.group(1)})
-    if _ACTION_RE.match(text):
-        return ParsedBehavior(OTHER, {})
+    """The first template that matches all of ``text``, already stripped:
+    its named groups are the fields, a group that took no part is left out,
+    and ``args`` is split on commas."""
+    for kind, template, slots in _TEMPLATES:
+        m = template.fullmatch(text)
+        if m:
+            fields = {slot: m[slot] for slot in slots if m[slot] is not None}
+            if "args" in fields:
+                fields["args"] = [a.strip() for a in fields["args"].split(",") if a.strip()]
+            return ParsedBehavior(kind, fields)
     return None
 
 

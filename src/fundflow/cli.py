@@ -195,8 +195,8 @@ def cmd_detect(args: argparse.Namespace) -> int:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    predictions = read_jsonl(args.predictions, InvalidInput, id="string", label="string")
-    truth = read_jsonl(args.truth, InvalidInput, id="string", label="string")
+    predictions = read_jsonl(args.predictions, InvalidInput, id="string", label="label")
+    truth = read_jsonl(args.truth, InvalidInput, id="string", label="label")
     metrics = compute_metrics(predictions, truth)
     print(json.dumps(metrics.to_json(), indent=2))
     return 0
@@ -210,7 +210,7 @@ def _parse_grid(raw: str) -> list[float]:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    scores = read_jsonl(args.input, InvalidInput, id="string", adv_score="number", label="string")
+    scores = read_jsonl(args.input, InvalidInput, id="string", adv_score="score", label="label")
     grid = _parse_grid(args.grid)
     for t in grid:
         check_threshold(t)

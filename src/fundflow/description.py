@@ -84,28 +84,17 @@ def chunk_flat_text(text: str, contract_id: str = "contract") -> ContractDescrip
     if not text.strip():
         raise NoFunctionsFound("empty description text")
 
-    chunks: list[FunctionChunk] = []
-    current_sig: str | None = None
-    current_sentences: list[Sentence] = []
+    chunks: list[tuple[str, list[Sentence]]] = []  # (signature, sentences)
     ignored = 0
-
-    def flush() -> None:
-        nonlocal current_sig, current_sentences
-        if current_sig is not None:
-            chunks.append(FunctionChunk(current_sig, tuple(current_sentences)))
-        current_sig = None
-        current_sentences = []
-
     for lineno, line in enumerate(text.splitlines(), start=1):
         content = line.strip()
         if not content:
             continue
         header = _HEADER_RE.match(content)
         if header:
-            flush()
-            current_sig = _normalize_signature(header.group(1) + header.group(2))
+            chunks.append((_normalize_signature(header.group(1) + header.group(2)), []))
             continue
-        if current_sig is None:
+        if not chunks:
             ignored += 1
             continue
         stripped = line.lstrip(" ")
@@ -119,13 +108,13 @@ def chunk_flat_text(text: str, contract_id: str = "contract") -> ContractDescrip
                 f"line {lineno}: indentation of {indent} spaces is not "
                 f"a multiple of {INDENT_WIDTH}"
             )
-        current_sentences.append(Sentence(stripped.rstrip(), indent // INDENT_WIDTH))
-    flush()
+        chunks[-1][1].append(Sentence(stripped.rstrip(), indent // INDENT_WIDTH))
 
     if not chunks:
         raise NoFunctionsFound("no 'function <name>(<params>):' header line found")
 
-    return ContractDescription(contract_id, chunks, ignored_lines=ignored)
+    functions = [FunctionChunk(sig, tuple(sentences)) for sig, sentences in chunks]
+    return ContractDescription(contract_id, functions, ignored_lines=ignored)
 
 
 def render_flat_text(desc: ContractDescription) -> str:

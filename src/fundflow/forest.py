@@ -34,19 +34,10 @@ class ContractForest:
     contract_id: str
     nodes: list[DepNode] = field(default_factory=list)
     roots: list[int] = field(default_factory=list)
-    _signatures: dict = field(default_factory=dict, repr=False, compare=False)
 
     def function_signature(self, root_id: int) -> tuple[str, tuple[str, ...]]:
-        """``split_signature`` of a function root, parsed once per forest."""
-        if root_id not in self._signatures:
-            self._signatures[root_id] = split_signature(self.nodes[root_id].text)
-        return self._signatures[root_id]
-
-    def function_name(self, root_id: int) -> str:
-        return self.function_signature(root_id)[0]
-
-    def function_parameters(self, root_id: int) -> tuple[str, ...]:
-        return self.function_signature(root_id)[1]
+        """A function root's name and parameters (``split_signature``)."""
+        return split_signature(self.nodes[root_id].text)
 
     def iter_tree(self, root_id: int):
         """Yield the tree's nodes in preorder, root included."""

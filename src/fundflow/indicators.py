@@ -58,7 +58,7 @@ def compute_indicators(forest: ContractForest) -> Indicators:
         n for n in behavior_nodes if n.behavior and n.behavior.kind in _CALL_KINDS
     ]
 
-    function_names = [forest.function_name(r) for r in forest.roots]
+    function_names = [forest.function_signature(r)[0] for r in forest.roots]
     unknown_fns = [n for n in function_names if is_unknown_function(n)]
     bot_fns = [n for n in function_names if is_bot_function(n)]
 

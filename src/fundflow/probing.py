@@ -35,7 +35,21 @@ LETTER_TO_LABEL = {
 LABELS = tuple(LETTER_TO_LABEL.values())
 
 _SUM_LOW, _SUM_HIGH = 90.0, 110.0
-_MAX_CONFIDENCE = 100.0 + 1e-9  # rescaling may round a sole confidence past 100
+_SLACK = 1e-9  # rescaling may round a confidence, or the sum, past 100
+
+
+def _check_ranking(ranked) -> None:
+    """Raise ValueError unless fusion can weigh ``ranked``, (label,
+    confidence) pairs in rank order: each of the four labels exactly once,
+    confidences in [0, 100] that sum to 100 and never rise down the ranking."""
+    labels = [label for label, _ in ranked]
+    confs = [conf for _, conf in ranked]
+    if len(labels) != len(LABELS) or not all(label in labels for label in LABELS):
+        raise ValueError(f"expected each of {LABELS} ranked once: {labels}")
+    if not all(0.0 <= c <= 100.0 + _SLACK for c in confs) or abs(sum(confs) - 100.0) > _SLACK:
+        raise ValueError(f"expected confidences in [0, 100] that sum to 100: {confs}")
+    if any(a < b for a, b in zip(confs, confs[1:])):
+        raise ValueError(f"confidences increase down the ranking: {confs}")
 
 
 @dataclass(frozen=True)
@@ -59,13 +73,13 @@ class ProbeDistribution:
 
     @classmethod
     def from_json(cls, data: dict) -> "ProbeDistribution":
-        """A distribution as ``to_json`` wrote it; an empty ranking, or a
-        confidence outside [0, 100], would leave fusion nothing to weigh."""
-        ranked = tuple((label, float(conf)) for label, conf in data["ranked"])
-        if not isinstance(data["probe"], str) or any(l not in LABELS for l, _ in ranked):
-            raise ValueError(f"expected a string probe and ranked labels among {LABELS}")
-        if not ranked or not all(0.0 <= conf <= _MAX_CONFIDENCE for _, conf in ranked):
-            raise ValueError(f"expected a non-empty ranking with confidences in [0, 100]: {ranked}")
+        """A distribution as ``to_json`` wrote it, if ``_check_ranking`` passes."""
+        ranked = tuple((label, conf) for label, conf in data["ranked"])
+        # a JSON true is a bool, an int in Python, but not a confidence
+        numeric = all(type(conf) in (int, float) for _, conf in ranked)
+        if not isinstance(data["probe"], str) or not numeric:
+            raise ValueError(f"expected a string probe and numeric confidences: {ranked}")
+        _check_ranking(ranked)
         return cls(probe=data["probe"], ranked=ranked)
 
 
@@ -85,8 +99,8 @@ def parse_ranked_response(text: str, probe: str = "") -> ProbeDistribution:
     """Extract G1..G4 / P1..P4 from free text around the answer block.
 
     Accepts sums in [90, 110] and rescales them to exactly 100; anything
-    else, a missing slot, a repeated letter, or confidences that increase
-    down the ranking is a MalformedResponse.
+    else, a missing slot, or a rescaled ranking that ``_check_ranking``
+    rejects is a MalformedResponse.
     """
     letters: list[str] = []
     numbers: list[float] = []
@@ -104,19 +118,18 @@ def parse_ranked_response(text: str, probe: str = "") -> ProbeDistribution:
         letters.append(g_match.group(1).upper())
         numbers.append(float(p_match.group(1)))
 
-    if len(set(letters)) != 4:
-        raise MalformedResponse(f"repeated option letters: {letters}")
     total = sum(numbers)
     if not (_SUM_LOW <= total <= _SUM_HIGH):
         raise MalformedResponse(f"confidences sum to {total}, outside [90, 110]")
     if total != 100.0:
         numbers = [n * 100.0 / total for n in numbers]
-    if any(numbers[i] < numbers[i + 1] for i in range(3)):
-        raise MalformedResponse(f"confidences increase down the ranking: {numbers}")
-
     ranked = tuple(
         (LETTER_TO_LABEL[letter], conf) for letter, conf in zip(letters, numbers)
     )
+    try:
+        _check_ranking(ranked)
+    except ValueError as exc:
+        raise MalformedResponse(str(exc)) from None
     return ProbeDistribution(probe=probe, ranked=ranked)
 
 

@@ -45,23 +45,24 @@ def query_key(prompt: str, params: TransportParams, attempt: int = 0) -> str:
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
-_JSON_TYPES = {"string": str, "number": (int, float)}
-
-
-def _is_json_type(value, kind) -> bool:
-    # bool is an int, but JSON true is not a number
-    return isinstance(value, kind) and not isinstance(value, bool)
+# read_jsonl's field kinds: (what an error calls the value, its rule); a
+# JSON true is a Python bool, which is an int but not a score
+_FIELD_KINDS = {
+    "string": ("a string", lambda v: isinstance(v, str)),
+    "label": ('"adversarial" or "benign"', lambda v: v in ("adversarial", "benign")),
+    "score": ("a number in [0, 1]", lambda v: type(v) in (int, float) and 0 <= v <= 1),
+}
 
 
 def read_jsonl(path: str, error: type[Exception], **fields: str) -> list[tuple]:
     """The values of ``fields`` in each non-blank line of a JSONL file.
 
-    ``fields`` maps each name to the JSON type of its value, ``"string"``
-    or ``"number"``. A line that is not such an object, a line torn by a
+    ``fields`` maps each name to the kind of its value, a key of
+    ``_FIELD_KINDS``. A line that is not such an object, a line torn by a
     crash mid-write included, raises ``error`` naming the file and line.
     """
     names = tuple(fields)
-    types = tuple(_JSON_TYPES[kind] for kind in fields.values())
+    rules = tuple(_FIELD_KINDS[kind][1] for kind in fields.values())
     rows = []
     # bytes, so that text torn inside a UTF-8 sequence, or not UTF-8 at
     # all, is reported with its line like any other bad line
@@ -74,8 +75,10 @@ def read_jsonl(path: str, error: type[Exception], **fields: str) -> list[tuple]:
             except ValueError as exc:
                 raise error(f"{path}:{lineno}: not JSON: {exc}") from exc
             values = tuple(map(row.get, names)) if isinstance(row, dict) else None
-            if values is None or not all(map(_is_json_type, values, types)):
-                expected = ", ".join(f"{kind} {name!r}" for name, kind in fields.items())
+            if values is None or not all(rule(v) for rule, v in zip(rules, values)):
+                expected = ", ".join(
+                    f"{name!r} ({_FIELD_KINDS[kind][0]})" for name, kind in fields.items()
+                )
                 raise error(f"{path}:{lineno}: expected an object with {expected}")
             rows.append(values)
     return rows

@@ -57,6 +57,7 @@ def test_parse_contract_creation_without_salt():
     )
     assert parsed.kind == bh.CONTRACT_CREATION
     assert parsed.fields == {"code": "0x6080", "address": "addr1"}
+    assert list(parsed.fields) == ["code", "address"]
 
 
 def test_parse_contract_creation_with_salt():
@@ -70,6 +71,12 @@ def test_parse_contract_creation_with_salt():
         "salt s2, and gets a new address addr3"
     )
     assert parsed.fields["salt"] == "s2"
+    # artifact order, not the template's: the salt is captured before the address
+    assert list(parsed.fields.items()) == [
+        ("code", "0x6080"),
+        ("address", "addr3"),
+        ("salt", "s2"),
+    ]
 
 
 def test_parse_transfer():
@@ -81,6 +88,7 @@ def test_parse_transfer():
 def test_parse_transfer_with_gas():
     parsed = bh.parse_behavior("it transfers param2 wei to caller with gas 2300")
     assert parsed.fields == {"value": "param2", "recipient": "caller", "gas": "2300"}
+    assert list(parsed.fields) == ["value", "recipient", "gas"]
 
 
 def test_parse_return():
@@ -95,6 +103,8 @@ def test_parse_log_emission():
     assert parsed.fields == {"args": ["v1", "v2"]}
     parsed = bh.parse_behavior("it emits the log event with parameters v1")
     assert parsed.fields == {"args": ["v1"]}
+    parsed = bh.parse_behavior("it emits the log event with parameter v1 , v2,")
+    assert parsed.fields == {"args": ["v1", "v2"]}
 
 
 def test_parse_builtin_call():
@@ -107,6 +117,14 @@ def test_catch_all_other():
     parsed = bh.parse_behavior("it reverts the whole transaction")
     assert parsed.kind == bh.OTHER
     assert parsed.fields == {}
+    for text in (
+        "it reverts the whole\ntransaction",
+        "it returns a\nb",  # the return template does not cross a line break
+        "it updates the state variable x to  ",  # nothing after "to"
+        "it updates the state variable x to\t",
+    ):
+        parsed = bh.parse_behavior(text)
+        assert (parsed.kind, parsed.fields) == (bh.OTHER, {}), repr(text)
 
 
 def test_condition_beats_catch_all():
@@ -139,7 +157,7 @@ def _two_pass(text):
         return "condition", None
     if bh._match_behavior(stripped) is None:
         return "unknown", None
-    return "behavior", bh._match_behavior(text)
+    return "behavior", bh._match_behavior(stripped)
 
 
 _TEMPLATE_HEADS = bh.CONDITION_PREFIXES + (

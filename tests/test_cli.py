@@ -413,6 +413,13 @@ def test_fuse_rejects_an_unknown_label(tmp_path, capsys):
         '[["adversarial", NaN], ["benign", 50]]',
         '[["adversarial", -50], ["benign", 150]]',
         '[["adversarial", 1e308]]',
+        '[["adversarial", 50], ["adversarial", 50]]',
+        '[["adversarial", 60], ["suspicion", 40]]',
+        '[["adversarial", 50], ["suspicion", 30], ["uncertain", 10], ["benign", 5]]',
+        '[["adversarial", 40], ["suspicion", 50], ["uncertain", 10], ["benign", 0]]',
+        '[["adversarial", 50], ["suspicion", 30], ["uncertain", 10], ["benign", 10], '
+        '["benign", 0]]',
+        '[["adversarial", "60"], ["suspicion", 39], ["uncertain", true], ["benign", 0]]',
     ],
 )
 def test_fuse_rejects_a_ranking_fusion_cannot_weigh(tmp_path, capsys, ranked):
@@ -428,6 +435,14 @@ def test_eval_rejects_a_row_without_label(tmp_path, capsys):
     preds.write_text('{"id": "a", "label": "benign"}\n{"id": "b"}\n', encoding="utf-8")
     assert main(["eval", str(preds), str(preds)]) == 1
     assert f"error: {preds}:2: expected an object with" in capsys.readouterr().err
+    # a label is "adversarial" or "benign", in the predictions and the truth
+    good = tmp_path / "good.jsonl"
+    good.write_text('{"id": "a", "label": "benign"}\n{"id": "b", "label": "adversarial"}\n')
+    for label in ('"Adversarial"', '"maybe"', '"suspicion"', "1", "null"):
+        preds.write_text('{"id": "a", "label": "benign"}\n{"id": "b", "label": %s}\n' % label)
+        for files in ([preds, good], [good, preds]):
+            assert main(["eval", *map(str, files)]) == 1
+            assert f"error: {preds}:2: expected an object with" in capsys.readouterr().err
 
 
 def test_sweep_rejects_a_row_without_score(tmp_path, capsys):
@@ -435,6 +450,15 @@ def test_sweep_rejects_a_row_without_score(tmp_path, capsys):
     path.write_text('{"id": "a", "adv_score": "high", "label": "benign"}\n', encoding="utf-8")
     assert main(["sweep", "-i", str(path)]) == 1
     assert f"error: {path}:1: expected an object with" in capsys.readouterr().err
+    # a score is a number in [0, 1], and a label "adversarial" or "benign"
+    head = '{"id": "a", "adv_score": 0, "label": "benign"}\n'
+    rows = [(s, "benign") for s in ("NaN", "Infinity", "-Infinity", "-0.1", "1.5", "null")]
+    for score, label in [*rows, ("0.5", "Benign"), ("0.5", "maybe")]:
+        path.write_text(head + '{"id": "b", "adv_score": %s, "label": "%s"}\n' % (score, label))
+        assert main(["sweep", "-i", str(path)]) == 1
+        assert f"error: {path}:2: expected an object with" in capsys.readouterr().err
+    path.write_text(head + '{"id": "b", "adv_score": 1.0, "label": "adversarial"}\n')
+    assert main(["sweep", "-i", str(path), "--grid", "0.5"]) == 0
 
 
 @pytest.mark.parametrize(

@@ -103,8 +103,7 @@ def test_preorder_ids():
 def test_function_accessors():
     forest = build_forest(desc_of(Sentence("it returns a", 0), sig="pay(a, b)"))
     root = forest.roots[0]
-    assert forest.function_name(root) == "pay"
-    assert forest.function_parameters(root) == ("a", "b")
+    assert forest.function_signature(root) == ("pay", ("a", "b"))
 
 
 

@@ -219,7 +219,7 @@ def _reference_transform(forest, extra_globals=frozenset()):
     tracks the held conditions and their push numbers."""
     graph = FlowGraph()
     for root_id in forest.roots:
-        scope = forest.function_name(root_id)
+        scope, params = forest.function_signature(root_id)
         visited = {}  # entity -> (conditions, number of pushes before it)
 
         def seed(entity):
@@ -227,7 +227,6 @@ def _reference_transform(forest, extra_globals=frozenset()):
                 visited[entity] = ((), 0)
                 graph.add_node(entity)
 
-        params = forest.function_parameters(root_id)
         for entity in resolve_sources(params, scope, extra_globals):
             seed(entity)
         op_counts = {}
