@@ -47,9 +47,6 @@ class ParsedBehavior(NamedTuple):
     kind: str
     fields: dict
 
-    def to_json(self) -> dict:
-        return {"kind": self.kind, "fields": dict(self.fields)}
-
 
 _CALL = r"\s+(?P<callee>[A-Za-z_][\w.]*)\s*\((?P<args>[^)]*)\)"
 

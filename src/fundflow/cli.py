@@ -167,7 +167,7 @@ def cmd_fuse(args: argparse.Namespace) -> int:
         raw = fh.read()
     try:
         probes = [ProbeDistribution.from_json(d) for d in json.loads(raw)["distributions"]]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, RecursionError) as exc:  # nested too deep
         raise InvalidInput(
             f"{args.input}: expected probes.json's "
             '{"distributions": [{"probe": ..., "ranked": [[label, confidence], ...]}]}: '

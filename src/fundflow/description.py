@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring
 from typing import NamedTuple
 
 from .errors import InvalidDescription, NoFunctionsFound
@@ -189,17 +190,20 @@ def description_from_json(data: str | dict) -> ContractDescription:
     return ContractDescription(contract, chunks)
 
 
-def description_to_json(desc: ContractDescription) -> dict:
-    return {
-        "contract": desc.contract_id,
-        "functions": [
-            {
-                "signature": chunk.signature,
-                "sentences": [{"text": text, "depth": depth} for text, depth in chunk.sentences],
-            }
-            for chunk in desc.functions
-        ],
-    }
+def description_to_json(desc: ContractDescription) -> str:
+    """``description.json`` as compact JSON text (see ``pipeline.write_json``)."""
+    functions = ",".join(
+        '{"signature":%s,"sentences":[%s]}'
+        % (
+            encode_basestring(chunk.signature),
+            ",".join(
+                '{"text":%s,"depth":%d}' % (encode_basestring(text), depth)
+                for text, depth in chunk.sentences
+            ),
+        )
+        for chunk in desc.functions
+    )
+    return '{"contract":%s,"functions":[%s]}' % (encode_basestring(desc.contract_id), functions)
 
 
 def load_description(path: str) -> ContractDescription:

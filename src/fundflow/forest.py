@@ -8,6 +8,7 @@ the control nesting expressed by the description.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring
 
 from .behavior import BEHAVIOR, ParsedBehavior, parse_sentence
 from .description import ContractDescription, FunctionChunk, split_signature
@@ -95,18 +96,46 @@ def build_forest(desc: ContractDescription) -> ContractForest:
     return forest
 
 
-def forest_to_json(forest: ContractForest) -> dict:
-    return {
-        "contract": forest.contract_id,
-        "roots": list(forest.roots),
-        "nodes": [
-            {
-                "id": n.id,
-                "kind": n.kind,
-                "text": n.text,
-                "children": list(n.children),
-                **({"behavior": n.behavior.to_json()} if n.behavior else {}),
-            }
-            for n in forest.nodes
-        ],
-    }
+def _behavior_json(parsed: ParsedBehavior) -> str:
+    """A parse as ``{"kind", "fields"}``; a field is a string or, for
+    ``args``, a list of strings."""
+    fields = ",".join(
+        "%s:%s"
+        % (
+            encode_basestring(slot),
+            encode_basestring(value)
+            if isinstance(value, str)
+            else "[%s]" % ",".join(map(encode_basestring, value)),
+        )
+        for slot, value in parsed.fields.items()
+    )
+    return '{"kind":%s,"fields":{%s}}' % (encode_basestring(parsed.kind), fields)
+
+
+def forest_to_json(forest: ContractForest) -> str:
+    """``forest.json`` as compact JSON text (see ``pipeline.write_json``).
+    A parse shared by nodes of the same text is encoded once."""
+    behaviors: dict[int, str] = {}  # id of a parse -> its ',"behavior":...' member
+    nodes = []
+    for n in forest.nodes:
+        if n.behavior is None:
+            member = ""
+        else:
+            member = behaviors.get(id(n.behavior))
+            if member is None:
+                member = behaviors[id(n.behavior)] = ',"behavior":' + _behavior_json(n.behavior)
+        nodes.append(
+            '{"id":%d,"kind":%s,"text":%s,"children":[%s]%s}'
+            % (
+                n.id,
+                encode_basestring(n.kind),
+                encode_basestring(n.text),
+                ",".join(map(str, n.children)),
+                member,
+            )
+        )
+    return '{"contract":%s,"roots":[%s],"nodes":[%s]}' % (
+        encode_basestring(forest.contract_id),
+        ",".join(map(str, forest.roots)),
+        ",".join(nodes),
+    )

@@ -13,6 +13,7 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass, field
 from itertools import chain
+from json.encoder import encode_basestring
 from typing import NamedTuple
 
 from .behavior import CONDITION
@@ -136,19 +137,29 @@ def _transform_function(
         visited[dst] = annotations[0] if len(annotations) == 1 else _ordered_union(*annotations)
 
 
-def graph_to_json(graph: FlowGraph) -> dict:
-    return {
-        "nodes": [
-            {"id": key, "label": ent.display, "flavor": ent.flavor}
-            for key, ent in graph.nodes.items()
-        ],
-        "edges": [
-            {
-                "from": e.src.key(),
-                "to": e.dst.key(),
-                "conditions": list(e.conditions),
-                "function": e.function,
-            }
-            for e in graph.edges
-        ],
-    }
+def conditions_json(conditions: tuple[str, ...]) -> str:
+    """An edge's condition list as JSON text."""
+    return "[%s]" % ",".join(map(encode_basestring, conditions))
+
+
+def graph_to_json(graph: FlowGraph) -> str:
+    """``graph.json`` as compact JSON text (see ``pipeline.write_json``).
+    Each node key, and each condition tuple that edges share, is encoded
+    once."""
+    ids = {key: encode_basestring(key) for key in graph.nodes}
+    nodes = ",".join(
+        '{"id":%s,"label":%s,"flavor":%s}'
+        % (ids[key], encode_basestring(ent.display), encode_basestring(ent.flavor))
+        for key, ent in graph.nodes.items()
+    )
+    conditions: dict[tuple[str, ...], str] = {}
+    edges = []
+    for e in graph.edges:
+        cond = conditions.get(e.conditions)
+        if cond is None:
+            cond = conditions[e.conditions] = conditions_json(e.conditions)
+        edges.append(
+            '{"from":%s,"to":%s,"conditions":%s,"function":%s}'
+            % (ids[e.src.key()], ids[e.dst.key()], cond, encode_basestring(e.function))
+        )
+    return '{"nodes":[%s],"edges":[%s]}' % (nodes, ",".join(edges))

@@ -113,20 +113,23 @@ def open_model(config: RunConfig, threads: int):
         yield transport, pool
 
 
-def write_json(out_dir: str, name: str, payload: dict) -> str:
-    """Write ``payload`` as one line of compact UTF-8 JSON plus a newline.
+def write_json(out_dir: str, name: str, payload: str | dict) -> str:
+    """Write an artifact as one line of compact UTF-8 JSON plus a newline.
 
-    ``json.dumps`` without ``indent`` runs on the C encoder, which ``indent``
-    or ``json.dump`` to a file would leave for the pure-Python one. The
-    converters build fresh payloads, which may share an object but hold no
-    cycle, so the encoder skips its cycle check. The text is encoded before
-    the file is opened, so text that UTF-8 cannot encode (a lone surrogate)
+    ``payload`` is the artifact's JSON text, as the converters of the four
+    large static artifacts build it, or a dict, which ``json.dumps`` encodes
+    here to the same form: no ASCII escaping and no spaces after the
+    separators. Those dicts are built fresh and hold no cycle, so the
+    encoder skips its cycle check. The text is encoded in full before the
+    file is opened, so text that UTF-8 cannot encode (a lone surrogate)
     leaves no file; the newline is a second ``write`` so the encoded bytes
     are not copied.
     """
-    data = json.dumps(
-        payload, ensure_ascii=False, separators=(",", ":"), check_circular=False
-    ).encode()
+    if not isinstance(payload, str):
+        payload = json.dumps(
+            payload, ensure_ascii=False, separators=(",", ":"), check_circular=False
+        )
+    data = payload.encode()
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, name)
     with open(path, "wb") as fh:

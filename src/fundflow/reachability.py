@@ -10,11 +10,12 @@ conditions carried along verbatim.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring
 from operator import itemgetter
 
 from .entities import LIFTER_ALIASES, OPERATION, VARIABLE, EntityId, resolve_sources
 from .forest import ContractForest
-from .graph import FlowGraph
+from .graph import FlowGraph, conditions_json
 
 PREDEFINED_INGRESS = (
     "msg.sender",
@@ -202,23 +203,33 @@ def render_path(path: FundFlowPath) -> str:
     return " ".join(parts)
 
 
-def paths_to_json(result: EnumerationResult, rendered: list[str]) -> dict:
-    """``rendered`` holds ``render_path`` of each path, in result order.
-    Each entity's hop object is built once and shared by every path that
-    passes through it."""
-    hops: dict[EntityId, dict] = {}
-    for p in result.paths:
+def paths_to_json(result: EnumerationResult, rendered: list[str]) -> str:
+    """``paths.json`` as compact JSON text (see ``pipeline.write_json``).
+    ``rendered`` holds ``render_path`` of each path, in result order. Each
+    entity's hop object, and each condition tuple, is encoded once and
+    reused wherever paths share it."""
+    hops: dict[EntityId, str] = {}
+    conditions: dict[tuple[str, ...], str] = {}
+    paths = []
+    for p, text in zip(result.paths, rendered, strict=True):
         for h in p.hops:
             if h not in hops:
-                hops[h] = {"id": h.key(), "display": h.display}
-    return {
-        "truncated": result.truncated,
-        "paths": [
-            {
-                "rendered": text,
-                "hops": [hops[h] for h in p.hops],
-                "conditions": [list(c) for c in p.conditions],
-            }
-            for p, text in zip(result.paths, rendered, strict=True)
-        ],
-    }
+                hops[h] = '{"id":%s,"display":%s}' % (
+                    encode_basestring(h.key()),
+                    encode_basestring(h.display),
+                )
+        for c in p.conditions:
+            if c not in conditions:
+                conditions[c] = conditions_json(c)
+        paths.append(
+            '{"rendered":%s,"hops":[%s],"conditions":[%s]}'
+            % (
+                encode_basestring(text),
+                ",".join([hops[h] for h in p.hops]),
+                ",".join([conditions[c] for c in p.conditions]),
+            )
+        )
+    return '{"truncated":%s,"paths":[%s]}' % (
+        "true" if result.truncated else "false",
+        ",".join(paths),
+    )

@@ -72,7 +72,7 @@ def read_jsonl(path: str, error: type[Exception], **fields: str) -> list[tuple]:
                 continue
             try:
                 row = json.loads(line)
-            except ValueError as exc:
+            except (ValueError, RecursionError) as exc:  # nested too deep
                 raise error(f"{path}:{lineno}: not JSON: {exc}") from exc
             values = tuple(map(row.get, names)) if isinstance(row, dict) else None
             if values is None or not all(rule(v) for rule, v in zip(rules, values)):

@@ -251,7 +251,7 @@ def test_batch_with_a_repeated_contract_id_is_an_error(tmp_path, adv_store, caps
     batch_dir.mkdir()
     (batch_dir / "a.txt").write_text(FIXTURE_TEXT, encoding="utf-8")
     same_id = description_to_json(chunk_flat_text(BENIGN_TEXT, "a"))
-    (batch_dir / "b.json").write_text(json.dumps(same_id), encoding="utf-8")
+    (batch_dir / "b.json").write_text(same_id, encoding="utf-8")
     out = tmp_path / "out"
     code = main(
         ["detect", "-i", str(batch_dir), "-o", str(out), "--transport", "replay", "--store", adv_store]
@@ -271,7 +271,10 @@ def test_batch_with_a_repeated_contract_id_is_an_error(tmp_path, adv_store, caps
         (
             "c.json",
             json.dumps(
-                {**description_to_json(chunk_flat_text(FIXTURE_TEXT)), "contract": "../escaped"}
+                {
+                    **json.loads(description_to_json(chunk_flat_text(FIXTURE_TEXT))),
+                    "contract": "../escaped",
+                }
             ),
             "../escaped",
         ),
@@ -430,6 +433,35 @@ def test_fuse_rejects_a_ranking_fusion_cannot_weigh(tmp_path, capsys, ranked):
     assert not (tmp_path / "out").exists()
 
 
+# deeper than the JSON decoder recurses: a RecursionError, not a ValueError
+DEEP = "[" * 100_000
+
+
+def test_fuse_rejects_deep_nesting(tmp_path, capsys):
+    path = tmp_path / "probes.json"
+    path.write_text(DEEP, encoding="utf-8")
+    assert main(["fuse", "-i", str(path), "-o", str(tmp_path / "out")]) == 1
+    assert f"error: {path}: expected probes.json's" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_eval_rejects_deep_nesting_in_either_file(tmp_path, capsys):
+    good = tmp_path / "good.jsonl"
+    good.write_text('{"id": "a", "label": "benign"}\n', encoding="utf-8")
+    deep = tmp_path / "deep.jsonl"
+    deep.write_text('{"id": "a", "label": "benign"}\n' + DEEP + "\n", encoding="utf-8")
+    for files in ([deep, good], [good, deep]):
+        assert main(["eval", *map(str, files)]) == 1
+        assert f"error: {deep}:2: not JSON" in capsys.readouterr().err
+
+
+def test_sweep_rejects_deep_nesting(tmp_path, capsys):
+    path = tmp_path / "scores.jsonl"
+    path.write_text(DEEP + "\n", encoding="utf-8")
+    assert main(["sweep", "-i", str(path)]) == 1
+    assert f"error: {path}:1: not JSON" in capsys.readouterr().err
+
+
 def test_eval_rejects_a_row_without_label(tmp_path, capsys):
     preds = tmp_path / "preds.jsonl"
     preds.write_text('{"id": "a", "label": "benign"}\n{"id": "b"}\n', encoding="utf-8")
@@ -556,8 +588,9 @@ def test_sweep_rejects_out_of_range_grid(tmp_path, capsys):
         '{"key": "0f3a", "response": "zw\u00f6'.encode()[:-1],  # torn inside a UTF-8 sequence
         b'{"key": "0f3a", "model": "gpt-4o"}\n',
         b'["0f3a", "an answer"]\n',
+        b"[" * 100_000 + b"\n",  # nested deeper than the JSON decoder recurses
     ],
-    ids=["torn", "torn_utf8", "no_response", "list"],
+    ids=["torn", "torn_utf8", "no_response", "list", "deep"],
 )
 def test_corrupt_store_is_runtime_error(tmp_path, fixture_file, adv_store, capsys, tail):
     with open(adv_store, "ab") as fh:

@@ -119,7 +119,7 @@ def test_json_round_trip():
         "function f(a):\nwhen (a > 0)\n  it returns a\nfunction g():\nit returns 1\n",
         contract_id="c1",
     )
-    again = description_from_json(description_to_json(desc))
+    again = description_from_json(json.loads(description_to_json(desc)))
     assert again == desc
 
 
@@ -152,7 +152,7 @@ def test_json_depth_validation():
 def test_load_description_sniffs_json(tmp_path):
     desc = chunk_flat_text("function f():\nit returns 0\n", contract_id="c9")
     json_path = tmp_path / "c9.json"
-    json_path.write_text(json.dumps(description_to_json(desc)))
+    json_path.write_text(description_to_json(desc))
     text_path = tmp_path / "c9.txt"
     text_path.write_text("function f():\nit returns 0\n")
     assert load_description(str(json_path)) == desc
@@ -167,7 +167,7 @@ def test_load_description_skips_a_byte_order_mark(tmp_path, suffix):
         "function f(a):\nit transfers a to the caller\nfunction g():\nit returns 0\n",
         contract_id="c",
     )
-    text = render_flat_text(desc) if suffix == ".txt" else json.dumps(description_to_json(desc))
+    text = render_flat_text(desc) if suffix == ".txt" else description_to_json(desc)
     plain, marked = tmp_path / "plain", tmp_path / "marked"
     for folder, prefix in ((plain, b""), (marked, b"\xef\xbb\xbf")):
         folder.mkdir()

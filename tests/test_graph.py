@@ -1,3 +1,4 @@
+import json
 from bisect import bisect_right
 from itertools import chain
 
@@ -187,7 +188,7 @@ def test_transform_is_deterministic():
 
 
 def test_node_json_shape():
-    data = graph_to_json(transform(make_toy_forest(), TOY_GLOBALS))
+    data = json.loads(graph_to_json(transform(make_toy_forest(), TOY_GLOBALS)))
     by_id = {n["id"]: n for n in data["nodes"]}
     assert by_id["F1:op1#1"] == {"id": "F1:op1#1", "label": "op1", "flavor": "operation"}
     assert by_id["v3"] == {"id": "v3", "label": "v3", "flavor": "variable"}

@@ -13,7 +13,7 @@ from fundflow.description import chunk_flat_text, description_from_json
 from fundflow.errors import FundflowError
 from fundflow.pipeline import RunConfig, run_static
 
-from conftest import ADVERSARIAL_ROWS, ScriptedTransport
+from conftest import ADVERSARIAL_ROWS, FIXTURE_TEXT, ScriptedTransport
 
 # Words of the sentence templates, so that generated text reaches the
 # header, condition and behavior parsers and not only their fallbacks.
@@ -130,3 +130,127 @@ def test_json_values_raise_only_fundflow_errors(value):
             run_static(description_from_json(value), RunConfig(out_dir=out))
         except FundflowError:
             pass
+
+
+# -- inputs that re-enter the pipeline, through the command line -------------
+
+# nested deeper than the JSON decoder recurses, or not, closed or not
+_deep = st.builds(
+    lambda depth, opener, closed: opener * depth + ("]" * depth if closed else ""),
+    st.sampled_from([3, 1_000, 100_000]),
+    st.sampled_from(["[", '{"a":', '{"distributions":[']),
+    st.booleans(),
+)
+_label = st.one_of(
+    st.sampled_from(["adversarial", "suspicion", "uncertain", "benign", "Benign"]), _scalar
+)
+_number = st.one_of(st.floats(), st.integers(-5, 200), _scalar)
+_ranked = st.lists(st.one_of(st.tuples(_label, _number).map(list), _json), max_size=5)
+_probes = st.fixed_dictionaries(
+    {},
+    optional={
+        "distributions": st.one_of(
+            st.lists(
+                st.one_of(
+                    st.fixed_dictionaries(
+                        {},
+                        optional={
+                            "probe": st.one_of(st.text(max_size=8), _scalar),
+                            "ranked": _ranked,
+                        },
+                    ),
+                    _json,
+                ),
+                max_size=6,
+            ),
+            _json,
+        ),
+        "failed": _json,
+    },
+)
+# one JSONL row close to eval's or sweep's schema, or anything else
+_row = st.fixed_dictionaries(
+    {},
+    optional={
+        "id": st.one_of(st.sampled_from(["a", "b", "c"]), _scalar),
+        "label": _label,
+        "adv_score": _number,
+    },
+)
+_line = st.one_of(_row.map(json.dumps), _json.map(json.dumps), _deep, st.text(max_size=30))
+_jsonl = st.lists(_line, max_size=6).map("\n".join)
+_config_line = st.one_of(
+    st.builds(
+        "{} = {}".format,
+        st.sampled_from(
+            [
+                "max_depth", "max_paths", "threshold", "temperature", "max_tokens",
+                "concurrency", "retries", "transport", "model", "unknown",
+            ]
+        ),
+        st.one_of(
+            st.text(max_size=12),
+            st.integers(-3, 10**6).map(str),
+            _deep,
+            st.sampled_from(["nan", "inf", "-0", "1e400", "replay", "live"]),
+        ),
+    ),
+    st.text(max_size=30),
+)
+_config = st.lists(_config_line, max_size=6).map("\n".join)
+
+
+def _exit_code(args: list[str]) -> int:
+    """``main``'s exit code; argparse ends in SystemExit, anything else fails."""
+    try:
+        return main(args)
+    except SystemExit as exc:
+        return exc.code
+
+
+def _write(work: str, name: str, content: str | bytes) -> str:
+    path = os.path.join(work, name)
+    with open(path, "wb") as fh:
+        fh.write(content if isinstance(content, bytes) else content.encode("utf-8"))
+    return path
+
+
+@example(json.dumps({"distributions": [{"probe": "g", "ranked": [["benign", 1e308]] * 2}]}))
+@example("[" * 100_000)
+@settings(deadline=None, max_examples=60)
+@given(st.one_of(_probes.map(json.dumps), _json.map(json.dumps), _deep, st.text(), st.binary()))
+def test_probes_json_through_fuse_ends_in_an_exit_code(content):
+    with tempfile.TemporaryDirectory() as work:
+        path = _write(work, "probes.json", content)
+        assert _exit_code(["fuse", "-i", path, "-o", os.path.join(work, "out")]) in (0, 1, 2, 3)
+
+
+@example('{"id": "a", "label": "benign"}', "[" * 100_000)
+@settings(deadline=None, max_examples=60)
+@given(st.one_of(_jsonl, st.binary()), st.one_of(_jsonl, st.binary()))
+def test_predictions_and_truth_through_eval_end_in_an_exit_code(predictions, truth):
+    with tempfile.TemporaryDirectory() as work:
+        preds = _write(work, "preds.jsonl", predictions)
+        assert _exit_code(["eval", preds, _write(work, "truth.jsonl", truth)]) in (0, 1, 2, 3)
+
+
+@example("[" * 100_000)
+@settings(deadline=None, max_examples=60)
+@given(st.one_of(_jsonl, st.binary()))
+def test_scores_through_sweep_end_in_an_exit_code(scores):
+    with tempfile.TemporaryDirectory() as work:
+        path = _write(work, "scores.jsonl", scores)
+        assert _exit_code(["sweep", "-i", path, "-o", os.path.join(work, "out")]) in (0, 1, 2, 3)
+
+
+@example("max_paths = " + "[" * 100_000)
+@settings(deadline=None, max_examples=60)
+@given(st.one_of(_config, st.text(), st.binary()))
+def test_config_file_through_flow_ends_in_an_exit_code(config):
+    """``flow`` reads every config key and never opens a model, so no value
+    in the file can reach an endpoint."""
+    with tempfile.TemporaryDirectory() as work:
+        description = _write(work, "c.txt", FIXTURE_TEXT)
+        path = _write(work, "run.cfg", config)
+        args = ["flow", "-i", description, "-o", os.path.join(work, "out"), "--config", path]
+        assert _exit_code(args) in (0, 1, 2, 3)

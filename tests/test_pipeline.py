@@ -95,9 +95,13 @@ def test_every_artifact_round_trips(tmp_path, monkeypatch):
     run_detect(desc, config, transport=ScriptedTransport(config.params(), ADVERSARIAL_ROWS))
 
     assert sorted(written) == sorted(STATIC_NAMES + MODEL_NAMES)
+    texts = {"description.json", "forest.json", "graph.json", "paths.json"}
+    assert {name for name, payload in written.items() if isinstance(payload, str)} == texts
     for name, payload in written.items():
         with open(os.path.join(out, name), encoding="utf-8") as fh:
             assert fh.read().count("\n") == 1, name
+        if isinstance(payload, str):
+            payload = json.loads(payload)
         assert read_json(out, name) == payload, name
 
 

@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -154,7 +155,7 @@ def test_render_joins_conditions_with_comma_space():
 def test_paths_json_shape():
     graph, anchors = toy_setup()
     result = prune_and_enumerate(graph, forward_reach(graph, anchors.ingress), anchors)
-    data = paths_to_json(result, [render_path(p) for p in result.paths])
+    data = json.loads(paths_to_json(result, [render_path(p) for p in result.paths]))
     assert data["truncated"] is False
     assert data["paths"][0]["rendered"] == "v2 --[c3]--> v3 --[c1]--> op2"
     assert data["paths"][0]["hops"] == [
