@@ -14,6 +14,7 @@ import json
 import os
 import sys
 import typing
+from concurrent.futures import BrokenExecutor
 from pathlib import Path
 
 from .description import load_description
@@ -290,7 +291,8 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except (FundflowError, OSError, ValueError) as exc:
+    except (FundflowError, OSError, ValueError, BrokenExecutor) as exc:
+        # BrokenExecutor: a batch's worker process died (killed, say)
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -46,10 +46,16 @@ class ReplayMiss(FundflowError):
 
     def __init__(self, key, context=""):
         self.key = key
+        self.context = context
         detail = f"no stored response for key {key}"
         if context:
             detail += f" ({context})"
         super().__init__(detail)
+
+    def __reduce__(self):
+        # rebuilt from its own arguments, not the message, so it crosses a
+        # process boundary whole
+        return type(self), (self.key, self.context)
 
 
 class CorruptStore(FundflowError):

@@ -140,7 +140,7 @@ def write_json(out_dir: str, name: str, payload: str | dict) -> str:
 
 @dataclass
 class StaticArtifacts:
-    enumeration: object
+    enumeration: object  # None when computed in a batch's worker process
     indicators: object
     rendered_paths: list[str]  # render_path of each enumerated path, in order
 
@@ -163,6 +163,12 @@ def run_static(desc: ContractDescription, config: RunConfig) -> StaticArtifacts:
     indicators = compute_indicators(forest)
     write_json(out, "indicators.json", indicators.to_json())
     return StaticArtifacts(enumeration, indicators, rendered_paths)
+
+
+def _static_half(desc: ContractDescription, config: RunConfig) -> StaticArtifacts:
+    """``run_static`` in a batch's worker process. Only what ``assemble_bundle``
+    reads goes back to the parent, not the enumeration."""
+    return replace(run_static(desc, config), enumeration=None)
 
 
 def assemble_bundle(
@@ -191,7 +197,7 @@ def assemble_bundle(
 
 
 def run_probes(
-    desc: ContractDescription, config: RunConfig, transport=None, pool=None
+    desc: ContractDescription, config: RunConfig, transport=None, pool=None, static=None
 ) -> tuple[AnalysisBundle, Stage2Result]:
     """The static half, then both model stages: writes the five static
     artifacts, ``bundle.json`` and ``probes.json``.
@@ -200,9 +206,11 @@ def run_probes(
     missing or corrupt store still leaves them. Without a ``transport``,
     both stages share what ``open_model`` gives for ``config.concurrency``
     threads. A ``transport`` passed in is queried as it is, on ``pool``, or
-    in the calling thread when that is None.
+    in the calling thread when that is None. ``static`` is the static half
+    already under way elsewhere, a future of its ``StaticArtifacts`` that
+    this waits on; without it the static half runs here.
     """
-    static = run_static(desc, config)
+    static = run_static(desc, config) if static is None else static.result()
     if transport is None:
         model = open_model(config, config.concurrency)
     else:
@@ -229,11 +237,12 @@ def run_fusion(
 
 
 def run_detect(
-    desc: ContractDescription, config: RunConfig, transport=None, pool=None
+    desc: ContractDescription, config: RunConfig, transport=None, pool=None, static=None
 ) -> tuple[Verdict, AnalysisBundle]:
     """Full pipeline for one contract; artifacts land in config.out_dir. A
-    ``transport`` passed in is queried on ``pool``, or inline when it is None."""
-    bundle, stage2 = run_probes(desc, config, transport, pool)
+    ``transport`` passed in is queried on ``pool``, or inline when it is None;
+    ``static`` is as for ``run_probes``."""
+    bundle, stage2 = run_probes(desc, config, transport, pool, static)
     _, verdict = run_fusion(stage2.distributions, config)
     return verdict, bundle
 
@@ -244,6 +253,13 @@ def run_batch(
     """Detect over many contracts with a bounded worker pool; each contract
     writes into its own subdirectory of the configured output directory.
 
+    Each contract's static half, which needs no model, runs in one of N
+    forked worker processes, and its model half in one of N threads of this
+    process, for N = ``config.concurrency``. Every static half is submitted,
+    in input order, before the model is opened or any thread is started, so
+    the static halves run ahead of the model halves that wait on them. Where
+    the platform has no ``fork``, each thread runs its static half itself.
+
     All contracts share one transport, so a store is loaded once per batch
     and a record store has one writer. Whatever the transport, each distinct
     query key is asked once per batch: a live or replay transport is put
@@ -253,13 +269,15 @@ def run_batch(
     A contract that fails cancels none of the others: every contract runs to
     its end, and then the first failure, in input order, is raised.
     Live or recorded queries share one pool of N×N threads for N workers,
-    so a contract may use the query slots its neighbours leave idle while
-    they run their static half.
+    so a contract may use the query slots its neighbours leave idle.
 
     Each contract id names its output directory, so an id that is not one
     plain path component (empty, ``.``, ``..``, or holding a path separator
     or NUL) raises ``InvalidDescription`` before any contract runs.
     """
+    import multiprocessing
+    from concurrent.futures.process import ProcessPoolExecutor
+
     for desc in descriptions:
         cid = desc.contract_id
         if cid in ("", ".", "..") or any(c and c in cid for c in _SEPARATORS):
@@ -267,18 +285,36 @@ def run_batch(
                 f"contract id {cid!r} is not a plain directory name under {config.out_dir}"
             )
     workers = config.concurrency
-    with (
-        open_model(config, workers * workers) as (transport, queries),
-        ThreadPoolExecutor(max_workers=workers) as pool,
-    ):
+    jobs = [
+        (desc, replace(config, out_dir=os.path.join(config.out_dir, desc.contract_id)))
+        for desc in descriptions
+    ]
+    halves = [None] * len(jobs)
+    statics = None
+    if "fork" in multiprocessing.get_all_start_methods():
+        statics = ProcessPoolExecutor(workers, multiprocessing.get_context("fork"))
+    try:
+        if statics is not None:
+            # under fork the first submit starts every worker process: no
+            # worker inherits a store handle, a connection or a thread
+            halves = [statics.submit(_static_half, *job) for job in jobs]
+        with (
+            open_model(config, workers * workers) as (transport, queries),
+            ThreadPoolExecutor(max_workers=workers) as pool,
+        ):
 
-        def worker(desc: ContractDescription) -> tuple[str, Verdict]:
-            sub = replace(config, out_dir=os.path.join(config.out_dir, desc.contract_id))
-            verdict, _ = run_detect(desc, sub, transport, queries)
-            return desc.contract_id, verdict
+            def worker(desc, sub, half) -> tuple[str, Verdict]:
+                verdict, _ = run_detect(desc, sub, transport, queries, half)
+                return desc.contract_id, verdict
 
-        # not pool.map, whose first failure cancels the contracts not yet
-        # started, or not, as the threads happen to run
-        futures = [pool.submit(worker, desc) for desc in descriptions]
-        results = [future.result() for future in futures]
+            # not pool.map, whose first failure cancels the contracts not yet
+            # started, or not, as the threads happen to run
+            futures = [pool.submit(worker, *job, half) for job, half in zip(jobs, halves)]
+            del halves  # each static result is freed with its contract's task
+            results = [future.result() for future in futures]
+    finally:
+        if statics is not None:
+            # every half has run unless the model failed to open: then those
+            # still queued are dropped
+            statics.shutdown(cancel_futures=True)
     return dict(results)

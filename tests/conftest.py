@@ -31,8 +31,9 @@ HTTP_STACK = ("requests", "urllib3")
 
 def run_fresh(*args, cwd=None):
     """``python -X importtime *args`` in a fresh interpreter on the sources in
-    src/. Returns the finished process and the top-level name of every
-    module it imported."""
+    src/. Returns the finished process and the name of every module it
+    imported, with each package above it (``concurrent.futures.process``
+    adds ``concurrent`` and ``concurrent.futures`` too)."""
     env = dict(os.environ, PYTHONPATH=os.path.join(_ROOT, "src"))
     proc = subprocess.run(
         [sys.executable, "-X", "importtime", *args],
@@ -42,11 +43,11 @@ def run_fresh(*args, cwd=None):
         text=True,
         timeout=120,
     )
-    imported = {
-        line.rsplit("|", 1)[1].strip().split(".")[0]
-        for line in proc.stderr.splitlines()
-        if line.startswith("import time:")
-    }
+    imported = set()
+    for line in proc.stderr.splitlines():
+        if line.startswith("import time:"):
+            parts = line.rsplit("|", 1)[1].strip().split(".")
+            imported.update(".".join(parts[: i + 1]) for i in range(len(parts)))
     return proc, imported
 
 

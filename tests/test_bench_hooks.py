@@ -59,6 +59,16 @@ def test_bench_runs_a_replayed_batch(bench_run, tmp_path):
     assert runner.counter.value > 0
 
 
+def test_an_untraced_batch_phase_times_every_contract(bench_run, tmp_path):
+    """The bench times a batch's contracts by wrapping ``pipeline.run_detect``,
+    so ``run_batch`` must call it once per contract."""
+    runner = bench_run.Runner(bench_run.WORKLOADS["batch_replay"], 1, str(tmp_path))
+    runner.setup(0)
+    contracts, _ = runner.phase(units=1)
+    assert contracts == len(runner.samples) == 64
+    assert (runner.failed, runner.errors) == (0, [])
+
+
 def test_bench_runs_a_static_large_contract(bench_run, tmp_path):
     runner = bench_run.Runner(bench_run.WORKLOADS["static_large"], 1, str(tmp_path))
     runner.single(None)

@@ -731,6 +731,38 @@ def test_only_a_live_transport_loads_the_http_stack(tmp_path, adv_store, args, e
     )
 
 
+PROCESS_POOL = ("multiprocessing", "concurrent.futures.process")
+
+
+@pytest.mark.parametrize(
+    "args, expect_pool",
+    [
+        (["-c", "import fundflow.cli"], False),
+        (["-m", "fundflow.cli", "flow", "-i", "c_adv.txt", "-o", "flow"], False),
+        (
+            ["-m", "fundflow.cli", "detect", "-i", "c_adv.txt", "-o", "replay",
+             "--transport", "replay", "--store", "store.jsonl"],
+            False,
+        ),
+        # the check itself sees the pool once a batch starts one
+        (
+            ["-m", "fundflow.cli", "detect", "-i", "batch", "-o", "batch_out",
+             "--transport", "replay", "--store", "store.jsonl"],
+            True,
+        ),
+    ],
+)
+def test_only_a_batch_loads_the_process_pool(tmp_path, adv_store, args, expect_pool):
+    (tmp_path / "c_adv.txt").write_text(FIXTURE_TEXT, encoding="utf-8")
+    (tmp_path / "batch").mkdir()
+    (tmp_path / "batch" / "c_adv.txt").write_text(FIXTURE_TEXT, encoding="utf-8")
+    proc, imported = run_fresh(*args, cwd=tmp_path)
+    assert proc.returncode in (0, 3), proc.stderr
+    assert {name: name in imported for name in PROCESS_POOL} == dict.fromkeys(
+        PROCESS_POOL, expect_pool
+    )
+
+
 def test_config_file_unknown_key(tmp_path):
     config_path = tmp_path / "bad.cfg"
     config_path.write_text("api_key = secret\n", encoding="utf-8")
