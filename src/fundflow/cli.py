@@ -141,7 +141,7 @@ def cmd_flow(args: argparse.Namespace) -> int:
     static = run_static(desc, config)
     for rendered in static.rendered_paths:
         print(rendered)
-    if static.enumeration.truncated:
+    if static.truncated:
         print("warning: enumeration truncated by limits", file=sys.stderr)
     return 0
 

@@ -140,7 +140,7 @@ def write_json(out_dir: str, name: str, payload: str | dict) -> str:
 
 @dataclass
 class StaticArtifacts:
-    enumeration: object  # None when computed in a batch's worker process
+    truncated: bool  # whether a limit cut the path enumeration
     indicators: object
     rendered_paths: list[str]  # render_path of each enumerated path, in order
 
@@ -162,13 +162,13 @@ def run_static(desc: ContractDescription, config: RunConfig) -> StaticArtifacts:
     write_json(out, "paths.json", paths_to_json(enumeration, rendered_paths))
     indicators = compute_indicators(forest)
     write_json(out, "indicators.json", indicators.to_json())
-    return StaticArtifacts(enumeration, indicators, rendered_paths)
+    return StaticArtifacts(enumeration.truncated, indicators, rendered_paths)
 
 
 def _static_half(desc: ContractDescription, config: RunConfig) -> StaticArtifacts:
-    """``run_static`` in a batch's worker process. Only what ``assemble_bundle``
-    reads goes back to the parent, not the enumeration."""
-    return replace(run_static(desc, config), enumeration=None)
+    """``run_static`` under a module-level name that a worker process can be
+    sent; it looks ``run_static`` up when the half runs."""
+    return run_static(desc, config)
 
 
 def assemble_bundle(
@@ -258,7 +258,7 @@ def run_batch(
     process, for N = ``config.concurrency``. Every static half is submitted,
     in input order, before the model is opened or any thread is started, so
     the static halves run ahead of the model halves that wait on them. Where
-    the platform has no ``fork``, each thread runs its static half itself.
+    the platform has no ``fork``, N threads run the static halves instead.
 
     All contracts share one transport, so a store is loaded once per batch
     and a record store has one writer. Whatever the transport, each distinct
@@ -273,48 +273,46 @@ def run_batch(
 
     Each contract id names its output directory, so an id that is not one
     plain path component (empty, ``.``, ``..``, or holding a path separator
-    or NUL) raises ``InvalidDescription`` before any contract runs.
+    or NUL) or that two contracts share raises ``InvalidDescription`` before
+    any contract runs.
     """
     import multiprocessing
     from concurrent.futures.process import ProcessPoolExecutor
 
+    jobs = {}  # contract id: (description, its config), in input order
     for desc in descriptions:
         cid = desc.contract_id
         if cid in ("", ".", "..") or any(c and c in cid for c in _SEPARATORS):
             raise InvalidDescription(
                 f"contract id {cid!r} is not a plain directory name under {config.out_dir}"
             )
+        if cid in jobs:
+            raise InvalidDescription(f"contract id {cid!r} is given to more than one contract")
+        jobs[cid] = (desc, replace(config, out_dir=os.path.join(config.out_dir, cid)))
     workers = config.concurrency
-    jobs = [
-        (desc, replace(config, out_dir=os.path.join(config.out_dir, desc.contract_id)))
-        for desc in descriptions
-    ]
-    halves = [None] * len(jobs)
-    statics = None
     if "fork" in multiprocessing.get_all_start_methods():
         statics = ProcessPoolExecutor(workers, multiprocessing.get_context("fork"))
+    else:
+        statics = ThreadPoolExecutor(workers)
     try:
-        if statics is not None:
-            # under fork the first submit starts every worker process: no
-            # worker inherits a store handle, a connection or a thread
-            halves = [statics.submit(_static_half, *job) for job in jobs]
+        # under fork the first submit starts every worker process: no
+        # worker inherits a store handle, a connection or a thread
+        halves = [statics.submit(_static_half, *job) for job in jobs.values()]
         with (
             open_model(config, workers * workers) as (transport, queries),
             ThreadPoolExecutor(max_workers=workers) as pool,
         ):
-
-            def worker(desc, sub, half) -> tuple[str, Verdict]:
-                verdict, _ = run_detect(desc, sub, transport, queries, half)
-                return desc.contract_id, verdict
-
             # not pool.map, whose first failure cancels the contracts not yet
             # started, or not, as the threads happen to run
-            futures = [pool.submit(worker, *job, half) for job, half in zip(jobs, halves)]
+            futures = [
+                pool.submit(run_detect, *job, transport, queries, half)
+                for job, half in zip(jobs.values(), halves)
+            ]
             del halves  # each static result is freed with its contract's task
-            results = [future.result() for future in futures]
+            futures.reverse()  # popped as read: each bundle is freed with its verdict
+            verdicts = {cid: futures.pop().result()[0] for cid in jobs}
     finally:
-        if statics is not None:
-            # every half has run unless the model failed to open: then those
-            # still queued are dropped
-            statics.shutdown(cancel_futures=True)
-    return dict(results)
+        # every half has run unless the model failed to open: then those
+        # still queued are dropped
+        statics.shutdown(cancel_futures=True)
+    return verdicts

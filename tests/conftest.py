@@ -3,6 +3,7 @@ from the scripted model's rank tables, and the fixture contract text."""
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 import socket
 import subprocess
@@ -63,6 +64,14 @@ def loopback_only(monkeypatch):
         return resolve(host, *args, **kwargs)
 
     monkeypatch.setattr(socket, "getaddrinfo", guarded)
+
+
+@pytest.fixture(autouse=True)
+def no_process_left():
+    """No test leaves a worker process behind, such as one of a batch's
+    static-half workers."""
+    yield
+    assert multiprocessing.active_children() == []
 
 
 def distribution(kind: str, rows) -> ProbeDistribution:

@@ -1,7 +1,8 @@
 """A batch's static halves run in forked worker processes, and the process
 boundary changes nothing a caller can see: the same artifacts, the same
-errors, no process left behind, and workers that fork before the model is
-opened or any thread of the batch starts."""
+errors, and workers that fork before the model is opened or any thread of
+the batch starts. ``conftest.no_process_left`` checks after every test that
+no worker outlives it."""
 
 import multiprocessing
 import os
@@ -21,12 +22,6 @@ from test_pipeline import MODEL_NAMES, STATIC_NAMES, record_config, use_model
 
 # a sentence two levels deeper than the one before it
 BAD_NESTING = "function f(param1):\nit returns stor_1\n    it returns stor_2\n"
-
-
-@pytest.fixture(autouse=True)
-def no_process_left():
-    yield
-    assert multiprocessing.active_children() == []
 
 
 @pytest.fixture

@@ -244,6 +244,25 @@ def test_detect_on_a_one_file_directory_is_a_batch(tmp_path, adv_store, capsys):
     assert os.path.exists(os.path.join(out, "c_adv", "verdict.json"))
 
 
+def test_detect_on_a_directory_without_descriptions_is_an_error(tmp_path, capsys):
+    batch_dir = tmp_path / "contracts"
+    batch_dir.mkdir()
+    (batch_dir / "notes.md").write_text(FIXTURE_TEXT, encoding="utf-8")
+    (batch_dir / "sub.txt").mkdir()  # a directory, not a description
+    out = tmp_path / "out"
+    code = main(
+        [
+            "detect", "-i", str(batch_dir), "-o", str(out),
+            "--transport", "replay", "--store", str(tmp_path / "s.jsonl"),
+        ]
+    )
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: no .txt or .json descriptions in {batch_dir}\n"
+    assert not out.exists()
+
+
 def test_batch_with_a_repeated_contract_id_is_an_error(tmp_path, adv_store, capsys):
     """Two files that describe one contract id would share one output
     directory; the batch stops before any contract runs."""

@@ -149,6 +149,23 @@ def test_json_depth_validation():
         description_from_json(doc)
 
 
+@pytest.mark.parametrize(
+    "function, error",
+    [
+        (5, "functions[0] must be an object"),
+        (
+            {"signature": "f()", "sentences": [{"text": "", "depth": 0}]},
+            "functions[0].sentences[0].text must be a non-empty string",
+        ),
+    ],
+    ids=["function_not_an_object", "empty_sentence_text"],
+)
+def test_json_value_of_the_wrong_kind_rejected(function, error):
+    with pytest.raises(InvalidDescription) as raised:
+        description_from_json({"contract": "c", "functions": [function]})
+    assert str(raised.value) == error
+
+
 def test_load_description_sniffs_json(tmp_path):
     desc = chunk_flat_text("function f():\nit returns 0\n", contract_id="c9")
     json_path = tmp_path / "c9.json"

@@ -1,4 +1,5 @@
-"""The five static artifacts of one large description, pinned by sha256.
+"""The artifacts of one large description, pinned by sha256: the five static
+ones, and the four of the model half with the record store's lines.
 
 The demo contract has two functions, too few for a slip in iteration order,
 occurrence numbering, name resolution or edge annotation to show. The
@@ -6,9 +7,10 @@ description built here has 60 functions, sentences under up to 5 nested
 conditions, some nested in their own text, storage and local names shared
 across functions, repeated calls to one target in one function, literals of
 every kind, and a path enumeration that the default limits truncate. It is
-built by arithmetic alone, so it is the same in every process. The digests
-were recorded from the static half before its records were reworked for
-speed, and must not change.
+built by arithmetic alone, so it is the same in every process. The static
+digests were recorded from the static half before its records were reworked
+for speed, the model-half ones with the scripted model before a batch's
+static halves and model halves had one result shape, and none may change.
 """
 
 from __future__ import annotations
@@ -18,9 +20,13 @@ import json
 import os
 import subprocess
 import sys
+from contextlib import closing
 
 from fundflow.description import chunk_flat_text
-from fundflow.pipeline import RunConfig, run_static
+from fundflow.pipeline import RunConfig, run_detect, run_static
+from fundflow.transport import RecordTransport
+
+from conftest import ADVERSARIAL_ROWS, ScriptedTransport
 
 ARTIFACTS = ("description.json", "forest.json", "graph.json", "paths.json", "indicators.json")
 
@@ -30,6 +36,16 @@ GOLDEN = {
     "graph.json": "5677f4f6c8502c8ac4cf27e98b4115d7f9430bac88385de8c733290f9011965e",
     "paths.json": "bd406cffdef0d551fe18877d7b56979ee0297bfa9f6dc5ec91fbcfcf1a771642",
     "indicators.json": "e7d2764b98be121557c815a770626174a6df8c771ba787f55bc8828134b0ba52",
+}
+
+# the store's lines are hashed sorted, so the digest does not depend on the
+# order in which the queries were asked
+MODEL_GOLDEN = {
+    "bundle.json": "1b41de2014018fcbe004e62137ef59e21dec891981e7c9c072a9b186da0fad14",
+    "probes.json": "2faaf63f7da775d42361b259655f12b42c6d9775c7cd6be8b1b6ec127960ff0f",
+    "fusion.json": "946ac47e5d40a8f7fb854cd424a2fe29c127ddece56d3f7f7f0f38d3b55f7294",
+    "verdict.json": "590e8cb679254a083c2d649d6f2d5262d49d949e47dea8fe93ff3e01c0bd7a38",
+    "store lines": "90ec621fda0b0871b7aacb62a3e8459722c5f79da6903b4f3ae6f559e49b0ba9",
 }
 
 FUNCTIONS = 60
@@ -94,14 +110,34 @@ def golden_text() -> str:
     return "\n".join(lines) + "\n"
 
 
+def file_digests(out_dir: str, names) -> dict[str, str]:
+    digests = {}
+    for name in names:
+        with open(os.path.join(out_dir, name), "rb") as fh:
+            digests[name] = hashlib.sha256(fh.read()).hexdigest()
+    return digests
+
+
 def static_digests(out_dir: str) -> dict[str, str]:
     desc = chunk_flat_text(golden_text(), "golden")
     static = run_static(desc, RunConfig(out_dir=out_dir))
-    assert static.enumeration.truncated
-    digests = {}
-    for name in ARTIFACTS:
-        with open(os.path.join(out_dir, name), "rb") as fh:
-            digests[name] = hashlib.sha256(fh.read()).hexdigest()
+    assert static.truncated
+    return file_digests(out_dir, ARTIFACTS)
+
+
+def model_digests(out_dir: str) -> dict[str, str]:
+    """Detect the golden description with the scripted model behind a record
+    store; the digests of the model half's artifacts and the store's lines."""
+    desc = chunk_flat_text(golden_text(), "golden")
+    config = RunConfig(out_dir=out_dir)
+    store = os.path.join(out_dir, "store.jsonl")
+    inner = ScriptedTransport(config.params(), ADVERSARIAL_ROWS)
+    with closing(RecordTransport(inner, store)) as transport:
+        run_detect(desc, config, transport)
+    digests = file_digests(out_dir, [name for name in MODEL_GOLDEN if name.endswith(".json")])
+    with open(store, "rb") as fh:
+        lines = sorted(fh.read().splitlines(keepends=True))
+    digests["store lines"] = hashlib.sha256(b"".join(lines)).hexdigest()
     return digests
 
 
@@ -118,6 +154,10 @@ def test_golden_description_has_the_shape_it_claims():
 
 def test_static_artifacts_match_the_recorded_digests(tmp_path):
     assert static_digests(str(tmp_path)) == GOLDEN
+
+
+def test_model_half_matches_the_recorded_digests(tmp_path):
+    assert model_digests(str(tmp_path)) == MODEL_GOLDEN
 
 
 def test_static_artifacts_do_not_depend_on_the_hash_seed(tmp_path):

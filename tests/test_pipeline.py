@@ -1,16 +1,20 @@
+import gc
 import itertools
 import json
 import os
 import sys
 import threading
 import time
+import weakref
 from pathlib import Path
 
 import pytest
 
 from fundflow.description import chunk_flat_text
 from fundflow import pipeline
-from fundflow.errors import ReplayMiss, TransportError, UsageError
+from fundflow.errors import InvalidDescription, ReplayMiss, TransportError, UsageError
+from fundflow.forest import build_forest
+from fundflow.graph import transform
 from fundflow.pipeline import (
     RunConfig,
     assemble_bundle,
@@ -21,7 +25,14 @@ from fundflow.pipeline import (
     write_json,
 )
 from fundflow.probing import run_stage1
-from fundflow.reachability import render_path
+from fundflow.reachability import (
+    AnchorSets,
+    forward_reach,
+    identify_egress,
+    identify_ingress,
+    prune_and_enumerate,
+    render_path,
+)
 from fundflow.transport import LiveTransport, RecordTransport, ReplayTransport
 
 from conftest import ADVERSARIAL_ROWS, BENIGN_ROWS, FIXTURE_TEXT, ScriptedTransport
@@ -110,7 +121,13 @@ def test_paths_rendered_once_for_both_consumers(tmp_path):
     config = RunConfig(out_dir=out)
     desc = chunk_flat_text(FIXTURE_TEXT, "fixture")
     static = run_static(desc, config)
-    assert static.rendered_paths == [render_path(p) for p in static.enumeration.paths]
+    forest = build_forest(desc)
+    graph = transform(forest)
+    anchors = AnchorSets(ingress=identify_ingress(graph, forest), egress=identify_egress(graph))
+    reach = forward_reach(graph, anchors.ingress)
+    enumeration = prune_and_enumerate(graph, reach, anchors, config.limits())
+    assert static.rendered_paths == [render_path(p) for p in enumeration.paths]
+    assert static.truncated == enumeration.truncated
     assert [p["rendered"] for p in read_json(out, "paths.json")["paths"]] == (
         static.rendered_paths
     )
@@ -270,6 +287,18 @@ def test_run_batch_per_contract_directories(tmp_path):
     assert verdicts["c_ben"].label == "benign"
     for cid in ("c_adv", "c_ben"):
         assert os.path.exists(str(tmp_path / "batch" / cid / "verdict.json"))
+
+
+def test_run_batch_rejects_a_repeated_contract_id(tmp_path, monkeypatch):
+    """Two contracts with one id would write one output directory; the batch
+    stops before any static half or query runs."""
+    model = use_model(monkeypatch, CountingScripted(RunConfig().params(), ADVERSARIAL_ROWS))
+    descs = [chunk_flat_text(FIXTURE_TEXT, "x"), chunk_flat_text(BENIGN_TEXT, "x")]
+    config = record_config(tmp_path, concurrency=2)
+    with pytest.raises(InvalidDescription, match="^contract id 'x' is given to more than one"):
+        run_batch(descs, config)
+    assert model.calls == 0
+    assert not os.path.exists(config.out_dir) and not os.path.exists(config.store)
 
 
 def test_open_model_validation(tmp_path):
@@ -543,6 +572,26 @@ def test_batch_never_exceeds_n_times_n_queries_in_flight(tmp_path, monkeypatch):
     model = use_model(monkeypatch, SleepingModel(RunConfig().params(), delay=0.01))
     run_batch(distinct_contracts(6), record_config(tmp_path, concurrency=2))
     assert model.peak <= 4
+
+
+def test_a_batch_frees_each_bundle_once_its_verdict_is_read(tmp_path, monkeypatch):
+    """A batch keeps each contract's verdict, not its bundle: when a
+    contract's bundle is assembled, at most the few before it that are still
+    running or not yet read are alive."""
+    use_model(monkeypatch, SleepingModel(RunConfig().params(), delay=0))
+    refs, alive = [], []
+    assemble = pipeline.assemble_bundle
+
+    def watched(*args):
+        gc.collect()
+        alive.append(sum(ref() is not None for ref in refs))
+        bundle = assemble(*args)
+        refs.append(weakref.ref(bundle))
+        return bundle
+
+    monkeypatch.setattr(pipeline, "assemble_bundle", watched)
+    run_batch(distinct_contracts(16), record_config(tmp_path, concurrency=2))
+    assert len(alive) == 16 and max(alive) <= 6, alive
 
 
 @pytest.mark.parametrize("contracts", [1, 6])

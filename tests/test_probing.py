@@ -71,6 +71,13 @@ def test_non_letter_guess_rejected():
         parse_ranked_response(text)
 
 
+def test_confidence_without_a_number_rejected():
+    text = "G1: A\nP1: 70\nG2: B\nP2: most\nG3: C\nP3: 7\nG4: D\nP4: 3\n"
+    with pytest.raises(MalformedResponse) as raised:
+        parse_ranked_response(text)
+    assert str(raised.value) == "P2 does not carry a number: 'most'"
+
+
 @pytest.mark.parametrize("confs", [(50, 20, 7, 3), (70, 30, 15, 5)])
 def test_sum_outside_band_rejected(confs):
     lines = []
