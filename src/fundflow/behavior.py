@@ -73,17 +73,39 @@ _TEMPLATES = [
 ]
 
 
+# The specific templates open with "it <verb> ", a verb no other template
+# shares, so a sentence can match only the template its verb names, or the
+# catch-all. A case-insensitive pattern picks that template by the group
+# named after its kind: it folds case as the templates do, so "ıt" and "İT"
+# open a template as "it" does.
+_BY_KIND = {row[0]: row for row in _TEMPLATES}
+_VERB_RE = re.compile(
+    "it (?:%s)"
+    % "|".join(
+        "(?P<%s>%s)" % (kind, verb[1])
+        for kind, template, _ in _TEMPLATES
+        if (verb := re.match(r"it (\w+)", template.pattern))
+    ),
+    re.IGNORECASE,
+)
+_CATCH_ALL = _TEMPLATES[-1][1]
+
+
 def _match_behavior(text: str) -> ParsedBehavior | None:
     """The first template that matches all of ``text``, already stripped:
     its named groups are the fields, a group that took no part is left out,
     and ``args`` is split on commas."""
-    for kind, template, slots in _TEMPLATES:
+    verb = _VERB_RE.match(text)
+    if verb:
+        kind, template, slots = _BY_KIND[verb.lastgroup]
         m = template.fullmatch(text)
         if m:
             fields = {slot: m[slot] for slot in slots if m[slot] is not None}
             if "args" in fields:
-                fields["args"] = [a.strip() for a in fields["args"].split(",") if a.strip()]
+                fields["args"] = [a for a in map(str.strip, fields["args"].split(",")) if a]
             return ParsedBehavior(kind, fields)
+    if _CATCH_ALL.fullmatch(text):
+        return ParsedBehavior(OTHER, {})
     return None
 
 
@@ -103,15 +125,3 @@ def parse_sentence(text: str) -> tuple[str, ParsedBehavior | None]:
         return UNKNOWN, None
     return BEHAVIOR, parsed
 
-
-def classify_sentence(text: str) -> str:
-    """The kind ``parse_sentence`` assigns to ``text``."""
-    return parse_sentence(text)[0]
-
-
-def parse_behavior(text: str) -> ParsedBehavior:
-    """Parse a behavior sentence; requires classify_sentence(text) == 'behavior'."""
-    parsed = parse_sentence(text)[1]
-    if parsed is None:
-        raise ValueError(f"not a behavior sentence: {text!r}")
-    return parsed

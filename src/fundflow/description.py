@@ -26,7 +26,7 @@ def split_signature(signature: str) -> tuple[str, tuple[str, ...]]:
     """``"name(a, b)"`` -> ``("name", ("a", "b"))``; blank parameters drop out."""
     name, _, rest = signature.partition("(")
     inner = rest.rsplit(")", 1)[0]
-    return name, tuple(p.strip() for p in inner.split(",") if p.strip())
+    return name, tuple([p for p in map(str.strip, inner.split(",")) if p])
 
 
 class Sentence(NamedTuple):
@@ -86,30 +86,35 @@ def chunk_flat_text(text: str, contract_id: str = "contract") -> ContractDescrip
         raise NoFunctionsFound("empty description text")
 
     chunks: list[tuple[str, list[Sentence]]] = []  # (signature, sentences)
+    sentences: list[Sentence] | None = None  # of the last header's function
     ignored = 0
+    new_sentence = tuple.__new__  # as Sentence(text, depth), without its Python-level __new__
     for lineno, line in enumerate(text.splitlines(), start=1):
         content = line.strip()
         if not content:
             continue
-        header = _HEADER_RE.match(content)
+        # the header pattern is anchored on this literal
+        header = content.startswith("function") and _HEADER_RE.match(content)
         if header:
-            chunks.append((_normalize_signature(header.group(1) + header.group(2)), []))
+            sentences = []
+            chunks.append((_normalize_signature(header.group(1) + header.group(2)), sentences))
             continue
-        if not chunks:
+        if sentences is None:
             ignored += 1
             continue
         stripped = line.lstrip(" ")
-        indent = len(line) - len(stripped)
         if stripped[0].isspace():
             raise InvalidDescription(
                 f"line {lineno}: indentation must be spaces, not {stripped[0]!r}"
             )
+        indent = len(line) - len(stripped)
         if indent % INDENT_WIDTH:
             raise InvalidDescription(
                 f"line {lineno}: indentation of {indent} spaces is not "
                 f"a multiple of {INDENT_WIDTH}"
             )
-        chunks[-1][1].append(Sentence(stripped.rstrip(), indent // INDENT_WIDTH))
+        # stripped starts with no whitespace, so its text is the content
+        sentences.append(new_sentence(Sentence, (content, indent // INDENT_WIDTH)))
 
     if not chunks:
         raise NoFunctionsFound("no 'function <name>(<params>):' header line found")
@@ -118,14 +123,18 @@ def chunk_flat_text(text: str, contract_id: str = "contract") -> ContractDescrip
     return ContractDescription(contract_id, functions, ignored_lines=ignored)
 
 
+def render_function(chunk: FunctionChunk) -> str:
+    """One function in the flat-text encoding, every line ending in a newline."""
+    lines = [f"function {chunk.signature}:"]
+    lines += [" " * (INDENT_WIDTH * depth) + text for text, depth in chunk.sentences]
+    lines.append("")
+    return "\n".join(lines)
+
+
 def render_flat_text(desc: ContractDescription) -> str:
-    """Render a description back to the flat-text encoding."""
-    lines: list[str] = []
-    for chunk in desc.functions:
-        lines.append(f"function {chunk.signature}:")
-        for text, depth in chunk.sentences:
-            lines.append(" " * (INDENT_WIDTH * depth) + text)
-    return "\n".join(lines) + "\n"
+    """Render a description back to the flat-text encoding: its functions'
+    texts in order, or a newline when there are none."""
+    return "".join(map(render_function, desc.functions)) or "\n"
 
 
 def _require_keys(obj: dict, allowed: set[str], where: str) -> None:
@@ -197,8 +206,10 @@ def description_to_json(desc: ContractDescription) -> str:
         % (
             encode_basestring(chunk.signature),
             ",".join(
-                '{"text":%s,"depth":%d}' % (encode_basestring(text), depth)
-                for text, depth in chunk.sentences
+                [
+                    '{"text":%s,"depth":%d}' % (encode_basestring(text), depth)
+                    for text, depth in chunk.sentences
+                ]
             ),
         )
         for chunk in desc.functions

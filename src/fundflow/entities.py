@@ -69,9 +69,7 @@ class EntityId:
     def display(self) -> str:
         """Human-facing label: operations show their call label, local
         variables show ``function:name``, globals show the bare name."""
-        if self.flavor == OPERATION or not self.scope:
-            return self.name
-        return f"{self.scope}:{self.name}"
+        return self.name if self.flavor == OPERATION else self._key
 
     def key(self) -> str:
         return self._key
@@ -153,6 +151,9 @@ class PropagationTuple(NamedTuple):
     dst: EntityId | None
 
 
+_NO_FLOW = PropagationTuple((), None)
+
+
 def extract_tuple(
     parsed: bh.ParsedBehavior,
     scope: str,
@@ -188,7 +189,7 @@ def extract_tuple(
         # recipient receives funds but does not feed data into the sink
         raws, label = (f["value"],), "transfer"
     else:
-        return PropagationTuple((), None)
+        return _NO_FLOW
     sources = resolve_sources(raws, scope, extra_globals, resolved)
     if op_counts is None:
         op_counts = {}

@@ -19,12 +19,13 @@ FUNCTION = "function"
 
 @dataclass(slots=True)
 class DepNode:
-    """One forest node; ``behavior`` is set iff kind == 'behavior'."""
+    """One forest node; ``behavior`` is set iff kind == 'behavior'.
+    ``build_forest`` gives a leaf the empty tuple as its children."""
 
     id: int
     kind: str
     text: str
-    children: list[int] = field(default_factory=list)
+    children: list[int] | tuple[()] = field(default_factory=list)
     behavior: ParsedBehavior | None = None
 
 
@@ -55,66 +56,74 @@ class ContractForest:
 def _build_tree(
     forest: ContractForest,
     chunk: FunctionChunk,
-    parsed: dict[str, tuple[str, ParsedBehavior | None]],
+    first: dict[str, DepNode],
 ) -> int:
-    root = DepNode(id=len(forest.nodes), kind=FUNCTION, text=chunk.signature)
-    forest.nodes.append(root)
-    forest.roots.append(root.id)
+    """Append one function's nodes in preorder. A leaf shares the empty
+    tuple as its children, and a node gets a list with its first child: most
+    nodes are leaves, and a list is one more object for the collector."""
+    nodes = forest.nodes
+    root_id = len(nodes)
+    nodes.append(DepNode(root_id, FUNCTION, chunk.signature, ()))
+    forest.roots.append(root_id)
 
     # parent candidates per depth: parents[d] is the most recent node at depth d-1
-    parents: list[int] = [root.id]
+    parents: list[DepNode] = [nodes[root_id]]
     prev_depth = -1
-    nodes = forest.nodes
     for text, depth in chunk.sentences:
         if depth > prev_depth + 1:
             raise MalformedNesting(
                 f"in {chunk.signature}: sentence {text!r} at depth "
                 f"{depth} after depth {prev_depth}"
             )
-        parse = parsed.get(text)
-        if parse is None:
-            parse = parsed[text] = parse_sentence(text)
-        node = DepNode(len(nodes), parse[0], text, behavior=parse[1])
+        node_id = len(nodes)
+        same = first.get(text)
+        if same is None:
+            kind, behavior = parse_sentence(text)
+            node = first[text] = DepNode(node_id, kind, text, (), behavior)
+        else:
+            node = DepNode(node_id, same.kind, text, (), same.behavior)
         nodes.append(node)
-        nodes[parents[depth]].children.append(node.id)
+        parent = parents[depth]
+        if parent.children:
+            parent.children.append(node_id)
+        else:
+            parent.children = [node_id]
         del parents[depth + 1 :]
-        parents.append(node.id)
+        parents.append(node)
         prev_depth = depth
-    return root.id
+    return root_id
 
 
 def build_forest(desc: ContractDescription) -> ContractForest:
     """Build the control-dependency forest for a whole contract description.
 
     Each distinct sentence text is parsed once; nodes with the same text
-    share its parse, which nothing mutates.
+    share the parse of its first node, which nothing mutates.
     """
     forest = ContractForest(contract_id=desc.contract_id)
-    parsed: dict[str, tuple[str, ParsedBehavior | None]] = {}
+    first: dict[str, DepNode] = {}  # the first node of each sentence text
     for chunk in desc.functions:
-        _build_tree(forest, chunk, parsed)
+        _build_tree(forest, chunk, first)
     return forest
 
 
 def _behavior_json(parsed: ParsedBehavior) -> str:
     """A parse as ``{"kind", "fields"}``; a field is a string or, for
-    ``args``, a list of strings."""
-    fields = ",".join(
-        "%s:%s"
-        % (
-            encode_basestring(slot),
-            encode_basestring(value)
-            if isinstance(value, str)
-            else "[%s]" % ",".join(map(encode_basestring, value)),
-        )
-        for slot, value in parsed.fields.items()
-    )
-    return '{"kind":%s,"fields":{%s}}' % (encode_basestring(parsed.kind), fields)
+    ``args``, a list of strings. Slot names are ASCII identifiers, written
+    as they are."""
+    fields = []
+    for slot, value in parsed.fields.items():
+        if slot == "args":
+            fields.append('"args":[%s]' % ",".join(map(encode_basestring, value)))
+        else:
+            fields.append('"%s":%s' % (slot, encode_basestring(value)))
+    return '{"kind":"%s","fields":{%s}}' % (parsed.kind, ",".join(fields))
 
 
 def forest_to_json(forest: ContractForest) -> str:
     """``forest.json`` as compact JSON text (see ``pipeline.write_json``).
-    A parse shared by nodes of the same text is encoded once."""
+    A parse shared by nodes of the same text is encoded once. Node kinds,
+    like parse kinds and slot names, are ASCII words, written as they are."""
     behaviors: dict[int, str] = {}  # id of a parse -> its ',"behavior":...' member
     nodes = []
     for n in forest.nodes:
@@ -125,12 +134,12 @@ def forest_to_json(forest: ContractForest) -> str:
             if member is None:
                 member = behaviors[id(n.behavior)] = ',"behavior":' + _behavior_json(n.behavior)
         nodes.append(
-            '{"id":%d,"kind":%s,"text":%s,"children":[%s]%s}'
+            '{"id":%d,"kind":"%s","text":%s,"children":[%s]%s}'
             % (
                 n.id,
-                encode_basestring(n.kind),
+                n.kind,
                 encode_basestring(n.text),
-                ",".join(map(str, n.children)),
+                ",".join(map(str, n.children)) if n.children else "",
                 member,
             )
         )

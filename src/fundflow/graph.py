@@ -92,31 +92,39 @@ def _transform_function(
         visited[entity] = ()
         graph.add_node(entity)
 
-    # One preorder walk. Each work item carries its enclosing conditions,
-    # outermost first and without repeats. The walk extracts the propagation
-    # tuples, so operation occurrence numbers follow document order, and
-    # seeds the globals the function reads: they are live on entry, so edges
-    # wait until the walk is done.
+    # One preorder walk, on a stack of child iterators, each with the
+    # conditions enclosing those children, outermost first and without
+    # repeats. The walk extracts the propagation tuples, so operation
+    # occurrence numbers follow document order, and seeds the globals the
+    # function reads: they are live on entry, so edges wait until the walk
+    # is done. A tuple without a destination adds no edge and is not kept.
+    nodes = forest.nodes
     op_counts: dict[str, int] = {}
     steps: list[tuple[PropagationTuple, tuple[str, ...]]] = []
-    work: list[tuple[int, tuple[str, ...]]] = [(root_id, ())]
-    while work:
-        node_id, enclosing = work.pop()
-        node = forest.nodes[node_id]
-        if node.kind == CONDITION:
-            if node.text not in enclosing:
-                enclosing += (node.text,)
-        elif node.behavior is not None:
-            prop = extract_tuple(
-                node.behavior, scope, extra_globals, op_counts, resolved
-            )
-            for source in prop.sources:
-                if not source.scope and source not in visited:
-                    visited[source] = ()
-                    graph.add_node(source)
-            steps.append((prop, enclosing))
-        for child in reversed(node.children):
-            work.append((child, enclosing))
+    stack = [(iter(nodes[root_id].children), ())]
+    while stack:
+        children, enclosing = stack[-1]
+        for child in children:
+            node = nodes[child]
+            if node.kind == CONDITION:
+                if node.children:
+                    inner = enclosing if node.text in enclosing else enclosing + (node.text,)
+                    stack.append((iter(node.children), inner))
+                    break
+                continue
+            if node.behavior is not None:
+                prop = extract_tuple(node.behavior, scope, extra_globals, op_counts, resolved)
+                for source in prop.sources:
+                    if not source.scope and source not in visited:
+                        visited[source] = ()
+                        graph.add_node(source)
+                if prop.dst is not None:
+                    steps.append((prop, enclosing))
+            if node.children:
+                stack.append((iter(node.children), enclosing))
+                break
+        else:
+            stack.pop()
 
     # An edge carries its source's conditions plus the enclosing ones pushed
     # since the source was visited. Every visited entity already carries all
@@ -124,17 +132,19 @@ def _transform_function(
     # condition gives the same ordered union.
     for prop, enclosing in steps:
         dst = prop.dst
-        if dst is None or dst in visited:
+        if dst in visited:
             continue
-        sources = [s for s in prop.sources if s in visited]
-        if not sources:
-            continue
-        annotations = [
-            _ordered_union(visited[s], enclosing) if visited[s] else enclosing for s in sources
-        ]
-        for source, annotation in zip(sources, annotations):
-            graph.add_edge(FlowEdge(source, dst, annotation, scope))
-        visited[dst] = annotations[0] if len(annotations) == 1 else _ordered_union(*annotations)
+        annotations = []
+        for source in prop.sources:
+            held = visited.get(source)
+            if held is not None:
+                annotation = _ordered_union(held, enclosing) if held else enclosing
+                graph.add_edge(FlowEdge(source, dst, annotation, scope))
+                annotations.append(annotation)
+        if annotations:
+            visited[dst] = (
+                annotations[0] if len(annotations) == 1 else _ordered_union(*annotations)
+            )
 
 
 def conditions_json(conditions: tuple[str, ...]) -> str:

@@ -83,11 +83,29 @@ class ProbeDistribution:
         return cls(probe=data["probe"], ranked=ranked)
 
 
-def _find_slot(text: str, slot: str) -> str | None:
-    pattern = re.compile(
-        rf"^[^\S\n]*{slot}\s*[:.]\s*(.+?)\s*$", re.MULTILINE | re.IGNORECASE
+# the answer slots the prompts ask for, each found by a pattern compiled once
+_SLOTS = (
+    "contract summary",
+    "purpose",
+    "suspicious",
+    "reason",
+    *(f"{letter}{i}" for letter in "GP" for i in range(1, 5)),
+)
+# A value is the rest of its slot's line or, when that is blank, the next
+# line that is not blank, unless that line opens a slot itself.
+_SLOT_RE = {
+    slot: re.compile(
+        rf"^[^\S\n]*{slot}\s*[:.]"
+        rf"(?:[^\S\n]*|\s*\n[^\S\n]*(?!(?:{'|'.join(_SLOTS)})\s*[:.]))"
+        r"(\S.*?)\s*$",
+        re.MULTILINE | re.IGNORECASE,
     )
-    m = pattern.search(text)
+    for slot in _SLOTS
+}
+
+
+def _find_slot(text: str, slot: str) -> str | None:
+    m = _SLOT_RE[slot].search(text)
     return m.group(1) if m else None
 
 

@@ -13,7 +13,7 @@ import functools
 from dataclasses import dataclass, field
 from importlib import resources
 
-from .description import ContractDescription, FunctionChunk, render_flat_text
+from .description import ContractDescription, render_function
 from .errors import MissingBundleField
 from .indicators import Indicators
 
@@ -89,20 +89,13 @@ class AnalysisBundle:
 
 
 def build_stage1_prompts(desc: ContractDescription) -> tuple[str, list[str]]:
-    """One contract-level prompt plus one prompt per function."""
-    general = _asset("stage1_general.txt").format(description=render_flat_text(desc))
-    per_function = [
-        _asset("stage1_function.txt").format(
-            function_description=_render_function(chunk)
-        )
-        for chunk in desc.functions
-    ]
-    return general, per_function
-
-
-def _render_function(chunk: FunctionChunk) -> str:
-    single = ContractDescription(contract_id="", functions=[chunk])
-    return render_flat_text(single)
+    """One contract-level prompt plus one prompt per function. Each
+    function is rendered once: the contract's text is theirs joined, as
+    ``render_flat_text`` gives it."""
+    rendered = [render_function(chunk) for chunk in desc.functions]
+    general = _asset("stage1_general.txt").format(description="".join(rendered) or "\n")
+    template = _asset("stage1_function.txt")
+    return general, [template.format(function_description=text) for text in rendered]
 
 
 def ordinal(n: int) -> str:

@@ -196,10 +196,10 @@ def prune_and_enumerate(
 
 def render_path(path: FundFlowPath) -> str:
     """`a --[c1, c2]--> b` style; an empty condition list renders as --[]-->."""
-    parts = [path.hops[0].display]
-    for conditions, hop in zip(path.conditions, path.hops[1:]):
-        parts.append(f"--[{', '.join(conditions)}]-->")
-        parts.append(hop.display)
+    hops = path.hops
+    parts = [hops[0].display]
+    for conditions, hop in zip(path.conditions, hops[1:]):
+        parts.append("--[%s]--> %s" % (", ".join(conditions), hop.display))
     return " ".join(parts)
 
 
@@ -207,27 +207,30 @@ def paths_to_json(result: EnumerationResult, rendered: list[str]) -> str:
     """``paths.json`` as compact JSON text (see ``pipeline.write_json``).
     ``rendered`` holds ``render_path`` of each path, in result order. Each
     entity's hop object, and each condition tuple, is encoded once and
-    reused wherever paths share it."""
-    hops: dict[EntityId, str] = {}
-    conditions: dict[tuple[str, ...], str] = {}
+    reused wherever paths share it: the memos are keyed by object identity,
+    as paths share the graph's entities and its edges' condition tuples."""
+    hops: dict[int, str] = {}
+    conditions: dict[int, str] = {}
     paths = []
     for p, text in zip(result.paths, rendered, strict=True):
+        hop_json = []
         for h in p.hops:
-            if h not in hops:
-                hops[h] = '{"id":%s,"display":%s}' % (
+            member = hops.get(id(h))
+            if member is None:
+                member = hops[id(h)] = '{"id":%s,"display":%s}' % (
                     encode_basestring(h.key()),
                     encode_basestring(h.display),
                 )
+            hop_json.append(member)
+        conds_json = []
         for c in p.conditions:
-            if c not in conditions:
-                conditions[c] = conditions_json(c)
+            member = conditions.get(id(c))
+            if member is None:
+                member = conditions[id(c)] = conditions_json(c)
+            conds_json.append(member)
         paths.append(
             '{"rendered":%s,"hops":[%s],"conditions":[%s]}'
-            % (
-                encode_basestring(text),
-                ",".join([hops[h] for h in p.hops]),
-                ",".join([conditions[c] for c in p.conditions]),
-            )
+            % (encode_basestring(text), ",".join(hop_json), ",".join(conds_json))
         )
     return '{"truncated":%s,"paths":[%s]}' % (
         "true" if result.truncated else "false",

@@ -11,7 +11,7 @@ import sys
 
 import pytest
 
-from fundflow.behavior import parse_behavior
+from fundflow.behavior import parse_sentence
 from fundflow.forest import ContractForest, DepNode
 from fundflow.probing import LETTER_TO_LABEL, ProbeDistribution
 from fundflow.scripted import (  # noqa: F401  (shared with the test modules)
@@ -97,7 +97,7 @@ def make_toy_forest() -> ContractForest:
     def add(kind: str, text: str, parent: int | None) -> int:
         node = DepNode(id=len(forest.nodes), kind=kind, text=text)
         if kind == "behavior":
-            node.behavior = parse_behavior(text)
+            node.behavior = parse_sentence(text)[1]
         forest.nodes.append(node)
         if parent is None:
             forest.roots.append(node.id)

@@ -4,7 +4,7 @@ Shared by the unit suite and the acceptance suite so the per-kind conformance
 count comes from a single source of truth.
 """
 
-from fundflow.behavior import parse_behavior
+from fundflow.behavior import parse_sentence
 from fundflow.entities import EntityId, OPERATION, extract_tuple
 
 SCOPE = "f"
@@ -50,7 +50,7 @@ ROW_KINDS = tuple(ROW_SENTENCES)
 
 def check_row(kind):
     """Parse the row's sentence and assert kind, sources, and destination."""
-    parsed = parse_behavior(ROW_SENTENCES[kind])
+    parsed = parse_sentence(ROW_SENTENCES[kind])[1]
     assert parsed.kind == kind, f"{kind}: parsed as {parsed.kind}"
     got = extract_tuple(parsed, SCOPE)
     want_sources, want_dst = ROW_EXPECTED[kind]

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from fundflow.behavior import parse_behavior
+from fundflow.behavior import parse_sentence
 from fundflow.entities import (
     EntityId,
     OPERATION,
@@ -85,24 +85,24 @@ def test_table_row(kind):
 
 
 def test_sources_skip_constants_and_dedup():
-    parsed = parse_behavior(
+    parsed = parse_sentence(
         "it triggers the external call to stor_5.flashLoan(param1, 0x0, param1, amt)"
-    )
+    )[1]
     got = extract_tuple(parsed, "f")
     assert got.sources == (EntityId("f", "param1"), EntityId("f", "amt"))
 
 
 def test_transfer_recipient_not_a_source():
-    parsed = parse_behavior("it transfers 100 wei to caller")
+    parsed = parse_sentence("it transfers 100 wei to caller")[1]
     got = extract_tuple(parsed, "f")
     assert got.sources == ()
     assert got.dst == EntityId("f", "transfer", OPERATION, 1)
 
 
 def test_creation_code_not_a_source():
-    parsed = parse_behavior(
+    parsed = parse_sentence(
         "it creates a new smart contract with creation code codevar, and gets a new address addr"
-    )
+    )[1]
     got = extract_tuple(parsed, "f")
     assert got.sources == ()  # no salt given; code never feeds the address
     assert got.dst == EntityId("f", "addr")
@@ -111,20 +111,24 @@ def test_creation_code_not_a_source():
 def test_occurrence_numbering_per_label():
     counts = {}
     first = extract_tuple(
-        parse_behavior("it triggers the external call to stor_5.flashLoan(x)"), "f", op_counts=counts
+        parse_sentence("it triggers the external call to stor_5.flashLoan(x)")[1],
+        "f",
+        op_counts=counts,
     )
     second = extract_tuple(
-        parse_behavior("it triggers the external call to stor_5.flashLoan(y)"), "f", op_counts=counts
+        parse_sentence("it triggers the external call to stor_5.flashLoan(y)")[1],
+        "f",
+        op_counts=counts,
     )
-    third = extract_tuple(parse_behavior("it transfers v wei to caller"), "f", op_counts=counts)
+    third = extract_tuple(parse_sentence("it transfers v wei to caller")[1], "f", op_counts=counts)
     assert first.dst.occurrence == 1
     assert second.dst.occurrence == 2
     assert third.dst.occurrence == 1  # separate label, separate counter
 
 
 def test_occurrence_resets_per_function():
-    a = extract_tuple(parse_behavior("it transfers v wei to caller"), "f", op_counts={})
-    b = extract_tuple(parse_behavior("it transfers v wei to caller"), "g", op_counts={})
+    a = extract_tuple(parse_sentence("it transfers v wei to caller")[1], "f", op_counts={})
+    b = extract_tuple(parse_sentence("it transfers v wei to caller")[1], "g", op_counts={})
     assert a.dst.occurrence == b.dst.occurrence == 1
     assert a.dst != b.dst  # scope keeps them distinct nodes
 

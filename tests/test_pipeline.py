@@ -77,6 +77,34 @@ def test_run_static_writes_every_artifact(tmp_path):
     assert read_json(out, "description.json")["contract"] == "fixture"
 
 
+def _gc_state():
+    return gc.isenabled(), gc.get_threshold(), gc.get_freeze_count()
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_library_calls_leave_the_collector_as_found(tmp_path, enabled):
+    """A library call may not disable, tune or freeze the caller's
+    collector."""
+    found = _gc_state()
+    try:
+        gc.set_threshold(555, 7, 3)
+        if not enabled:
+            gc.disable()
+        before = _gc_state()
+        desc = chunk_flat_text(FIXTURE_TEXT, "fixture")
+        config = RunConfig(out_dir=str(tmp_path / "static"))
+        run_static(desc, config)
+        assert _gc_state() == before
+        config = RunConfig(out_dir=str(tmp_path / "detect"))
+        run_detect(desc, config, transport=ScriptedTransport(config.params(), ADVERSARIAL_ROWS))
+        assert _gc_state() == before
+    finally:
+        gc.set_threshold(*found[1])
+        if found[0]:
+            gc.enable()
+    assert _gc_state() == found
+
+
 def test_artifacts_end_with_newline(tmp_path):
     path = write_json(str(tmp_path), "x.json", {"a": "ü"})
     raw = Path(path).read_bytes()

@@ -239,6 +239,33 @@ def test_stage1_function_fallbacks():
     assert parsed.reason == ""
 
 
+def test_empty_slot_does_not_take_the_next_slots_line():
+    from fundflow.probing import _parse_stage1_function
+
+    text = "purpose:\nsuspicious: Yes\nreason: r"
+    parsed = _parse_stage1_function("f", text)
+    assert parsed.purpose == text  # the fallback for a missing purpose
+    assert parsed.suspicious is True
+    assert parsed.reason == "r"
+
+
+def test_slot_value_on_the_next_plain_line_parses():
+    from fundflow.probing import _parse_stage1_function
+
+    parsed = _parse_stage1_function("f", "Purpose:\n\n  moves funds \nSuspicious: no\nReason:")
+    assert parsed.purpose == "moves funds"
+    assert parsed.suspicious is False
+    assert parsed.reason == ""
+
+
+def test_empty_ranked_slot_does_not_take_the_next_slots_line():
+    text = "G1:\nP1: 70\nG2: B\nP2: 20\nG3: C\nP3: 10\nG4: D\nP4: 0\n"
+    with pytest.raises(MalformedResponse, match="missing G1 or P1"):
+        parse_ranked_response(text)
+    dist = parse_ranked_response(text.replace("G1:\n", "G1:\n(A)\n"))
+    assert dist.ranked[0] == ("adversarial", 70.0)
+
+
 def test_stage1_general_fallback():
     from fundflow.probing import _parse_stage1_general
 

@@ -1,6 +1,11 @@
 import pytest
 
-from fundflow.description import chunk_flat_text
+from fundflow.description import (
+    ContractDescription,
+    chunk_flat_text,
+    description_from_json,
+    render_flat_text,
+)
 from fundflow.errors import MissingBundleField
 from fundflow.indicators import Indicators
 from fundflow.prompts import (
@@ -10,6 +15,7 @@ from fundflow.prompts import (
     HINT_BENIGN,
     PROBE_KINDS,
     UnknownFunction,
+    _asset,
     build_stage1_prompts,
     build_stage2_context,
     build_stage2_prompt,
@@ -155,6 +161,27 @@ def test_stage1_prompts():
     assert "function withdrawAll(param1):" not in per_function[0]
     assert "function withdrawAll(param1):" in per_function[1]
     assert "purpose:" in per_function[1]
+
+
+def test_stage1_prompts_embed_the_rendered_description():
+    # the general prompt holds the whole rendered description, each function
+    # prompt that function's render; a contract without functions renders
+    # as one newline
+    for desc in (
+        chunk_flat_text(FIXTURE_TEXT),
+        description_from_json({"contract": "empty", "functions": []}),
+    ):
+        general, per_function = build_stage1_prompts(desc)
+        assert general == _asset("stage1_general.txt").format(
+            description=render_flat_text(desc)
+        )
+        assert per_function == [
+            _asset("stage1_function.txt").format(
+                function_description=render_flat_text(ContractDescription("", [chunk]))
+            )
+            for chunk in desc.functions
+        ]
+    assert render_flat_text(desc) == "\n"
 
 
 def test_ordinal_suffixes():
