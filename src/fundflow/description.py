@@ -19,7 +19,19 @@ from .errors import InvalidDescription, NoFunctionsFound
 
 INDENT_WIDTH = 2
 
-_HEADER_RE = re.compile(r"^function\s+([A-Za-z_]\w*)\s*(\([^)]*\))\s*:\s*$")
+# a signature: an identifier, then one parenthesised parameter list
+_SIGNATURE_RE = re.compile(r"([A-Za-z_]\w*)\s*\([^)]*\)")
+
+
+def parse_signature(text: str) -> str | None:
+    """``text`` as a normalised signature, ``"name(a, b)"``, or None unless
+    it is one line that, stripped, matches ``_SIGNATURE_RE``. Both encodings
+    read a signature through this rule, so each can express every signature
+    the other accepts."""
+    match = text.splitlines() == [text] and _SIGNATURE_RE.fullmatch(text.strip())
+    if not match:
+        return None
+    return "%s(%s)" % (match.group(1), ", ".join(split_signature(match.group())[1]))
 
 
 def split_signature(signature: str) -> tuple[str, tuple[str, ...]]:
@@ -52,7 +64,9 @@ class FunctionChunk:
 
 @dataclass
 class ContractDescription:
-    """A contract id plus its per-function chunks.
+    """A contract id plus its per-function chunks, each signature normalised
+    by ``parse_signature``, so every function has a name that scopes its
+    locals.
 
     ``ignored_lines`` counts flat-text lines discarded before the first
     function header; it is parser metadata and excluded from equality.
@@ -65,14 +79,11 @@ class ContractDescription:
     def __post_init__(self) -> None:
         seen: set[str] = set()
         for chunk in self.functions:
+            if parse_signature(chunk.signature) != chunk.signature:
+                raise InvalidDescription(f"signature {chunk.signature!r} is not 'name(a, b)'")
             if chunk.signature in seen:
                 raise InvalidDescription(f"duplicate function signature {chunk.signature!r}")
             seen.add(chunk.signature)
-
-
-def _normalize_signature(signature: str) -> str:
-    name, params = split_signature(signature)
-    return f"{name}({', '.join(params)})"
 
 
 def chunk_flat_text(text: str, contract_id: str = "contract") -> ContractDescription:
@@ -93,11 +104,16 @@ def chunk_flat_text(text: str, contract_id: str = "contract") -> ContractDescrip
         content = line.strip()
         if not content:
             continue
-        # the header pattern is anchored on this literal
-        header = content.startswith("function") and _HEADER_RE.match(content)
-        if header:
+        # a header: "function", whitespace, a signature and a colon
+        signature = (
+            content.startswith("function")
+            and content.endswith(":")
+            and content[8].isspace()
+            and parse_signature(content[8:-1])
+        )
+        if signature:
             sentences = []
-            chunks.append((_normalize_signature(header.group(1) + header.group(2)), sentences))
+            chunks.append((signature, sentences))
             continue
         if sentences is None:
             ignored += 1
@@ -175,8 +191,9 @@ def description_from_json(data: str | dict) -> ContractDescription:
             raise InvalidDescription(f"functions[{i}] must be an object")
         _require_keys(fn, {"signature", "sentences"}, f"functions[{i}]")
         sig = fn.get("signature")
-        if not isinstance(sig, str) or "(" not in sig or not sig.endswith(")"):
-            raise InvalidDescription(f"functions[{i}].signature must look like 'name(params)'")
+        signature = parse_signature(sig) if isinstance(sig, str) else None
+        if signature is None:
+            raise InvalidDescription(f"functions[{i}].signature must be one line, 'name(params)'")
         _require_utf8(sig, f"functions[{i}].signature")
         raw_sentences = fn.get("sentences", [])
         if not isinstance(raw_sentences, list):
@@ -194,7 +211,7 @@ def description_from_json(data: str | dict) -> ContractDescription:
             if not isinstance(depth, int) or isinstance(depth, bool) or depth < 0:
                 raise InvalidDescription(f"functions[{i}].sentences[{j}].depth must be a nonnegative integer")
             sentences.append(Sentence(text, depth))
-        chunks.append(FunctionChunk(_normalize_signature(sig), tuple(sentences)))
+        chunks.append(FunctionChunk(signature, tuple(sentences)))
 
     return ContractDescription(contract, chunks)
 

@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from . import behavior as bh
-from .errors import ConstantEntity
 
 VARIABLE = "variable"
 OPERATION = "operation"
@@ -94,8 +93,8 @@ def _resolve(
 
     ``resolved`` memoizes ``raw -> EntityId | None`` for one ``extra_globals``
     across functions: whether a mention is a literal, a global or a local is
-    decided once, and a local is rebuilt once for each new scope. Nothing is
-    stored for the empty scope, where a local would read as a global.
+    decided once, and a local is rebuilt once for each new scope. Every
+    function has a name, so a local's scope is never empty.
     """
     entity = _UNSEEN if resolved is None else resolved.get(raw, _UNSEEN)
     if entity is _UNSEEN:
@@ -110,21 +109,8 @@ def _resolve(
         return entity
     else:  # a local of the last function that mentioned it
         entity = EntityId(scope, entity.name)
-    if resolved is not None and scope:
+    if resolved is not None:
         resolved[raw] = entity
-    return entity
-
-
-def normalize_entity(
-    raw: str,
-    scope: str,
-    extra_globals: frozenset[str] = frozenset(),
-    resolved: dict | None = None,
-) -> EntityId:
-    """Resolve a mention to a canonical data entity; literals are rejected."""
-    entity = _resolve(raw, scope, extra_globals, resolved)
-    if entity is None:
-        raise ConstantEntity(f"{raw!r} is a literal, not an entity")
     return entity
 
 
@@ -166,21 +152,20 @@ def extract_tuple(
     ``op_counts`` tracks per-function operation occurrences in place; pass the
     same dict for every behavior of one function so instances stay numbered in
     document order. ``resolved`` is the mention memo ``resolve_sources``
-    takes.
+    takes. An assignment or a creation whose destination is a literal
+    carries no flow, as a behavior without a destination does.
     """
     kind = parsed.kind
     f = parsed.fields
-    if kind == bh.ASSIGNMENT:
-        sources = resolve_sources((f["rhs"],), scope, extra_globals, resolved)
-        return PropagationTuple(
-            sources, normalize_entity(f["lhs"], scope, extra_globals, resolved)
-        )
-    if kind == bh.CONTRACT_CREATION:
-        salt = (f["salt"],) if "salt" in f else ()
-        sources = resolve_sources(salt, scope, extra_globals, resolved)
-        return PropagationTuple(
-            sources, normalize_entity(f["address"], scope, extra_globals, resolved)
-        )
+    if kind == bh.ASSIGNMENT or kind == bh.CONTRACT_CREATION:
+        if kind == bh.ASSIGNMENT:
+            raws, dst = (f["rhs"],), f["lhs"]
+        else:
+            raws, dst = ((f["salt"],) if "salt" in f else ()), f["address"]
+        entity = _resolve(dst, scope, extra_globals, resolved)
+        if entity is None:
+            return _NO_FLOW
+        return PropagationTuple(resolve_sources(raws, scope, extra_globals, resolved), entity)
     if kind == bh.EXTERNAL_CALL:
         raws, label = f["args"], f["callee"]
     elif kind == bh.DELEGATE_CALL:

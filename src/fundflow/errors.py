@@ -25,10 +25,6 @@ class MalformedNesting(FundflowError):
     """A sentence's depth jumps more than one level past its predecessor."""
 
 
-class ConstantEntity(FundflowError):
-    """A constant token was passed where an entity name is required."""
-
-
 class MissingBundleField(FundflowError):
     """A prompt placeholder has no value in the analysis bundle."""
 

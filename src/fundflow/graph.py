@@ -34,6 +34,8 @@ class FlowGraph:
 
     nodes: dict[str, EntityId] = field(default_factory=dict)
     edges: list[FlowEdge] = field(default_factory=list)
+    # node keys of every function's parameters, as ``transform`` seeds them
+    parameters: set[str] = field(default_factory=set)
     _out: dict[str, list[int]] = field(default_factory=lambda: defaultdict(list), repr=False)
     _in: dict[str, list[int]] = field(default_factory=lambda: defaultdict(list), repr=False)
 
@@ -91,6 +93,7 @@ def _transform_function(
     for entity in resolve_sources(params, scope, extra_globals, resolved):
         visited[entity] = ()
         graph.add_node(entity)
+        graph.parameters.add(entity.key())
 
     # One preorder walk, on a stack of child iterators, each with the
     # conditions enclosing those children, outermost first and without

@@ -153,9 +153,7 @@ def run_static(desc: ContractDescription, config: RunConfig) -> StaticArtifacts:
     write_json(out, "forest.json", forest_to_json(forest))
     graph = transform(forest)
     write_json(out, "graph.json", graph_to_json(graph))
-    anchors = AnchorSets(
-        ingress=identify_ingress(graph, forest), egress=identify_egress(graph)
-    )
+    anchors = AnchorSets(ingress=identify_ingress(graph), egress=identify_egress(graph))
     reach = forward_reach(graph, anchors.ingress)
     enumeration = prune_and_enumerate(graph, reach, anchors, config.limits())
     rendered_paths = [render_path(p) for p in enumeration.paths]

@@ -240,7 +240,8 @@ def run_stage2(
     """Run all six probes, on ``pool`` or, when it is None, in the calling
     thread; probes that stay malformed are dropped from the result rather
     than failing the stage."""
-    prompts = {kind: build_stage2_prompt(kind, bundle) for kind in PROBE_KINDS}
+    heads: dict[str, str] = {}  # each level's context, built by its first probe
+    prompts = {kind: build_stage2_prompt(kind, bundle, heads) for kind in PROBE_KINDS}
 
     def worker(kind: str) -> ProbeDistribution | RetryExhausted:
         try:

@@ -158,12 +158,18 @@ def build_stage2_context(kind: str, bundle: AnalysisBundle) -> str:
     )
 
 
-def build_stage2_prompt(kind: str, bundle: AnalysisBundle) -> str:
-    """Context block, then the ranked-guess question, then an optional hint."""
+def build_stage2_prompt(kind: str, bundle: AnalysisBundle, heads: dict | None = None) -> str:
+    """Context block, then the ranked-guess question, then an optional hint.
+    ``heads`` keeps each level's context and question, under ``g`` or ``s``,
+    for the next probe of the same bundle, so a level's context is built
+    once."""
     if kind not in PROBE_KINDS:
         raise ValueError(f"unknown probe kind: {kind!r}")
-    parts = [build_stage2_context(kind, bundle).rstrip("\n")]
-    parts.append(_asset("stage2_question.txt").rstrip("\n"))
-    if kind in _HINTS:
-        parts.append(_HINTS[kind])
-    return "\n\n".join(parts) + "\n"
+    heads = {} if heads is None else heads
+    if kind[0] not in heads:
+        heads[kind[0]] = "%s\n\n%s" % (
+            build_stage2_context(kind, bundle).rstrip("\n"),
+            _asset("stage2_question.txt").rstrip("\n"),
+        )
+    hint = _HINTS.get(kind)
+    return "%s\n\n%s\n" % (heads[kind[0]], hint) if hint else heads[kind[0]] + "\n"

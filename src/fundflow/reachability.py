@@ -13,8 +13,7 @@ from dataclasses import dataclass, field
 from json.encoder import encode_basestring
 from operator import itemgetter
 
-from .entities import LIFTER_ALIASES, OPERATION, VARIABLE, EntityId, resolve_sources
-from .forest import ContractForest
+from .entities import LIFTER_ALIASES, OPERATION, VARIABLE, EntityId
 from .graph import FlowGraph, conditions_json
 
 PREDEFINED_INGRESS = (
@@ -45,25 +44,16 @@ class AnchorSets:
     egress: set[EntityId] = field(default_factory=set)
 
 
-def identify_ingress(
-    graph: FlowGraph,
-    forest: ContractForest,
-    extra_globals: frozenset[str] = frozenset(),
-) -> set[EntityId]:
-    """Variable nodes named like transaction fields, plus parameter nodes."""
-    out: set[EntityId] = set()
+def identify_ingress(graph: FlowGraph) -> set[EntityId]:
+    """Variable nodes named like transaction fields, plus the parameter
+    nodes ``transform`` recorded."""
+    out = {graph.nodes[key] for key in graph.parameters}
     for ent in graph.nodes.values():
         if ent.flavor != VARIABLE or ent.scope:
             continue
         canonical = LIFTER_ALIASES.get(ent.name, ent.name)
         if canonical in PREDEFINED_INGRESS:
             out.add(ent)
-    resolved: dict[str, EntityId | None] = {}
-    for root_id in forest.roots:
-        scope, params = forest.function_signature(root_id)
-        for ent in resolve_sources(params, scope, extra_globals, resolved):
-            if ent.key() in graph.nodes:
-                out.add(graph.nodes[ent.key()])
     return out
 
 

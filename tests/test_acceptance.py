@@ -118,7 +118,7 @@ def test_criterion_4_path_format():
         forest = build_forest(desc)
         graph = transform(forest)
         anchors = AnchorSets(
-            ingress=identify_ingress(graph, forest), egress=identify_egress(graph)
+            ingress=identify_ingress(graph), egress=identify_egress(graph)
         )
         result = prune_and_enumerate(
             graph, forward_reach(graph, anchors.ingress), anchors

@@ -118,7 +118,7 @@ def assert_static_text_matches(desc: ContractDescription, extra_globals, limits)
     assert forest_to_json(forest) == dumps(ref_forest(forest))
     graph = transform(forest, extra_globals)
     assert graph_to_json(graph) == dumps(ref_graph(graph))
-    anchors = AnchorSets(identify_ingress(graph, forest, extra_globals), identify_egress(graph))
+    anchors = AnchorSets(identify_ingress(graph), identify_egress(graph))
     result = prune_and_enumerate(graph, forward_reach(graph, anchors.ingress), anchors, limits)
     rendered = [render_path(p) for p in result.paths]
     assert paths_to_json(result, rendered) == dumps(ref_paths(result, rendered))
@@ -249,7 +249,7 @@ def test_enumerations_cut_or_not_match_the_reference(text, truncated):
     desc = chunk_flat_text(text, "c")
     forest = build_forest(desc)
     graph = transform(forest)
-    anchors = AnchorSets(identify_ingress(graph, forest), identify_egress(graph))
+    anchors = AnchorSets(identify_ingress(graph), identify_egress(graph))
     result = prune_and_enumerate(graph, forward_reach(graph, anchors.ingress), anchors)
     assert result.truncated is truncated and result.paths
     assert_static_text_matches(desc, frozenset(), ReachLimits())
@@ -263,7 +263,7 @@ def test_a_lone_surrogate_leaves_no_artifact(tmp_path, artifact):
     desc = chunk_flat_text("function f(p\ud800):\nit transfers p\ud800 wei to caller\n", "c")
     forest = build_forest(desc)
     graph = transform(forest)
-    anchors = AnchorSets(identify_ingress(graph, forest), identify_egress(graph))
+    anchors = AnchorSets(identify_ingress(graph), identify_egress(graph))
     result = prune_and_enumerate(graph, forward_reach(graph, anchors.ingress), anchors)
     assert result.paths
     text = {

@@ -109,6 +109,27 @@ def test_flow_command_long_chain(tmp_path, capsys):
     assert only["hops"][-1]["display"] == "transfer"
 
 
+@pytest.mark.parametrize(
+    "sentence",
+    [
+        "it updates the state variable 0 to param1",
+        "it creates a new smart contract with creation code c and salt param1, "
+        "and gets a new address 0x1234",
+    ],
+    ids=["assignment", "creation"],
+)
+def test_flow_command_passes_over_a_literal_destination(tmp_path, capsys, sentence):
+    """A behavior whose destination is a literal carries no flow; the rest of
+    the function still reaches egress."""
+    path = tmp_path / "literal.txt"
+    path.write_text(
+        f"function f(param1):\n{sentence}\nit transfers param1 wei to caller\n",
+        encoding="utf-8",
+    )
+    assert main(["flow", "-i", str(path), "-o", str(tmp_path / "out")]) == 0
+    assert capsys.readouterr().out == "f:param1 --[]--> transfer\n"
+
+
 def diamond_ladder(width, stages):
     """``param1`` flows through ``stages`` diamonds of ``width`` branches,
     each a function of its own, then ten copies to a transfer: width**stages

@@ -1,7 +1,7 @@
 import json
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from fundflow.description import (
     INDENT_WIDTH,
@@ -71,6 +71,14 @@ def test_duplicate_signature_rejected_when_built_directly():
     chunk = FunctionChunk("f(a)", (Sentence("it returns a", 0),))
     with pytest.raises(InvalidDescription, match="duplicate function signature"):
         ContractDescription("c", [chunk, chunk])
+
+
+@pytest.mark.parametrize("signature", ["(x)", "f( a )", "a b(c)", "f(a)\n"])
+def test_a_signature_built_directly_must_be_normalised(signature):
+    """A function without a name would scope its locals as globals."""
+    chunk = FunctionChunk(signature, (Sentence("it updates the state variable t to x", 0),))
+    with pytest.raises(InvalidDescription, match="is not 'name"):
+        ContractDescription("c", [chunk])
 
 
 @pytest.mark.parametrize(
@@ -227,3 +235,53 @@ def test_flat_text_round_trip(desc):
     rendered = render_flat_text(desc)
     again = chunk_flat_text(rendered, contract_id=desc.contract_id)
     assert again == desc
+
+
+# Characters that decide whether a signature reads: identifier characters,
+# parentheses, separators, and whitespace that does or does not end a line.
+# Flat text is decoded UTF-8, so it holds no lone surrogate.
+_SIGNATURE_CHARS = "fa_1\u00e9(),: \t\n\r\x0b\x1c\x1f\x85\xa0\u2028\u3000"
+_signature_texts = st.one_of(
+    st.text(_SIGNATURE_CHARS, max_size=12),
+    st.text(st.characters(exclude_categories=["Cs"]), max_size=12),
+    st.builds(
+        "{}{}{}({}){}".format,
+        st.text(" \t\n\xa0", max_size=2),
+        st.sampled_from(["f", "_f1", "\u00e9", "1f", ""]),
+        st.text(" \t\n\xa0", max_size=2),
+        st.text(_SIGNATURE_CHARS, max_size=6),
+        st.text(" \t\n)(", max_size=2),
+    ),
+)
+
+
+@example("a b(c)")
+@example("f(a)(b)")
+@example("f(x))")
+@example("(x)")
+@example(" f (a)")
+@example("g(x):\nfunction f(a)")
+@given(_signature_texts)
+def test_both_encodings_accept_the_same_signatures(sig):
+    """JSON accepts a signature iff flat text reads ``function <sig>:`` as
+    one header; then both give the same description, which reads back from
+    its flat text unchanged."""
+    try:
+        from_json = description_from_json(
+            {"contract": "c", "functions": [{"signature": sig, "sentences": []}]}
+        )
+    except InvalidDescription:
+        from_json = None
+    try:
+        from_text = chunk_flat_text(f"function {sig}:\n", "c")
+    except (InvalidDescription, NoFunctionsFound):
+        from_text = None
+    else:
+        # only the header written above, read as one function with no sentences
+        if from_text.ignored_lines or [c.sentences for c in from_text.functions] != [()]:
+            from_text = None
+    assert (from_json is None) == (from_text is None)
+    if from_json is not None:
+        assert from_json == from_text
+        assert from_json.functions[0].name
+        assert chunk_flat_text(render_flat_text(from_json), "c") == from_json

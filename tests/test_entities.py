@@ -9,9 +9,8 @@ from fundflow.entities import (
     extract_tuple,
     is_constant,
     is_global_name,
-    normalize_entity,
+    resolve_sources,
 )
-from fundflow.errors import ConstantEntity
 from table_rows import ROW_KINDS, check_row
 
 
@@ -43,6 +42,12 @@ def test_local_names(name):
     assert not is_global_name(name)
 
 
+def normalize_entity(raw, scope, extra_globals=frozenset()):
+    """The one entity a mention names."""
+    (entity,) = resolve_sources((raw,), scope, extra_globals)
+    return entity
+
+
 def test_extra_globals():
     assert is_global_name("v1", frozenset({"v1"}))
     assert normalize_entity("v1", "f", frozenset({"v1"})).scope == ""
@@ -63,8 +68,15 @@ def test_normalize_global():
 
 
 def test_normalize_rejects_literal():
-    with pytest.raises(ConstantEntity):
-        normalize_entity("42", "f")
+    """A literal names no entity, so a behavior whose destination is one
+    carries no flow, sources included."""
+    assert resolve_sources(("42",), "f") == ()
+    for text in (
+        "it updates the state variable 0 to param1",
+        "it creates a new smart contract with creation code c and salt s, "
+        "and gets a new address 0x1234",
+    ):
+        assert extract_tuple(parse_sentence(text)[1], "f") == ((), None)
 
 
 def test_same_name_different_scope_distinct():

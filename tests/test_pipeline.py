@@ -151,7 +151,7 @@ def test_paths_rendered_once_for_both_consumers(tmp_path):
     static = run_static(desc, config)
     forest = build_forest(desc)
     graph = transform(forest)
-    anchors = AnchorSets(ingress=identify_ingress(graph, forest), egress=identify_egress(graph))
+    anchors = AnchorSets(ingress=identify_ingress(graph), egress=identify_egress(graph))
     reach = forward_reach(graph, anchors.ingress)
     enumeration = prune_and_enumerate(graph, reach, anchors, config.limits())
     assert static.rendered_paths == [render_path(p) for p in enumeration.paths]

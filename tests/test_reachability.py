@@ -31,9 +31,9 @@ def pipeline(text, extra_globals=frozenset()):
     return forest, graph
 
 
-def anchors_for(forest, graph, extra_globals=frozenset()):
+def anchors_for(graph):
     return AnchorSets(
-        ingress=identify_ingress(graph, forest, extra_globals),
+        ingress=identify_ingress(graph),
         egress=identify_egress(graph),
     )
 
@@ -44,13 +44,13 @@ def rendered(result):
 
 def test_ingress_includes_aliased_caller():
     forest, graph = pipeline("function f():\nit updates the state variable stor_1 to caller\n")
-    ingress = identify_ingress(graph, forest)
+    ingress = identify_ingress(graph)
     assert {e.key() for e in ingress} == {"caller"}
 
 
 def test_ingress_includes_parameters():
     forest, graph = pipeline(FIXTURE_TEXT)
-    ingress = identify_ingress(graph, forest)
+    ingress = identify_ingress(graph)
     assert {e.key() for e in ingress} == {
         "unknownfffcf3a1:param1",
         "withdrawAll:param1",
@@ -59,12 +59,12 @@ def test_ingress_includes_parameters():
 
 def test_ingress_includes_direct_transaction_fields():
     forest, graph = pipeline("function f():\nit transfers msg.value wei to caller\n")
-    assert {e.key() for e in identify_ingress(graph, forest)} == {"msg.value"}
+    assert {e.key() for e in identify_ingress(graph)} == {"msg.value"}
 
 
 def test_plain_storage_is_not_ingress():
     forest, graph = pipeline("function f():\nit updates the state variable out to stor_7\n")
-    assert identify_ingress(graph, forest) == set()
+    assert identify_ingress(graph) == set()
 
 
 def test_egress_label_normalization():
@@ -118,7 +118,7 @@ def test_fixture_paths_exact():
     # withdrawAll writes stor_3 before the transfer reads it, so stor_3 is
     # live on entry and the write edge is suppressed: only one path survives.
     forest, graph = pipeline(FIXTURE_TEXT)
-    anchors = anchors_for(forest, graph)
+    anchors = anchors_for(graph)
     result = prune_and_enumerate(graph, forward_reach(graph, anchors.ingress), anchors)
     assert rendered(result) == [
         "unknownfffcf3a1:param1 --[it is required that (0x268d...4080 == sha3(tx.origin)), "
