@@ -2,7 +2,8 @@
 
 Every stage's output is written to the run directory as JSON the moment it
 exists, so a failure later in the pipeline still leaves the artifacts
-computed so far on disk. Replay mode makes the whole run hermetic.
+computed so far on disk, and none that the failed run did not finish.
+Replay mode makes the whole run hermetic.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ import json
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import closing, contextmanager, nullcontext
+from contextlib import closing, contextmanager, nullcontext, suppress
 from dataclasses import dataclass, replace
 
 from .description import ContractDescription, description_to_json
@@ -35,6 +36,16 @@ from .reachability import (
 from .transport import LiveTransport, RecordTransport, ReplayTransport, TransportParams
 
 DEFAULT_ENDPOINT = "https://api.openai.com/v1/chat/completions"
+# the nine artifacts of run_detect, in the order it writes them, by stage
+STATIC_ARTIFACTS = (
+    "description.json",
+    "forest.json",
+    "graph.json",
+    "paths.json",
+    "indicators.json",
+)
+PROBE_ARTIFACTS = ("bundle.json", "probes.json")
+FUSION_ARTIFACTS = ("fusion.json", "verdict.json")
 _SEPARATORS = ("/", os.sep, os.altsep, "\0")
 
 
@@ -122,8 +133,19 @@ def write_json(out_dir: str, name: str, payload: str | dict) -> str:
     separators. Those dicts are built fresh and hold no cycle, so the
     encoder skips its cycle check. The text is encoded in full before the
     file is opened, so text that UTF-8 cannot encode (a lone surrogate)
-    leaves no file; the newline is a second ``write`` so the encoded bytes
-    are not copied.
+    leaves no new file and an existing one as it was; the newline is a
+    second ``write`` so the encoded bytes are not copied.
+
+    An existing file is rewritten in place: opened without ``O_TRUNC``,
+    written from its start, then cut at the end of the new bytes. A run
+    rewrites the same nine names into a reused output directory, and
+    truncating a file to zero on open makes ext4 (``auto_da_alloc``, on by
+    default) force the new data out to disk and allocate new blocks when
+    the file is closed; an overwrite in place costs neither. The bytes,
+    the file's mode and inode, and how symlinks and hard links behave are
+    those of ``open(path, "wb")``. A write that fails part-way leaves the
+    file with a new head and an old tail; a pipeline stage removes it
+    (``_writing``).
     """
     if not isinstance(payload, str):
         payload = json.dumps(
@@ -132,10 +154,43 @@ def write_json(out_dir: str, name: str, payload: str | dict) -> str:
     data = payload.encode()
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, name)
-    with open(path, "wb") as fh:
+    with open(path, "wb", opener=_open_untruncated) as fh:
         fh.write(data)
         fh.write(b"\n")
+        fh.truncate()
     return path
+
+
+def _open_untruncated(path: str, flags: int) -> int:
+    """``open``'s own flags for ``"wb"`` but ``O_TRUNC``, and its mode."""
+    return os.open(path, flags & ~os.O_TRUNC, 0o666)
+
+
+@contextmanager
+def _writing(out_dir: str, names: tuple[str, ...]):
+    """Yield ``write(name, payload)``, which is ``write_json`` into
+    ``out_dir``. If the block raises, each of the artifacts ``names`` that
+    it did not finish writing is removed: a file from an earlier run, which
+    would sit beside this run's artifacts as if it were one of them, or the
+    file a failed write left cut off."""
+    written = set()
+
+    def write(name: str, payload: str | dict) -> None:
+        write_json(out_dir, name, payload)
+        written.add(name)
+
+    try:
+        yield write
+    except BaseException:
+        _remove(out_dir, [name for name in names if name not in written])
+        raise
+
+
+def _remove(out_dir: str, names) -> None:
+    for name in names:
+        # the error that ended the run is the one to report
+        with suppress(OSError):
+            os.remove(os.path.join(out_dir, name))
 
 
 @dataclass
@@ -146,20 +201,21 @@ class StaticArtifacts:
 
 
 def run_static(desc: ContractDescription, config: RunConfig) -> StaticArtifacts:
-    """The model-free half: forest, graph, anchors, paths, indicators."""
-    out = config.out_dir
-    write_json(out, "description.json", description_to_json(desc))
-    forest = build_forest(desc)
-    write_json(out, "forest.json", forest_to_json(forest))
-    graph = transform(forest)
-    write_json(out, "graph.json", graph_to_json(graph))
-    anchors = AnchorSets(ingress=identify_ingress(graph), egress=identify_egress(graph))
-    reach = forward_reach(graph, anchors.ingress)
-    enumeration = prune_and_enumerate(graph, reach, anchors, config.limits())
-    rendered_paths = [render_path(p) for p in enumeration.paths]
-    write_json(out, "paths.json", paths_to_json(enumeration, rendered_paths))
-    indicators = compute_indicators(forest)
-    write_json(out, "indicators.json", indicators.to_json())
+    """The model-free half: forest, graph, anchors, paths, indicators. If it
+    raises, those of the five static artifacts it did not finish are removed."""
+    with _writing(config.out_dir, STATIC_ARTIFACTS) as write:
+        write("description.json", description_to_json(desc))
+        forest = build_forest(desc)
+        write("forest.json", forest_to_json(forest))
+        graph = transform(forest)
+        write("graph.json", graph_to_json(graph))
+        anchors = AnchorSets(ingress=identify_ingress(graph), egress=identify_egress(graph))
+        reach = forward_reach(graph, anchors.ingress)
+        enumeration = prune_and_enumerate(graph, reach, anchors, config.limits())
+        rendered_paths = [render_path(p) for p in enumeration.paths]
+        write("paths.json", paths_to_json(enumeration, rendered_paths))
+        indicators = compute_indicators(forest)
+        write("indicators.json", indicators.to_json())
     return StaticArtifacts(enumeration.truncated, indicators, rendered_paths)
 
 
@@ -206,19 +262,21 @@ def run_probes(
     threads. A ``transport`` passed in is queried as it is, on ``pool``, or
     in the calling thread when that is None. ``static`` is the static half
     already under way elsewhere, a future of its ``StaticArtifacts`` that
-    this waits on; without it the static half runs here.
+    this waits on; without it the static half runs here. If it raises, it
+    leaves ``bundle.json`` and ``probes.json`` only if it finished them.
     """
-    static = run_static(desc, config) if static is None else static.result()
-    if transport is None:
-        model = open_model(config, config.concurrency)
-    else:
-        model = nullcontext((transport, pool))
-    with model as (transport, pool):
-        stage1 = run_stage1(desc, transport, pool)
-        bundle = assemble_bundle(desc, static, stage1)
-        write_json(config.out_dir, "bundle.json", bundle.to_json())
-        stage2 = run_stage2(bundle, transport, config.retries, pool)
-    write_json(config.out_dir, "probes.json", stage2.to_json())
+    with _writing(config.out_dir, PROBE_ARTIFACTS) as write:
+        static = run_static(desc, config) if static is None else static.result()
+        if transport is None:
+            model = open_model(config, config.concurrency)
+        else:
+            model = nullcontext((transport, pool))
+        with model as (transport, pool):
+            stage1 = run_stage1(desc, transport, pool)
+            bundle = assemble_bundle(desc, static, stage1)
+            write("bundle.json", bundle.to_json())
+            stage2 = run_stage2(bundle, transport, config.retries, pool)
+        write("probes.json", stage2.to_json())
     return bundle, stage2
 
 
@@ -227,10 +285,11 @@ def run_fusion(
 ) -> tuple[FusionResult, Verdict]:
     """Fuse probe distributions and decide: writes ``fusion.json``, then
     ``verdict.json``."""
-    fusion = fuse(distributions)
-    write_json(config.out_dir, "fusion.json", fusion.to_json())
-    verdict = decide(fusion, config.threshold)
-    write_json(config.out_dir, "verdict.json", verdict.to_json())
+    with _writing(config.out_dir, FUSION_ARTIFACTS) as write:
+        fusion = fuse(distributions)
+        write("fusion.json", fusion.to_json())
+        verdict = decide(fusion, config.threshold)
+        write("verdict.json", verdict.to_json())
     return fusion, verdict
 
 
@@ -239,8 +298,17 @@ def run_detect(
 ) -> tuple[Verdict, AnalysisBundle]:
     """Full pipeline for one contract; artifacts land in config.out_dir. A
     ``transport`` passed in is queried on ``pool``, or inline when it is None;
-    ``static`` is as for ``run_probes``."""
-    bundle, stage2 = run_probes(desc, config, transport, pool, static)
+    ``static`` is as for ``run_probes``.
+
+    If it raises, the nine artifacts are those it finished, and no others:
+    each stage removes its own unfinished ones, and a failed ``run_probes``
+    leaves no ``fusion.json`` or ``verdict.json`` of an earlier run.
+    """
+    try:
+        bundle, stage2 = run_probes(desc, config, transport, pool, static)
+    except BaseException:
+        _remove(config.out_dir, FUSION_ARTIFACTS)
+        raise
     _, verdict = run_fusion(stage2.distributions, config)
     return verdict, bundle
 

@@ -17,6 +17,7 @@ LOCALS = ("t", "u")
 GLOBALS = ("stor_1", "stor_2", "caller", "msg.sender", "msg.value")
 LITERALS = ("0", "7", "0x1234")
 CALLEES = ("stor_5.flashLoan", "token.transfer", "oracle.price", "withdraw")
+INERT_CALLEES = ("oracle.price",)  # no fund-moving operation
 CONDITIONS = ("when ({} > 0)", "if ({} == caller)", "it is required that ({} != 0)")
 
 
@@ -52,19 +53,29 @@ def _call(callee: str, arity: int) -> str:
     return f"it triggers the external call to {callee}({', '.join(['{}'] * arity)})"
 
 
-def _sentences(names):
+def _sentences(names, inert=False):
     """(template, names) of one sentence, its slots drawn from ``names``, or
-    from literals where the grammar allows any mention."""
+    from literals where the grammar allows any mention. An ``inert``
+    sentence moves no funds, calls no fund-moving operation and writes no
+    global."""
     mentions = st.sampled_from(names) | st.sampled_from(LITERALS)
-    # an assignment's destination is one word, which "call value" is not
-    words = st.sampled_from([n for n in names if " " not in n]) | st.sampled_from(LITERALS)
-    return st.one_of(
+    written = [n for n in names if n not in GLOBALS] if inert else names
+
+    def words(pool):
+        # an assignment's destination is one word, which "call value" is not
+        return st.sampled_from([n for n in pool if " " not in n]) | st.sampled_from(LITERALS)
+
+    kinds = [
         st.tuples(st.sampled_from(CONDITIONS), st.tuples(mentions)),
-        st.tuples(st.just("it updates the state variable {} to {}"), st.tuples(words, mentions)),
-        st.tuples(st.just("it transfers {} wei to {}"), st.tuples(mentions, mentions)),
+        st.tuples(
+            st.just("it updates the state variable {} to {}"),
+            st.tuples(words(written), mentions),
+        ),
         st.integers(0, 3).flatmap(
             lambda arity: st.tuples(
-                st.sampled_from(CALLEES).map(lambda callee: _call(callee, arity)),
+                st.sampled_from(INERT_CALLEES if inert else CALLEES).map(
+                    lambda callee: _call(callee, arity)
+                ),
                 st.tuples(*[mentions] * arity),
             )
         ),
@@ -73,16 +84,20 @@ def _sentences(names):
                 "it creates a new smart contract with creation code {} and salt {}, "
                 "and gets a new address {}"
             ),
-            st.tuples(words, words, words),
+            st.tuples(words(names), words(names), words(written)),
         ),
         st.tuples(st.just("it returns {}"), st.tuples(mentions)),
-    )
+    ]
+    if not inert:
+        transfer = st.tuples(st.just("it transfers {} wei to {}"), st.tuples(mentions, mentions))
+        kinds.insert(2, transfer)
+    return st.one_of(kinds)
 
 
 @st.composite
-def _function(draw, name: str, max_sentences: int) -> Function:
+def _function(draw, name: str, max_sentences: int, inert: bool = False) -> Function:
     parameters = tuple(draw(st.lists(st.sampled_from(PARAMETERS), unique=True, max_size=3)))
-    pairs = _sentences(parameters + LOCALS + GLOBALS)
+    pairs = _sentences(parameters + LOCALS + GLOBALS, inert)
     sentences, depth = [], -1
     for _ in range(draw(st.integers(0, max_sentences))):
         # at most one level deeper than the sentence before, so nesting is well formed
@@ -97,3 +112,10 @@ def contracts(draw, max_functions: int = 4, max_sentences: int = 10) -> tuple[Fu
     """Functions ``f0``, ``f1``, ... in that order."""
     count = draw(st.integers(1, max_functions))
     return tuple(draw(_function(f"f{i}", max_sentences)) for i in range(count))
+
+
+def inert_function(name: str, max_sentences: int = 10):
+    """A function with no route to egress: it moves no funds, calls no
+    fund-moving operation and writes no storage, so a flow that enters it
+    stays in its own scope. It may read any global."""
+    return _function(name, max_sentences, inert=True)

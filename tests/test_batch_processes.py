@@ -51,6 +51,24 @@ def test_a_failing_static_half_leaves_every_other_contract_whole(tmp_path, model
     assert os.listdir(tmp_path / "rec" / "b") == ["description.json"]
 
 
+def test_a_static_half_that_fails_in_its_worker_leaves_no_earlier_artifact(tmp_path, model):
+    """Contract ``b`` first ran whole; a rerun of the batch in which its
+    static half fails in a worker process leaves only its new
+    ``description.json`` in its directory."""
+    descs = contracts()
+    whole = [descs[0], chunk_flat_text(FIXTURE_TEXT, "b"), descs[2]]
+    config = record_config(tmp_path, concurrency=2)
+    run_batch(whole, config)
+    assert sorted(os.listdir(tmp_path / "rec" / "b")) == sorted(STATIC_NAMES + MODEL_NAMES)
+    with pytest.raises(MalformedNesting):
+        run_batch(descs, config)
+    assert os.listdir(tmp_path / "rec" / "b") == ["description.json"]
+    with pytest.raises(MalformedNesting):
+        run_detect(descs[1], record_config(tmp_path / "alone"))
+    alone = tmp_path / "alone" / "rec" / "description.json"
+    assert (tmp_path / "rec" / "b" / "description.json").read_bytes() == alone.read_bytes()
+
+
 def test_detect_of_a_directory_keeps_its_exit_code_and_message(tmp_path, model, capsys):
     batch_dir = tmp_path / "contracts"
     batch_dir.mkdir()

@@ -14,7 +14,7 @@ from fundflow.reachability import (
     prune_and_enumerate,
 )
 
-from contracts import contracts, flat_text
+from contracts import contracts, flat_text, inert_function
 
 FRESH = "renamed"  # a local-looking name no generated contract uses
 
@@ -100,3 +100,24 @@ def test_renaming_a_parameter_maps_graph_ingress_and_paths(data):
             (tuple(map(key, hops)), tuple(next(iter(image[step])) for step in steps))
         )
     assert path_set(result2) == expected
+
+
+@settings(deadline=None)
+@given(st.data())
+def test_adding_a_function_with_no_route_to_egress_adds_no_path(data):
+    functions = data.draw(contracts())
+    added = data.draw(inert_function(f"f{len(functions)}"))
+    at = data.draw(st.integers(0, len(functions)))
+    graph, _, result = static_core(flat_text(functions))
+    graph2, _, result2 = static_core(flat_text(functions[:at] + (added,) + functions[at:]))
+
+    def edges(g, skipped=None):
+        return [
+            (e.src.key(), e.dst.key(), e.conditions, e.function)
+            for e in g.edges
+            if e.function != skipped
+        ]
+
+    assert edges(graph2, added.name) == edges(graph)
+    if not (result.truncated or result2.truncated):
+        assert path_set(result2) == path_set(result)

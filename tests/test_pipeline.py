@@ -6,6 +6,8 @@ import sys
 import threading
 import time
 import weakref
+from contextlib import closing
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -271,6 +273,167 @@ def test_static_artifacts_survive_model_failure(tmp_path):
         assert os.path.exists(os.path.join(out, name)), name
     for name in MODEL_NAMES:
         assert not os.path.exists(os.path.join(out, name)), name
+
+
+# -- rewriting artifacts in place ---------------------------------------
+
+
+def test_a_shorter_artifact_leaves_no_stale_tail(tmp_path):
+    path = Path(write_json(str(tmp_path), "a.json", {"text": "x" * 5000}))
+    write_json(str(tmp_path), "a.json", {"text": "y"})
+    assert path.read_bytes() == b'{"text":"y"}\n'
+
+
+def test_an_artifact_is_rewritten_in_its_own_inode(tmp_path):
+    """In place: the file and every hard link to it get the new bytes, as
+    with ``open(path, "wb")``; a temporary file renamed over it would not."""
+    path = Path(write_json(str(tmp_path), "a.json", {"n": 1}))
+    link = tmp_path / "link.json"
+    os.link(path, link)
+    inode = path.stat().st_ino
+    write_json(str(tmp_path), "a.json", {"n": 22})
+    assert path.stat().st_ino == inode
+    assert link.read_bytes() == path.read_bytes() == b'{"n":22}\n'
+
+
+def test_a_new_artifact_mode_follows_the_umask(tmp_path):
+    old = os.umask(0o027)
+    try:
+        path = Path(write_json(str(tmp_path), "a.json", {}))
+        with open(tmp_path / "reference", "wb"):
+            pass
+    finally:
+        os.umask(old)
+    assert path.stat().st_mode == (tmp_path / "reference").stat().st_mode
+
+
+def test_a_lone_surrogate_leaves_an_existing_artifact_as_it_was(tmp_path):
+    path = Path(write_json(str(tmp_path), "a.json", {"text": "kept"}))
+    before = path.stat()
+    with pytest.raises(UnicodeEncodeError):
+        write_json(str(tmp_path), "a.json", '{"text":"\ud800"}')
+    assert path.read_bytes() == b'{"text":"kept"}\n'
+    assert (path.stat().st_ino, path.stat().st_mtime_ns) == (before.st_ino, before.st_mtime_ns)
+
+
+@pytest.mark.parametrize("size", [10, 100_000])  # buffered, and written through
+def test_a_failed_write_closes_its_descriptor(tmp_path, monkeypatch, size):
+    """The file is opened read-only behind ``write_json``'s back, so the
+    write fails after the open: in the buffer's flush for a small artifact,
+    in the write itself for a large one."""
+    opened = []
+
+    def read_only(path, flags):
+        opened.append(os.open(path, os.O_RDONLY | os.O_CREAT, 0o666))
+        return opened[-1]
+
+    monkeypatch.setattr(pipeline, "_open_untruncated", read_only)
+    with pytest.raises(OSError):
+        write_json(str(tmp_path), "a.json", "x" * size)
+    assert len(opened) == 1
+    with pytest.raises(OSError):
+        os.fstat(opened[0])
+
+
+def big_contract():
+    """The fixture contract and 40 more functions: its static artifacts and
+    its bundle are longer than the benign contract's."""
+    extra = "".join(
+        f"function extra{i}(param1, param2):\n"
+        f"it updates the state variable stor_{i + 10} to param2\n"
+        f"when (param1 > {i})\n  it transfers param1 wei to caller\n"
+        for i in range(40)
+    )
+    return chunk_flat_text(FIXTURE_TEXT + extra, "big")
+
+
+def detect(desc, out_dir, rows):
+    config = RunConfig(out_dir=str(out_dir))
+    return run_detect(desc, config, ScriptedTransport(config.params(), rows))
+
+
+def artifact_bytes(out_dir):
+    return {name: (Path(out_dir) / name).read_bytes() for name in sorted(os.listdir(out_dir))}
+
+
+def test_a_small_contract_over_a_large_one_writes_what_it_writes_alone(tmp_path):
+    detect(big_contract(), tmp_path / "out", ADVERSARIAL_ROWS)
+    big = artifact_bytes(tmp_path / "out")
+    small = chunk_flat_text(BENIGN_TEXT, "small")
+    detect(small, tmp_path / "out", BENIGN_ROWS)
+    detect(small, tmp_path / "alone", BENIGN_ROWS)
+    alone = artifact_bytes(tmp_path / "alone")
+    assert sorted(alone) == sorted(STATIC_NAMES + MODEL_NAMES)
+    assert all(len(big[name]) > len(alone[name]) for name in STATIC_NAMES + ("bundle.json",))
+    assert artifact_bytes(tmp_path / "out") == alone
+
+
+# -- what a failed run leaves ---------------------------------------------
+
+RUN_ORDER = STATIC_NAMES + MODEL_NAMES  # the order run_detect writes them in
+
+
+@pytest.mark.parametrize("failing", RUN_ORDER)
+def test_a_failed_rerun_leaves_only_the_artifacts_it_finished(tmp_path, monkeypatch, failing):
+    """A rerun into the directory of an earlier contract fails part-way
+    through writing ``failing``: the artifacts before it are the rerun's
+    own, and neither the cut-off file nor any later one of the earlier
+    contract is left."""
+    small = chunk_flat_text(BENIGN_TEXT, "small")
+    detect(small, tmp_path / "alone", BENIGN_ROWS)
+    alone = artifact_bytes(tmp_path / "alone")
+    detect(big_contract(), tmp_path / "out", ADVERSARIAL_ROWS)
+    real_write_json = pipeline.write_json
+
+    def cut_off(out_dir, name, payload):
+        if name != failing:
+            return real_write_json(out_dir, name, payload)
+        with open(os.path.join(out_dir, name), "r+b") as fh:
+            fh.write(b"{")
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(pipeline, "write_json", cut_off)
+    with pytest.raises(OSError, match="No space left"):
+        detect(small, tmp_path / "out", BENIGN_ROWS)
+    finished = RUN_ORDER[: RUN_ORDER.index(failing)]
+    assert artifact_bytes(tmp_path / "out") == {name: alone[name] for name in finished}
+
+
+def test_a_replay_miss_leaves_no_verdict_of_the_earlier_contract(tmp_path):
+    """``detect`` of a contract, then of another one that the same store
+    cannot answer, into one output directory."""
+    store = str(tmp_path / "store.jsonl")
+    config = RunConfig(out_dir=str(tmp_path / "out"))
+    scripted = ScriptedTransport(config.params(), ADVERSARIAL_ROWS)
+    with closing(RecordTransport(scripted, store)) as recorder:
+        run_detect(chunk_flat_text(FIXTURE_TEXT, "adv"), config, recorder)
+    other = chunk_flat_text(BENIGN_TEXT, "other")
+    with pytest.raises(ReplayMiss):
+        run_detect(other, replace(config, transport="replay", store=store))
+    run_static(other, RunConfig(out_dir=str(tmp_path / "static")))
+    assert artifact_bytes(tmp_path / "out") == artifact_bytes(tmp_path / "static")
+
+
+def test_a_failed_batch_contract_leaves_no_verdict_of_an_earlier_batch(tmp_path):
+    """A rerun of a batch in which one contract's model half fails: its
+    directory keeps the new static artifacts and nothing of the earlier
+    contract of that id; the other contract's directory is whole."""
+    store = str(tmp_path / "store.jsonl")
+    descs = [chunk_flat_text(FIXTURE_TEXT, "a"), chunk_flat_text(BENIGN_TEXT, "b")]
+    for desc, rows in zip(descs, (ADVERSARIAL_ROWS, BENIGN_ROWS)):
+        config = RunConfig(out_dir=str(tmp_path / "seed" / desc.contract_id))
+        with closing(RecordTransport(ScriptedTransport(config.params(), rows), store)) as t:
+            run_detect(desc, config, t)
+    config = RunConfig(
+        transport="replay", store=store, out_dir=str(tmp_path / "batch"), concurrency=2
+    )
+    run_batch(descs, config)
+    unanswered = chunk_flat_text(BENIGN_TEXT.replace("balanceOf", "balanceOf2"), "a")
+    with pytest.raises(ReplayMiss):
+        run_batch([unanswered, descs[1]], config)
+    run_static(unanswered, RunConfig(out_dir=str(tmp_path / "static")))
+    assert artifact_bytes(tmp_path / "batch" / "a") == artifact_bytes(tmp_path / "static")
+    assert artifact_bytes(tmp_path / "batch" / "b") == artifact_bytes(tmp_path / "seed" / "b")
 
 
 def test_assemble_bundle_uses_stage1_reasons(tmp_path):
