@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from json.encoder import encode_basestring
 from typing import NamedTuple
 
@@ -66,15 +66,10 @@ class FunctionChunk:
 class ContractDescription:
     """A contract id plus its per-function chunks, each signature normalised
     by ``parse_signature``, so every function has a name that scopes its
-    locals.
-
-    ``ignored_lines`` counts flat-text lines discarded before the first
-    function header; it is parser metadata and excluded from equality.
-    """
+    locals."""
 
     contract_id: str
     functions: list[FunctionChunk]
-    ignored_lines: int = field(default=0, compare=False)
 
     def __post_init__(self) -> None:
         seen: set[str] = set()
@@ -98,7 +93,6 @@ def chunk_flat_text(text: str, contract_id: str = "contract") -> ContractDescrip
 
     chunks: list[tuple[str, list[Sentence]]] = []  # (signature, sentences)
     sentences: list[Sentence] | None = None  # of the last header's function
-    ignored = 0
     new_sentence = tuple.__new__  # as Sentence(text, depth), without its Python-level __new__
     for lineno, line in enumerate(text.splitlines(), start=1):
         content = line.strip()
@@ -115,8 +109,7 @@ def chunk_flat_text(text: str, contract_id: str = "contract") -> ContractDescrip
             sentences = []
             chunks.append((signature, sentences))
             continue
-        if sentences is None:
-            ignored += 1
+        if sentences is None:  # a line before the first header
             continue
         stripped = line.lstrip(" ")
         if stripped[0].isspace():
@@ -136,7 +129,7 @@ def chunk_flat_text(text: str, contract_id: str = "contract") -> ContractDescrip
         raise NoFunctionsFound("no 'function <name>(<params>):' header line found")
 
     functions = [FunctionChunk(sig, tuple(sentences)) for sig, sentences in chunks]
-    return ContractDescription(contract_id, functions, ignored_lines=ignored)
+    return ContractDescription(contract_id, functions)
 
 
 def render_function(chunk: FunctionChunk) -> str:
@@ -167,13 +160,12 @@ def _require_utf8(value: str, where: str) -> None:
         raise InvalidDescription(f"{where} is not encodable as UTF-8: {exc}") from exc
 
 
-def description_from_json(data: str | dict) -> ContractDescription:
+def description_from_json(text: str) -> ContractDescription:
     """Parse the canonical JSON input; unknown keys are rejected."""
-    if isinstance(data, str):
-        try:
-            data = json.loads(data)
-        except (json.JSONDecodeError, RecursionError) as exc:
-            raise InvalidDescription(f"not valid JSON: {exc}") from exc
+    try:
+        data = json.loads(text)
+    except (json.JSONDecodeError, RecursionError) as exc:
+        raise InvalidDescription(f"not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise InvalidDescription("top-level value must be an object")
     _require_keys(data, {"contract", "functions"}, "document")

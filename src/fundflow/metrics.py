@@ -79,40 +79,25 @@ def compute_metrics(
     )
 
 
-@dataclass(frozen=True)
-class SweepRow:
-    threshold: float
-    fpr: float | None
-    fnr: float | None
-    tpr: float | None
-    tnr: float | None
-    bac: float | None
-
-
 def threshold_sweep(
     scores: list[tuple[str, float, str]], grid: list[float]
-) -> list[SweepRow]:
-    """One row per threshold; a sample is adversarial iff its score > t."""
-    rows: list[SweepRow] = []
-    for t in grid:
-        m = _confusion((actual, score > t) for _, score, actual in scores)
-        rows.append(
-            SweepRow(
-                threshold=t, fpr=m.fpr, fnr=m.fnr, tpr=m.tpr, tnr=m.tnr, bac=m.bac
-            )
-        )
-    return rows
+) -> list[tuple[float, Metrics]]:
+    """(threshold, metrics) pairs; a sample is adversarial iff its score > t."""
+    return [
+        (t, _confusion((actual, score > t) for _, score, actual in scores))
+        for t in grid
+    ]
 
 
 def _cell(value: float | None) -> str:
     return "" if value is None else f"{value:.6f}"
 
 
-def sweep_to_csv(rows: list[SweepRow]) -> str:
+def sweep_to_csv(rows: list[tuple[float, Metrics]]) -> str:
     lines = ["threshold,fpr,fnr,tpr,tnr,bac"]
-    for r in rows:
+    for t, m in rows:
         lines.append(
-            f"{r.threshold:.6f},{_cell(r.fpr)},{_cell(r.fnr)},"
-            f"{_cell(r.tpr)},{_cell(r.tnr)},{_cell(r.bac)}"
+            f"{t:.6f},{_cell(m.fpr)},{_cell(m.fnr)},"
+            f"{_cell(m.tpr)},{_cell(m.tnr)},{_cell(m.bac)}"
         )
     return "\n".join(lines) + "\n"

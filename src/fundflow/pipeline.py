@@ -360,6 +360,7 @@ def run_batch(
         statics = ProcessPoolExecutor(workers, multiprocessing.get_context("fork"))
     else:
         statics = ThreadPoolExecutor(workers)
+    halves, futures = [], None
     try:
         # under fork the first submit starts every worker process: no
         # worker inherits a store handle, a connection or a thread
@@ -374,11 +375,15 @@ def run_batch(
                 pool.submit(run_detect, *job, transport, queries, half)
                 for job, half in zip(jobs.values(), halves)
             ]
-            del halves  # each static result is freed with its contract's task
+            halves.clear()  # each static result is freed with its contract's task
             futures.reverse()  # popped as read: each bundle is freed with its verdict
             verdicts = {cid: futures.pop().result()[0] for cid in jobs}
     finally:
         # every half has run unless the model failed to open: then those
         # still queued are dropped
         statics.shutdown(cancel_futures=True)
+        if futures is None:  # no model half ran: remove what an earlier run left
+            for (_, job_config), half in zip(jobs.values(), halves):
+                dropped = STATIC_ARTIFACTS if half.cancelled() else ()
+                _remove(job_config.out_dir, dropped + PROBE_ARTIFACTS + FUSION_ARTIFACTS)
     return verdicts

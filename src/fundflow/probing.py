@@ -59,12 +59,6 @@ class ProbeDistribution:
     probe: str
     ranked: tuple[tuple[str, float], ...]  # (label, confidence), rank order
 
-    def confidence(self, label: str) -> float:
-        for entry_label, conf in self.ranked:
-            if entry_label == label:
-                return conf
-        raise KeyError(label)
-
     def to_json(self) -> dict:
         return {
             "probe": self.probe,

@@ -10,6 +10,7 @@ question texts live in package assets so they stay byte-stable.
 from __future__ import annotations
 
 import functools
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from importlib import resources
 
@@ -114,22 +115,10 @@ def _ratio(value: float) -> str:
     return f"{value:.4f}"
 
 
-def _function_summaries_block(functions: list[FunctionSummary]) -> str:
-    lines = [
-        f"- ({ordinal(i)} function) {f.name}: {f.purpose}, "
-        f"Suspicious: {_yes_no(f.suspicious)}, Reason: {f.reason}"
-        for i, f in enumerate(functions, start=1)
-    ]
-    return "\n".join(lines) if lines else "(none)"
-
-
-def _unknown_functions_block(unknown: list[UnknownFunction]) -> str:
-    lines = [
-        f"- ({ordinal(i)} function) {u.name}: {u.parameters}, "
-        f"Description: {u.description}, Reason: {u.reason}"
-        for i, u in enumerate(unknown, start=1)
-    ]
-    return "\n".join(lines) if lines else "(none)"
+def _numbered_functions(lines: Iterable[str]) -> str:
+    """``- (1st function) <line>``, one a line, or ``(none)`` for no lines."""
+    numbered = (f"- ({ordinal(i)} function) {line}" for i, line in enumerate(lines, start=1))
+    return "\n".join(numbered) or "(none)"
 
 
 def build_stage2_context(kind: str, bundle: AnalysisBundle) -> str:
@@ -150,9 +139,13 @@ def build_stage2_context(kind: str, bundle: AnalysisBundle) -> str:
             bot_fn_ratio=_ratio(ind.bot_fn_ratio),
         )
     return _asset("stage2_context_specific.txt").format(
-        function_summaries=_function_summaries_block(bundle.functions),
-        unknown_function_descriptions=_unknown_functions_block(
-            bundle.unknown_functions
+        function_summaries=_numbered_functions(
+            f"{f.name}: {f.purpose}, Suspicious: {_yes_no(f.suspicious)}, Reason: {f.reason}"
+            for f in bundle.functions
+        ),
+        unknown_function_descriptions=_numbered_functions(
+            f"{u.name}: {u.parameters}, Description: {u.description}, Reason: {u.reason}"
+            for u in bundle.unknown_functions
         ),
         fund_flow_paths="\n".join(bundle.paths) if bundle.paths else "(none)",
     )

@@ -84,6 +84,8 @@ def read_jsonl(path: str, error: type[Exception], **fields: str) -> list[tuple]:
     return rows
 
 
+TIMEOUT = 120.0  # seconds that ``LiveTransport`` waits for each answer
+
 # A request that fails to connect, or is answered 429 or 5xx, is sent again
 # up to three times: at once, then after 1 s, then after 2 s, each wait plus
 # up to 0.5 s of jitter, unless the answer's Retry-After asks for a wait (at
@@ -122,14 +124,12 @@ class LiveTransport:
         params: TransportParams,
         endpoint: str,
         api_key_env: str = "OPENAI_API_KEY",
-        timeout: float = 120.0,
     ) -> None:
         import requests
 
         self.params = params
         self.endpoint = endpoint
         self.api_key_env = api_key_env
-        self.timeout = timeout
         self.session = requests.Session()
         self.connections = requests.adapters.DEFAULT_POOLSIZE
 
@@ -172,7 +172,7 @@ class LiveTransport:
                 self.endpoint,
                 json=body,
                 headers={"Authorization": f"Bearer {api_key}"},
-                timeout=self.timeout,
+                timeout=TIMEOUT,
             )
             response.raise_for_status()
             content = response.json()["choices"][0]["message"]["content"]

@@ -45,8 +45,8 @@ class Function(NamedTuple):
 
 def flat_text(functions, renamed_in: str | None = None, renamed=None) -> str:
     """The contract in flat text; ``renamed`` applies in the function named
-    ``renamed_in`` only."""
-    return "".join(f.text(renamed if f.name == renamed_in else None) for f in functions)
+    ``renamed_in`` only, or in every function when that is None."""
+    return "".join(f.text(renamed if renamed_in in (None, f.name) else None) for f in functions)
 
 
 def _call(callee: str, arity: int) -> str:

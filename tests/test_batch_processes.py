@@ -15,7 +15,7 @@ from fundflow import pipeline
 from fundflow.cli import main
 from fundflow.description import chunk_flat_text
 from fundflow.errors import MalformedNesting
-from fundflow.pipeline import RunConfig, run_batch, run_detect
+from fundflow.pipeline import RunConfig, run_batch, run_detect, run_static
 
 from conftest import ADVERSARIAL_ROWS, FIXTURE_TEXT, ScriptedTransport
 from test_pipeline import MODEL_NAMES, STATIC_NAMES, record_config, use_model
@@ -67,6 +67,48 @@ def test_a_static_half_that_fails_in_its_worker_leaves_no_earlier_artifact(tmp_p
         run_detect(descs[1], record_config(tmp_path / "alone"))
     alone = tmp_path / "alone" / "rec" / "description.json"
     assert (tmp_path / "rec" / "b" / "description.json").read_bytes() == alone.read_bytes()
+
+
+def only_this_batch(out, descs):
+    """Each contract's directory under ``out`` holds only static artifacts,
+    each byte for byte the one ``run_static`` writes for that contract."""
+    for desc in descs:
+        alone = out.parent / "alone" / desc.contract_id
+        run_static(desc, RunConfig(out_dir=str(alone)))
+        for name in os.listdir(out / desc.contract_id):
+            assert name in STATIC_NAMES, (desc.contract_id, name)
+            kept = (out / desc.contract_id / name).read_bytes()
+            assert kept == (alone / name).read_bytes(), (desc.contract_id, name)
+
+
+def test_a_batch_whose_model_fails_to_open_keeps_no_earlier_verdict(tmp_path, model):
+    """``a`` and ``b`` first ran whole; a rerun with a different ``a`` and a
+    store that is missing raises, and leaves no artifact of the first run."""
+    a, b = chunk_flat_text(FIXTURE_TEXT, "a"), chunk_flat_text(FIXTURE_TEXT, "b")
+    store = record_config(tmp_path).store
+    run_batch([a, b], record_config(tmp_path))
+    outb = tmp_path / "outb"
+    run_batch([a, b], RunConfig(transport="replay", store=store, out_dir=str(outb)))
+    for cid in "ab":
+        assert sorted(os.listdir(outb / cid)) == sorted(STATIC_NAMES + MODEL_NAMES)
+    a2 = chunk_flat_text("function g(param1):\nit returns stor_1\n", "a")
+    missing = str(tmp_path / "missing.jsonl")
+    with pytest.raises(FileNotFoundError):
+        run_batch([a2, b], RunConfig(transport="replay", store=missing, out_dir=str(outb)))
+    only_this_batch(outb, [a2, b])
+
+
+def test_a_failed_open_leaves_nothing_of_a_dropped_static_half(tmp_path, model):
+    """With one worker, the static halves still queued when the model fails
+    to open are dropped; their directories keep no earlier artifact."""
+    first = [chunk_flat_text(FIXTURE_TEXT, f"c{i}") for i in range(6)]
+    run_batch(first, record_config(tmp_path))
+    out = tmp_path / "rec"
+    again = [chunk_flat_text(f"function g(param{i}):\nit returns 0\n", f"c{i}") for i in range(6)]
+    missing = str(tmp_path / "missing.jsonl")
+    with pytest.raises(FileNotFoundError):
+        run_batch(again, RunConfig(store=missing, out_dir=str(out), concurrency=1))
+    only_this_batch(out, again)
 
 
 def test_detect_of_a_directory_keeps_its_exit_code_and_message(tmp_path, model, capsys):

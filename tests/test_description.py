@@ -47,11 +47,9 @@ def test_verbatim_sentence_preserved():
     )
 
 
-def test_leading_lines_ignored_with_count():
+def test_leading_lines_ignored():
     text = "contract 0xabc\nsome preamble\nfunction f():\nit returns 0\n"
-    desc = chunk_flat_text(text)
-    assert desc.ignored_lines == 2
-    assert len(desc.functions) == 1
+    assert chunk_flat_text(text) == chunk_flat_text("function f():\nit returns 0\n")
 
 
 def test_no_functions_found():
@@ -127,20 +125,20 @@ def test_json_round_trip():
         "function f(a):\nwhen (a > 0)\n  it returns a\nfunction g():\nit returns 1\n",
         contract_id="c1",
     )
-    again = description_from_json(json.loads(description_to_json(desc)))
+    again = description_from_json(description_to_json(desc))
     assert again == desc
 
 
 def test_json_unknown_keys_rejected():
     doc = {"contract": "c", "functions": [], "extra": 1}
     with pytest.raises(InvalidDescription):
-        description_from_json(doc)
+        description_from_json(json.dumps(doc))
     doc = {
         "contract": "c",
         "functions": [{"signature": "f()", "sentences": [], "bogus": True}],
     }
     with pytest.raises(InvalidDescription):
-        description_from_json(doc)
+        description_from_json(json.dumps(doc))
 
 
 def test_json_depth_validation():
@@ -151,10 +149,10 @@ def test_json_depth_validation():
         ],
     }
     with pytest.raises(InvalidDescription):
-        description_from_json(doc)
+        description_from_json(json.dumps(doc))
     doc = {"contract": "c", "functions": [{"signature": "f()", "sentences": 5}]}
     with pytest.raises(InvalidDescription, match="sentences must be a list"):
-        description_from_json(doc)
+        description_from_json(json.dumps(doc))
 
 
 @pytest.mark.parametrize(
@@ -170,7 +168,7 @@ def test_json_depth_validation():
 )
 def test_json_value_of_the_wrong_kind_rejected(function, error):
     with pytest.raises(InvalidDescription) as raised:
-        description_from_json({"contract": "c", "functions": [function]})
+        description_from_json(json.dumps({"contract": "c", "functions": [function]}))
     assert str(raised.value) == error
 
 
@@ -261,6 +259,7 @@ _signature_texts = st.one_of(
 @example("(x)")
 @example(" f (a)")
 @example("g(x):\nfunction f(a)")
+@example("x\nfunction f(a)")
 @given(_signature_texts)
 def test_both_encodings_accept_the_same_signatures(sig):
     """JSON accepts a signature iff flat text reads ``function <sig>:`` as
@@ -268,17 +267,20 @@ def test_both_encodings_accept_the_same_signatures(sig):
     its flat text unchanged."""
     try:
         from_json = description_from_json(
-            {"contract": "c", "functions": [{"signature": sig, "sentences": []}]}
+            json.dumps({"contract": "c", "functions": [{"signature": sig, "sentences": []}]})
         )
     except InvalidDescription:
         from_json = None
+    text = f"function {sig}:\n"
     try:
-        from_text = chunk_flat_text(f"function {sig}:\n", "c")
+        from_text = chunk_flat_text(text, "c")
     except (InvalidDescription, NoFunctionsFound):
         from_text = None
     else:
-        # only the header written above, read as one function with no sentences
-        if from_text.ignored_lines or [c.sentences for c in from_text.functions] != [()]:
+        # only the header written above: a text read without error and of
+        # one non-blank line is one function, with no sentence and no line
+        # skipped before its header
+        if sum(1 for line in text.splitlines() if line.strip()) != 1:
             from_text = None
     assert (from_json is None) == (from_text is None)
     if from_json is not None:

@@ -117,11 +117,11 @@ _document = st.fixed_dictionaries(
 _values = st.one_of(_json, _document)
 
 
-@example({"contract": "c", "functions": [{"signature": "f()", "sentences": 5}]})
-@example({"contract": "c", "functions": [{"signature": "f(\ud800)", "sentences": []}]})
+@example(json.dumps({"contract": "c", "functions": [{"signature": "f()", "sentences": 5}]}))
+@example(json.dumps({"contract": "c", "functions": [{"signature": "f(\ud800)", "sentences": []}]}))
 @example("[" * 100_000)
 @settings(deadline=None)
-@given(st.one_of(_values, _values.map(json.dumps), st.text()))
+@given(st.one_of(_values.map(json.dumps), st.text()))
 def test_json_values_raise_only_fundflow_errors(value):
     """An accepted document also goes through the static half, which
     writes every string of it into the artifacts."""

@@ -14,9 +14,11 @@ from fundflow.reachability import (
     prune_and_enumerate,
 )
 
-from contracts import contracts, flat_text, inert_function
+from contracts import GLOBALS, LOCALS, contracts, flat_text, inert_function
 
 FRESH = "renamed"  # a local-looking name no generated contract uses
+STORAGE = [name for name in GLOBALS if name.startswith("stor_")]
+FRESH_STORAGE = "stor_9"  # a storage variable no generated contract uses
 
 
 def static_core(text):
@@ -49,29 +51,29 @@ def test_permuting_functions_keeps_edges_and_paths(data):
         assert path_set(result2) == path_set(result)
 
 
-@settings(deadline=None)
-@given(st.data())
-def test_renaming_a_parameter_maps_graph_ingress_and_paths(data):
-    functions = data.draw(contracts())
-    candidates = [(f, p) for f in functions for p in f.parameters]
-    assume(candidates)
-    function, old = data.draw(st.sampled_from(candidates))
+def check_renaming(functions, old, new, renamed_in=None):
+    """Renaming ``old`` to ``new`` in the function named ``renamed_in``, or
+    in every function when that is None, maps the node keys, the edges with
+    their conditions, the ingress set and the untruncated path set under
+    that renaming."""
     graph, ingress, result = static_core(flat_text(functions))
-    graph2, ingress2, result2 = static_core(flat_text(functions, function.name, {old: FRESH}))
+    graph2, ingress2, result2 = static_core(flat_text(functions, renamed_in, {old: new}))
 
-    old_key = f"{function.name}:{old}"
+    scope = "" if renamed_in is None else f"{renamed_in}:"
 
     def key(k):
-        return f"{function.name}:{FRESH}" if k == old_key else k
+        return f"{scope}{new}" if k == f"{scope}{old}" else k
 
-    # the renamed function's conditions, as they read after the renaming
+    # the renamed functions' conditions, as they read after the renaming
     renamed_conditions = {
-        template.format(*names): template.format(*(FRESH if n == old else n for n in names))
-        for _, template, names in function.sentences
+        template.format(*names): template.format(*(new if n == old else n for n in names))
+        for f in functions
+        if renamed_in in (None, f.name)
+        for _, template, names in f.sentences
     }
 
     def conditions(edge):
-        if edge.function != function.name:
+        if renamed_in not in (None, edge.function):
             return edge.conditions
         return tuple(renamed_conditions.get(c, c) for c in edge.conditions)
 
@@ -100,6 +102,39 @@ def test_renaming_a_parameter_maps_graph_ingress_and_paths(data):
             (tuple(map(key, hops)), tuple(next(iter(image[step])) for step in steps))
         )
     assert path_set(result2) == expected
+
+
+def mentioned(function, name):
+    return any(name in names for _, _, names in function.sentences)
+
+
+@settings(deadline=None)
+@given(st.data())
+def test_renaming_a_parameter_maps_graph_ingress_and_paths(data):
+    functions = data.draw(contracts())
+    candidates = [(f, p) for f in functions for p in f.parameters]
+    assume(candidates)
+    function, old = data.draw(st.sampled_from(candidates))
+    check_renaming(functions, old, FRESH, function.name)
+
+
+@settings(deadline=None)
+@given(st.data())
+def test_renaming_a_local_maps_graph_ingress_and_paths(data):
+    functions = data.draw(contracts())
+    candidates = [(f, n) for f in functions for n in LOCALS if mentioned(f, n)]
+    assume(candidates)
+    function, old = data.draw(st.sampled_from(candidates))
+    check_renaming(functions, old, FRESH, function.name)
+
+
+@settings(deadline=None)
+@given(st.data())
+def test_renaming_a_storage_variable_everywhere_maps_graph_ingress_and_paths(data):
+    functions = data.draw(contracts())
+    candidates = [n for n in STORAGE if any(mentioned(f, n) for f in functions)]
+    assume(candidates)
+    check_renaming(functions, data.draw(st.sampled_from(candidates)), FRESH_STORAGE)
 
 
 @settings(deadline=None)

@@ -91,16 +91,17 @@ def test_order_does_not_matter():
 
 def test_two_point_sweep():
     scores = [("adv", 0.6154, "adversarial"), ("ben", 0.3682, "benign")]
-    rows = threshold_sweep(scores, [0.5])
-    assert rows[0].tpr == 1.0 and rows[0].tnr == 1.0 and rows[0].bac == 1.0
-    assert rows[0].fpr == 0.0 and rows[0].fnr == 0.0
+    [(t, m)] = threshold_sweep(scores, [0.5])
+    assert t == 0.5
+    assert m.tpr == 1.0 and m.tnr == 1.0 and m.bac == 1.0
+    assert m.fpr == 0.0 and m.fnr == 0.0
 
 
 def test_threshold_is_strict():
     scores = [("x", 0.5, "adversarial")]
-    at_half = threshold_sweep(scores, [0.5])[0]
+    _, at_half = threshold_sweep(scores, [0.5])[0]
     assert at_half.fnr == 1.0  # score == threshold is not positive
-    below = threshold_sweep(scores, [0.49])[0]
+    _, below = threshold_sweep(scores, [0.49])[0]
     assert below.fnr == 0.0
 
 
@@ -111,15 +112,13 @@ def test_sweep_matches_brute_force_recount():
         for i in range(300)
     ]
     grid = [i / 20 for i in range(20)]
-    for row in threshold_sweep(scores, grid):
-        tp = sum(1 for _, s, y in scores if y == "adversarial" and s > row.threshold)
-        fn = sum(1 for _, s, y in scores if y == "adversarial" and s <= row.threshold)
-        fp = sum(1 for _, s, y in scores if y == "benign" and s > row.threshold)
-        tn = sum(1 for _, s, y in scores if y == "benign" and s <= row.threshold)
-        want = metrics_from_counts(tp=tp, fp=fp, tn=tn, fn=fn)
-        assert (row.tpr, row.tnr, row.fpr, row.fnr, row.bac) == (
-            want.tpr, want.tnr, want.fpr, want.fnr, want.bac
-        )
+    assert [t for t, _ in threshold_sweep(scores, grid)] == grid
+    for t, got in threshold_sweep(scores, grid):
+        tp = sum(1 for _, s, y in scores if y == "adversarial" and s > t)
+        fn = sum(1 for _, s, y in scores if y == "adversarial" and s <= t)
+        fp = sum(1 for _, s, y in scores if y == "benign" and s > t)
+        tn = sum(1 for _, s, y in scores if y == "benign" and s <= t)
+        assert got == metrics_from_counts(tp=tp, fp=fp, tn=tn, fn=fn)
 
 
 @given(
@@ -138,7 +137,7 @@ def test_fnr_monotone_in_threshold(samples):
         return
     grid = sorted({round(i / 10, 1) for i in range(11)})
     rows = threshold_sweep(scores, grid)
-    fnrs = [r.fnr for r in rows]
+    fnrs = [m.fnr for _, m in rows]
     assert all(a <= b + 1e-12 for a, b in zip(fnrs, fnrs[1:]))
 
 

@@ -137,7 +137,7 @@ def test_distribution_json_round_trip():
     text = "G1: B\nP1: 60\nG2: A\nP2: 25\nG3: C\nP3: 10\nG4: D\nP4: 5\n"
     dist = parse_ranked_response(text, probe="s_normal")
     assert ProbeDistribution.from_json(dist.to_json()) == dist
-    assert dist.confidence("suspicion") == 60.0
+    assert dict(dist.ranked)["suspicion"] == 60.0
 
 
 class FlakyTransport:

@@ -169,7 +169,7 @@ def test_stage1_prompts_embed_the_rendered_description():
     # as one newline
     for desc in (
         chunk_flat_text(FIXTURE_TEXT),
-        description_from_json({"contract": "empty", "functions": []}),
+        description_from_json('{"contract": "empty", "functions": []}'),
     ):
         general, per_function = build_stage1_prompts(desc)
         assert general == _asset("stage1_general.txt").format(
