@@ -3,8 +3,9 @@
 Generates random directed graphs, compares forward reachability with a
 plain worklist closure and path enumeration with an unbounded DFS, then runs
 each graph again under small random limits and checks the result against
-the same DFS cut to those limits. Reports throughput. Any mismatch aborts
-with the offending seed.
+the same DFS cut to those limits. Each run's rendered texts, which the
+enumeration builds along its search, must be ``render_path`` of its paths.
+Reports throughput. Any mismatch aborts with the offending seed.
 
 Usage: python3 scripts/audit_reachability.py [--graphs N] [--max-nodes K] [--seed S]
 """
@@ -20,6 +21,7 @@ from fundflow.reachability import (
     ReachLimits,
     forward_reach,
     prune_and_enumerate,
+    render_path,
 )
 
 
@@ -65,6 +67,13 @@ def is_acyclic(graph: FlowGraph) -> bool:
             if indegree[edge.dst.key()] == 0:
                 ready.append(edge.dst.key())
     return len(ready) == len(graph.nodes)
+
+
+def text_problem(result) -> str | None:
+    """What is wrong with the texts of ``result``; None when nothing is."""
+    if result.rendered != [render_path(p) for p in result.paths]:
+        return "rendered texts differ from render_path of the paths"
+    return None
 
 
 def limit_problem(graph, want: list, limits: ReachLimits, result) -> str | None:
@@ -135,14 +144,16 @@ def main() -> int:
         if got != want or result.truncated:
             print(f"PATH MISMATCH at graph {round_no} (seed {args.seed})")
             return 1
+        if problem := text_problem(result):
+            print(f"TEXT MISMATCH at graph {round_no} (seed {args.seed}): {problem}")
+            return 1
         total_paths += len(got)
 
         limits = ReachLimits(
             max_depth=limit_rng.randint(0, 6), max_paths=limit_rng.randint(0, 8)
         )
-        problem = limit_problem(
-            graph, want, limits, prune_and_enumerate(graph, reach, anchors, limits)
-        )
+        limited = prune_and_enumerate(graph, reach, anchors, limits)
+        problem = limit_problem(graph, want, limits, limited) or text_problem(limited)
         if problem:
             print(f"LIMIT MISMATCH at graph {round_no} (seed {args.seed}): {problem}")
             return 1
@@ -150,7 +161,7 @@ def main() -> int:
 
     print(
         f"{args.graphs} graphs (2..{args.max_nodes} nodes, seed {args.seed}): "
-        f"all closures and path lists match the oracles, with and without limits"
+        f"all closures, path lists and rendered texts match the oracles, with and without limits"
     )
     print(f"{total_paths} paths cross-checked in {elapsed:.2f}s")
     return 0

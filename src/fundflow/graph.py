@@ -36,8 +36,15 @@ class FlowGraph:
     edges: list[FlowEdge] = field(default_factory=list)
     # node keys of every function's parameters, as ``transform`` seeds them
     parameters: set[str] = field(default_factory=set)
-    _out: dict[str, list[int]] = field(default_factory=lambda: defaultdict(list), repr=False)
-    _in: dict[str, list[int]] = field(default_factory=lambda: defaultdict(list), repr=False)
+    # The table reachability walks, kept by ``add_edge``: each node key's
+    # out-edges and in-edges, in the order they were added. Read it with
+    # ``.get``, so that a missing key adds no entry.
+    outgoing: dict[str, list[FlowEdge]] = field(
+        default_factory=lambda: defaultdict(list), repr=False
+    )
+    incoming: dict[str, list[FlowEdge]] = field(
+        default_factory=lambda: defaultdict(list), repr=False
+    )
 
     def add_node(self, entity: EntityId) -> None:
         self.nodes.setdefault(entity.key(), entity)
@@ -47,15 +54,15 @@ class FlowGraph:
         src_key, dst_key = src.key(), dst.key()
         self.nodes.setdefault(src_key, src)
         self.nodes.setdefault(dst_key, dst)
-        self._out[src_key].append(len(self.edges))
-        self._in[dst_key].append(len(self.edges))
+        self.outgoing[src_key].append(edge)
+        self.incoming[dst_key].append(edge)
         self.edges.append(edge)
 
     def out_edges(self, key: str) -> list[FlowEdge]:
-        return [self.edges[i] for i in self._out.get(key, [])]
+        return list(self.outgoing.get(key, ()))
 
     def in_edges(self, key: str) -> list[FlowEdge]:
-        return [self.edges[i] for i in self._in.get(key, [])]
+        return list(self.incoming.get(key, ()))
 
 
 def _ordered_union(*sequences: tuple[str, ...] | list[str]) -> tuple[str, ...]:

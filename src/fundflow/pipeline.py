@@ -31,7 +31,7 @@ from .reachability import (
     identify_ingress,
     paths_to_json,
     prune_and_enumerate,
-    render_path,
+    render_path,  # not called here; bench/spans.py wraps it by this name
 )
 from .transport import LiveTransport, RecordTransport, ReplayTransport, TransportParams
 
@@ -212,11 +212,10 @@ def run_static(desc: ContractDescription, config: RunConfig) -> StaticArtifacts:
         anchors = AnchorSets(ingress=identify_ingress(graph), egress=identify_egress(graph))
         reach = forward_reach(graph, anchors.ingress)
         enumeration = prune_and_enumerate(graph, reach, anchors, config.limits())
-        rendered_paths = [render_path(p) for p in enumeration.paths]
-        write("paths.json", paths_to_json(enumeration, rendered_paths))
+        write("paths.json", paths_to_json(enumeration, enumeration.rendered))
         indicators = compute_indicators(forest)
         write("indicators.json", indicators.to_json())
-    return StaticArtifacts(enumeration.truncated, indicators, rendered_paths)
+    return StaticArtifacts(enumeration.truncated, indicators, enumeration.rendered)
 
 
 def _static_half(desc: ContractDescription, config: RunConfig) -> StaticArtifacts:

@@ -73,13 +73,15 @@ def identify_egress(graph: FlowGraph) -> set[EntityId]:
 
 def forward_reach(graph: FlowGraph, ingress: set[EntityId]) -> set[EntityId]:
     """All nodes reachable from any ingress node along directed edges."""
-    seen: set[str] = set()
-    stack = [ent.key() for ent in ingress if ent.key() in graph.nodes]
+    outgoing = graph.outgoing
+    seen = {ent.key() for ent in ingress} & graph.nodes.keys()
+    stack = list(seen)
     while stack:
-        key = stack.pop()
-        if key not in seen:
-            seen.add(key)
-            stack.extend(e.dst.key() for e in graph.out_edges(key))
+        for edge in outgoing.get(stack.pop(), ()):
+            dst = edge.dst.key()
+            if dst not in seen:
+                seen.add(dst)
+                stack.append(dst)
     return {graph.nodes[key] for key in seen}
 
 
@@ -116,6 +118,25 @@ class EnumerationResult:
     truncated: bool = False  # a limit or the work budget cut the enumeration short
     retained_nodes: set[EntityId] = field(default_factory=set)
     expansions: int = 0  # partial paths whose successors were tried
+    # render_path of each path, and the "hops" and "conditions" members of
+    # its paths.json object as JSON text, built along the search
+    rendered: list[str] = field(default_factory=list)
+    encoded: list[str] = field(default_factory=list)
+
+
+def _step(ent: EntityId, conditions: tuple[str, ...] | None) -> tuple[str, str, str]:
+    """What a path's three texts gain when it reaches ``ent`` over an edge
+    with ``conditions``: its ``render_path`` text, and its hop and the
+    edge's condition list as paths.json text, each after a comma. A path's
+    first node (``conditions`` None) has no edge, and its hop no comma."""
+    hop = '{"id":%s,"display":%s}' % (encode_basestring(ent.key()), encode_basestring(ent.display))
+    if conditions is None:
+        return ent.display, hop, ""
+    return (
+        " --[%s]--> %s" % (", ".join(conditions), ent.display),
+        "," + hop,
+        "," + conditions_json(conditions),
+    )
 
 
 def prune_and_enumerate(
@@ -132,60 +153,82 @@ def prune_and_enumerate(
     left. Skipping one for depth, finding more than ``max_paths`` paths, or
     running out of the work budget sets the truncated flag instead of
     raising.
+
+    Each path's ``rendered`` and ``encoded`` texts are its parent prefix's
+    plus the step to its last node, joined when the path is expanded or
+    emitted, so paths that share a prefix build it once.
     """
+    nodes = graph.nodes
     # fewest hops from each node to an egress node, by a breadth-first pass
     # against the edges; its keys are the nodes that can reach egress
-    hops = {ent.key(): 0 for ent in anchors.egress if ent.key() in graph.nodes}
+    hops = {ent.key(): 0 for ent in anchors.egress if ent.key() in nodes}
     queue = list(hops)
     for key in queue:  # grows while it is walked, so in order of hops
-        for edge in graph.in_edges(key):
-            if edge.src.key() not in hops:
-                hops[edge.src.key()] = hops[key] + 1
-                queue.append(edge.src.key())
+        for edge in graph.incoming.get(key, ()):
+            src = edge.src.key()
+            if src not in hops:
+                hops[src] = hops[key] + 1
+                queue.append(src)
     retained_keys = {e.key() for e in reach} & hops.keys()
-    result = EnumerationResult(
-        paths=[], retained_nodes={graph.nodes[k] for k in retained_keys}
-    )
+    result = EnumerationResult(paths=[], retained_nodes={nodes[k] for k in retained_keys})
     # (dst key, conditions) of an expanded node's out-edges within the
     # retained set, sorted stably by destination key
-    successors: dict[str, list[tuple[str, tuple[str, ...]]]] = {}
-    starts = {e.key() for e in anchors.ingress} & retained_keys
-    budget = limits.budget
-    # (node keys, condition list of each edge) of the partial paths still to
-    # extend; successors go on in reverse so the smallest key comes off first
-    stack = [((key,), ()) for key in sorted(starts, reverse=True)]
+    steps: dict[str, list[tuple[str, tuple[str, ...]]]] = {}
+    budget, max_paths = limits.budget, limits.max_paths
+    # A frame for each expanded partial path, innermost last: its node keys,
+    # the condition list of each edge, its three texts, the most hops to
+    # egress that fit after one more edge, and an iterator over the steps
+    # still to try from its last node. The bottom frame is the empty path,
+    # whose steps are the starts, which any number of hops fits.
+    starts = sorted({e.key() for e in anchors.ingress} & retained_keys)
+    stack = [((), (), ("", "", ""), len(nodes), iter([(key, None) for key in starts]))]
     while stack:
-        path, conds = stack.pop()
-        key = path[-1]
+        path, conds, (text, hop_text, cond_text), depth_left, todo = stack[-1]
+        for key, cond in todo:
+            if key in path:
+                continue
+            if hops[key] > depth_left:
+                result.truncated = True
+                continue
+            break
+        else:
+            stack.pop()
+            continue
+        # the partial path that ends at key
         if hops[key] == 0:
-            if len(result.paths) >= limits.max_paths:
+            if len(result.paths) >= max_paths:
                 result.truncated = True
                 return result
-            result.paths.append(
-                FundFlowPath(hops=tuple(graph.nodes[k] for k in path), conditions=conds)
-            )
-            continue
-        if result.expansions >= budget:
+        elif result.expansions >= budget:
             result.truncated = True
             return result
+        step_text, step_hop, step_cond = _step(nodes[key], cond)
+        text, hop_text, cond_text = text + step_text, hop_text + step_hop, cond_text + step_cond
+        path += (key,)
+        if cond is not None:
+            conds += (cond,)
+        if hops[key] == 0:
+            result.paths.append(
+                FundFlowPath(hops=tuple(map(nodes.__getitem__, path)), conditions=conds)
+            )
+            result.rendered.append(text)
+            result.encoded.append('"hops":[%s],"conditions":[%s]' % (hop_text, cond_text[1:]))
+            continue
         result.expansions += 1
-        if key not in successors:
-            edges = graph.out_edges(key)
-            steps = [(e.dst.key(), e.conditions) for e in edges if e.dst.key() in retained_keys]
-            successors[key] = sorted(steps, key=itemgetter(0))
-        depth_left = limits.max_depth - len(path)  # after one more edge
-        for dst, cond in reversed(successors[key]):
-            if dst in path:
-                continue
-            if hops[dst] > depth_left:
-                result.truncated = True
-                continue
-            stack.append((path + (dst,), conds + (cond,)))
+        if key not in steps:
+            edges = graph.outgoing.get(key, ())
+            out = [(e.dst.key(), e.conditions) for e in edges if e.dst.key() in retained_keys]
+            steps[key] = sorted(out, key=itemgetter(0))
+        texts = (text, hop_text, cond_text)
+        stack.append((path, conds, texts, limits.max_depth - len(path), iter(steps[key])))
     return result
 
 
 def render_path(path: FundFlowPath) -> str:
-    """`a --[c1, c2]--> b` style; an empty condition list renders as --[]-->."""
+    """`a --[c1, c2]--> b` style; an empty condition list renders as --[]-->.
+
+    This defines the format of ``EnumerationResult.rendered``, which the
+    enumeration builds one ``_step`` at a time."""
     hops = path.hops
     parts = [hops[0].display]
     for conditions, hop in zip(path.conditions, hops[1:]):
@@ -195,34 +238,13 @@ def render_path(path: FundFlowPath) -> str:
 
 def paths_to_json(result: EnumerationResult, rendered: list[str]) -> str:
     """``paths.json`` as compact JSON text (see ``pipeline.write_json``).
-    ``rendered`` holds ``render_path`` of each path, in result order. Each
-    entity's hop object, and each condition tuple, is encoded once and
-    reused wherever paths share it: the memos are keyed by object identity,
-    as paths share the graph's entities and its edges' condition tuples."""
-    hops: dict[int, str] = {}
-    conditions: dict[int, str] = {}
-    paths = []
-    for p, text in zip(result.paths, rendered, strict=True):
-        hop_json = []
-        for h in p.hops:
-            member = hops.get(id(h))
-            if member is None:
-                member = hops[id(h)] = '{"id":%s,"display":%s}' % (
-                    encode_basestring(h.key()),
-                    encode_basestring(h.display),
-                )
-            hop_json.append(member)
-        conds_json = []
-        for c in p.conditions:
-            member = conditions.get(id(c))
-            if member is None:
-                member = conditions[id(c)] = conditions_json(c)
-            conds_json.append(member)
-        paths.append(
-            '{"rendered":%s,"hops":[%s],"conditions":[%s]}'
-            % (encode_basestring(text), ",".join(hop_json), ",".join(conds_json))
-        )
+    ``result`` is what ``prune_and_enumerate`` returned, and ``rendered``
+    holds ``render_path`` of each of its paths, in order: each path's hops
+    and conditions are the text the search encoded for it."""
     return '{"truncated":%s,"paths":[%s]}' % (
         "true" if result.truncated else "false",
-        ",".join(paths),
+        ",".join(
+            '{"rendered":%s,%s}' % (encode_basestring(text), members)
+            for text, members in zip(rendered, result.encoded, strict=True)
+        ),
     )

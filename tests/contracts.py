@@ -14,7 +14,8 @@ from hypothesis import strategies as st
 
 PARAMETERS = ("x", "y", "amt", "p1")  # shared by functions, so scopes must keep them apart
 LOCALS = ("t", "u")
-GLOBALS = ("stor_1", "stor_2", "caller", "msg.sender", "msg.value")
+STORAGE = ("stor_1", "stor_2")
+GLOBALS = STORAGE + ("caller", "msg.sender", "msg.value")  # the last three are ingress
 LITERALS = ("0", "7", "0x1234")
 CALLEES = ("stor_5.flashLoan", "token.transfer", "oracle.price", "withdraw")
 INERT_CALLEES = ("oracle.price",)  # no fund-moving operation
@@ -95,9 +96,14 @@ def _sentences(names, inert=False):
 
 
 @st.composite
-def _function(draw, name: str, max_sentences: int, inert: bool = False) -> Function:
-    parameters = tuple(draw(st.lists(st.sampled_from(PARAMETERS), unique=True, max_size=3)))
-    pairs = _sentences(parameters + LOCALS + GLOBALS, inert)
+def _function(
+    draw, name: str, max_sentences: int, inert: bool = False, ingress: bool = True
+) -> Function:
+    if ingress:
+        parameters = tuple(draw(st.lists(st.sampled_from(PARAMETERS), unique=True, max_size=3)))
+        pairs = _sentences(parameters + LOCALS + GLOBALS, inert)
+    else:
+        parameters, pairs = (), _sentences(LOCALS + STORAGE, inert)
     sentences, depth = [], -1
     for _ in range(draw(st.integers(0, max_sentences))):
         # at most one level deeper than the sentence before, so nesting is well formed
@@ -119,3 +125,10 @@ def inert_function(name: str, max_sentences: int = 10):
     fund-moving operation and writes no storage, so a flow that enters it
     stays in its own scope. It may read any global."""
     return _function(name, max_sentences, inert=True)
+
+
+def no_ingress_function(name: str, max_sentences: int = 10):
+    """A function with no ingress: it has no parameters and mentions no
+    transaction field. It may read and write storage, and call fund-moving
+    operations."""
+    return _function(name, max_sentences, ingress=False)

@@ -11,6 +11,8 @@ sentences of every kind the grammar parses.
 from __future__ import annotations
 
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -199,6 +201,26 @@ def test_static_text_matches_json_dumps_of_the_dicts(desc, extra_globals, limits
     assert_static_text_matches(desc, extra_globals, limits)
 
 
+@settings(deadline=None, max_examples=100)
+@given(descriptions(), _limits)
+def test_run_static_keeps_the_texts_of_render_path_and_paths_to_json(desc, limits):
+    """The enumeration builds each path's text along its search; what
+    ``run_static`` returns and writes is still ``render_path`` of each path,
+    and ``paths_to_json`` of those."""
+    with tempfile.TemporaryDirectory() as out:
+        config = RunConfig(out_dir=out, max_depth=limits.max_depth, max_paths=limits.max_paths)
+        static = run_static(desc, config)
+        written = Path(out, "paths.json").read_text(encoding="utf-8")
+    graph = transform(build_forest(desc))
+    anchors = AnchorSets(identify_ingress(graph), identify_egress(graph))
+    result = prune_and_enumerate(graph, forward_reach(graph, anchors.ingress), anchors, limits)
+    rendered = [render_path(p) for p in result.paths]
+    assert result.rendered == rendered
+    assert static.rendered_paths == rendered
+    assert written == paths_to_json(result, rendered) + "\n"
+    assert written == dumps(ref_paths(result, rendered)) + "\n"
+
+
 @st.composite
 def graphs(draw) -> tuple[FlowGraph, AnchorSets]:
     """A graph over odd names whose edges share a few condition tuples."""
@@ -240,6 +262,15 @@ def test_graph_and_paths_text_match_json_dumps_of_the_dicts(case, limits):
     result = prune_and_enumerate(graph, forward_reach(graph, anchors.ingress), anchors, limits)
     rendered = [render_path(p) for p in result.paths]
     assert paths_to_json(result, rendered) == dumps(ref_paths(result, rendered))
+
+
+@settings(deadline=None, max_examples=200)
+@given(graphs(), _limits)
+def test_enumeration_texts_are_render_path_of_each_path(case, limits):
+    """Over odd names and condition lists of any length."""
+    graph, anchors = case
+    result = prune_and_enumerate(graph, forward_reach(graph, anchors.ingress), anchors, limits)
+    assert result.rendered == [render_path(p) for p in result.paths]
 
 
 @pytest.mark.parametrize(

@@ -14,11 +14,19 @@ from fundflow.reachability import (
     prune_and_enumerate,
 )
 
-from contracts import GLOBALS, LOCALS, contracts, flat_text, inert_function
+from contracts import (
+    LOCALS,
+    STORAGE,
+    Sentence,
+    contracts,
+    flat_text,
+    inert_function,
+    no_ingress_function,
+)
 
 FRESH = "renamed"  # a local-looking name no generated contract uses
-STORAGE = [name for name in GLOBALS if name.startswith("stor_")]
 FRESH_STORAGE = "stor_9"  # a storage variable no generated contract uses
+NESTED = "when (nested > 0)"  # a condition no generated contract uses
 
 
 def static_core(text):
@@ -156,3 +164,99 @@ def test_adding_a_function_with_no_route_to_egress_adds_no_path(data):
     assert edges(graph2, added.name) == edges(graph)
     if not (result.truncated or result2.truncated):
         assert path_set(result2) == path_set(result)
+
+
+def edge_rows(graph):
+    return [(e.src.key(), e.dst.key(), e.conditions, e.function) for e in graph.edges]
+
+
+@settings(deadline=None)
+@given(st.data())
+def test_adding_a_function_with_no_ingress_adds_no_path_of_its_own(data):
+    """It adds no ingress and removes no path. A path it adds runs along one
+    of its own edges: storage merges into one node across functions, so the
+    function may carry a flow from another function's ingress, through
+    storage it reads or writes, to an egress. A function that shares no
+    storage with the others therefore adds no path at all."""
+    functions = data.draw(contracts())
+    added = data.draw(no_ingress_function(f"f{len(functions)}"))
+    at = data.draw(st.integers(0, len(functions)))
+    graph, ingress, result = static_core(flat_text(functions))
+    graph2, ingress2, result2 = static_core(flat_text(functions[:at] + (added,) + functions[at:]))
+
+    assert {e.key() for e in ingress2} == {e.key() for e in ingress}
+    assert [row for row in edge_rows(graph2) if row[3] != added.name] == edge_rows(graph)
+    if result.truncated or result2.truncated:
+        return
+    paths, paths2 = path_set(result), path_set(result2)
+    assert paths <= paths2
+    own = {row[:3] for row in edge_rows(graph2) if row[3] == added.name}
+    for hops, conditions in paths2 - paths:
+        assert own.intersection(zip(hops, hops[1:], conditions)), hops
+
+
+def operation(function, index):
+    """The key of the operation node that the sentence at ``index`` of
+    ``function`` makes, or None when it makes none. Calls and transfers each
+    make one, numbered per label in document order."""
+    def label(template):
+        if template.startswith("it triggers the external call to "):
+            return template.split(" to ", 1)[1].split("(", 1)[0]
+        return "transfer" if template.startswith("it transfers ") else None
+
+    own = label(function.sentences[index].template)
+    if own is None:
+        return None
+    occurrence = sum(label(s.template) == own for s in function.sentences[: index + 1])
+    return f"{function.name}:{own}#{occurrence}"
+
+
+def nest(function, index):
+    """``function`` with the sentence at ``index``, and those nested under
+    it, one level deeper, under a new NESTED condition."""
+    sentences = function.sentences
+    depth = sentences[index].depth
+    end = index + 1
+    while end < len(sentences) and sentences[end].depth > depth:
+        end += 1
+    moved = tuple(s._replace(depth=s.depth + 1) for s in sentences[index:end])
+    nested = sentences[:index] + (Sentence(depth, NESTED, ()),) + moved + sentences[end:]
+    return function._replace(sentences=nested)
+
+
+@settings(deadline=None)
+@given(st.data())
+def test_nesting_a_behavior_under_one_more_when_adds_it_to_every_path_edge_through_it(data):
+    """A call or a transfer makes an operation node of its own. Nested under
+    one more condition, every edge into that node carries the condition.
+    Without it, the edges and the paths are those of the original contract,
+    in the same order, so no path is removed, truncated or not."""
+    functions = data.draw(contracts())
+    candidates = [
+        (i, j)
+        for i, f in enumerate(functions)
+        for j in range(len(f.sentences))
+        if operation(f, j) is not None
+    ]
+    assume(candidates)
+    i, j = data.draw(st.sampled_from(candidates))
+    op = operation(functions[i], j)
+    graph, _, result = static_core(flat_text(functions))
+    changed = functions[:i] + (nest(functions[i], j),) + functions[i + 1 :]
+    graph2, _, result2 = static_core(flat_text(changed))
+
+    def without(conditions):
+        return tuple(c for c in conditions if c != NESTED)
+
+    assert [(s, d, without(c), f) for s, d, c, f in edge_rows(graph2)] == edge_rows(graph)
+    assert all(NESTED in e.conditions for e in graph2.edges if e.dst.key() == op)
+    assert result2.truncated == result.truncated
+    assert [tuple(h.key() for h in p.hops) for p in result2.paths] == [
+        tuple(h.key() for h in p.hops) for p in result.paths
+    ]
+    assert [tuple(map(without, p.conditions)) for p in result2.paths] == [
+        p.conditions for p in result.paths
+    ]
+    for path in result2.paths:
+        for hop, conditions in zip(path.hops[1:], path.conditions):
+            assert hop.key() != op or NESTED in conditions

@@ -184,6 +184,27 @@ def test_retry_exhaustion_drops_probe_only():
     )
 
 
+@pytest.mark.parametrize("retries", [0, 1, 2])
+def test_a_probe_that_never_parses_is_asked_retries_plus_one_times(retries):
+    """Each attempt is a query, and a paid one on a live endpoint: a probe
+    whose answer never parses is asked once at each attempt from 0 to
+    ``retries``, and then dropped."""
+    asked = []
+
+    class NeverParses:
+        params = PARAMS
+
+        def query(self, prompt, attempt=0):
+            asked.append((prompt, attempt))
+            return "never parseable"
+
+    result = run_probes(NeverParses(), retries=retries)
+    assert result.distributions == [] and result.failed == list(PROBE_KINDS)
+    prompts = {prompt for prompt, _ in asked}
+    assert len(prompts) == len(PROBE_KINDS)
+    assert sorted(asked) == sorted((p, a) for p in prompts for a in range(retries + 1))
+
+
 def test_replay_miss_names_the_probe():
     class MissingStore:
         params = PARAMS

@@ -345,6 +345,18 @@ def test_limited_enumeration_is_the_oracle_cut_to_the_limits(case):
     assert limit_problem(graph, want, limits, result) is None
 
 
+@settings(deadline=None)
+@given(limited_graphs())
+def test_enumeration_texts_are_render_path_of_each_path(case):
+    graph, ingress, egress, limits = case
+    anchors = AnchorSets(
+        ingress={graph.nodes[x] for x in ingress}, egress={graph.nodes[x] for x in egress}
+    )
+    result = prune_and_enumerate(graph, forward_reach(graph, anchors.ingress), anchors, limits)
+    assert result.rendered == rendered(result)
+    assert len(result.encoded) == len(result.paths)
+
+
 def looping_graph(n):
     """``i -> x -> z`` with ``x <-> a_k`` for n nodes ``a_k`` that form a
     complete digraph, which the search tries before ``z``: one path, found
