@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from json.encoder import encode_basestring
 from typing import NamedTuple
 
@@ -53,11 +54,11 @@ class FunctionChunk:
     signature: str
     sentences: tuple[Sentence, ...]
 
-    @property
+    @cached_property
     def name(self) -> str:
         return split_signature(self.signature)[0]
 
-    @property
+    @cached_property
     def parameters(self) -> tuple[str, ...]:
         return split_signature(self.signature)[1]
 

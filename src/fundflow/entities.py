@@ -138,6 +138,7 @@ class PropagationTuple(NamedTuple):
 
 
 _NO_FLOW = PropagationTuple((), None)
+_new_tuple = tuple.__new__  # as PropagationTuple(...), without its Python-level __new__
 
 
 def extract_tuple(
@@ -165,7 +166,8 @@ def extract_tuple(
         entity = _resolve(dst, scope, extra_globals, resolved)
         if entity is None:
             return _NO_FLOW
-        return PropagationTuple(resolve_sources(raws, scope, extra_globals, resolved), entity)
+        sources = resolve_sources(raws, scope, extra_globals, resolved)
+        return _new_tuple(PropagationTuple, (sources, entity))
     if kind == bh.EXTERNAL_CALL:
         raws, label = f["args"], f["callee"]
     elif kind == bh.DELEGATE_CALL:
@@ -179,4 +181,4 @@ def extract_tuple(
     if op_counts is None:
         op_counts = {}
     occurrence = op_counts[label] = op_counts.get(label, 0) + 1
-    return PropagationTuple(sources, EntityId(scope, label, OPERATION, occurrence))
+    return _new_tuple(PropagationTuple, (sources, EntityId(scope, label, OPERATION, occurrence)))

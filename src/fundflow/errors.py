@@ -48,6 +48,11 @@ class ReplayMiss(FundflowError):
             detail += f" ({context})"
         super().__init__(detail)
 
+    def within(self, where: str) -> "ReplayMiss":
+        """This miss, with ``where`` (what asked for the key) put before its
+        context."""
+        return ReplayMiss(self.key, f"{where}, {self.context}" if self.context else where)
+
     def __reduce__(self):
         # rebuilt from its own arguments, not the message, so it crosses a
         # process boundary whole

@@ -133,15 +133,10 @@ def forest_to_json(forest: ContractForest) -> str:
             member = behaviors.get(id(n.behavior))
             if member is None:
                 member = behaviors[id(n.behavior)] = ',"behavior":' + _behavior_json(n.behavior)
+        children = ",".join(map(str, n.children)) if n.children else ""
         nodes.append(
-            '{"id":%d,"kind":"%s","text":%s,"children":[%s]%s}'
-            % (
-                n.id,
-                n.kind,
-                encode_basestring(n.text),
-                ",".join(map(str, n.children)) if n.children else "",
-                member,
-            )
+            f'{{"id":{n.id},"kind":"{n.kind}","text":{encode_basestring(n.text)},'
+            f'"children":[{children}]{member}}}'
         )
     return '{"contract":%s,"roots":[%s],"nodes":[%s]}' % (
         encode_basestring(forest.contract_id),

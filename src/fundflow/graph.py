@@ -12,12 +12,11 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
-from itertools import chain
 from json.encoder import encode_basestring
 from typing import NamedTuple
 
 from .behavior import CONDITION
-from .entities import EntityId, PropagationTuple, extract_tuple, resolve_sources
+from .entities import EntityId, extract_tuple, resolve_sources
 from .forest import ContractForest
 
 
@@ -36,9 +35,10 @@ class FlowGraph:
     edges: list[FlowEdge] = field(default_factory=list)
     # node keys of every function's parameters, as ``transform`` seeds them
     parameters: set[str] = field(default_factory=set)
-    # The table reachability walks, kept by ``add_edge``: each node key's
-    # out-edges and in-edges, in the order they were added. Read it with
-    # ``.get``, so that a missing key adds no entry.
+    # The table reachability walks, kept by ``add_edge`` and by ``transform``
+    # in the same way: each node key's out-edges and in-edges, in the order
+    # they were added. Read it with ``.get``, so that a missing key adds no
+    # entry.
     outgoing: dict[str, list[FlowEdge]] = field(
         default_factory=lambda: defaultdict(list), repr=False
     )
@@ -63,11 +63,6 @@ class FlowGraph:
 
     def in_edges(self, key: str) -> list[FlowEdge]:
         return list(self.incoming.get(key, ()))
-
-
-def _ordered_union(*sequences: tuple[str, ...] | list[str]) -> tuple[str, ...]:
-    """Items of all sequences in first-occurrence order, without repeats."""
-    return tuple(dict.fromkeys(chain.from_iterable(sequences)))
 
 
 def transform(
@@ -110,7 +105,7 @@ def _transform_function(
     # is done. A tuple without a destination adds no edge and is not kept.
     nodes = forest.nodes
     op_counts: dict[str, int] = {}
-    steps: list[tuple[PropagationTuple, tuple[str, ...]]] = []
+    steps: list[tuple[tuple[EntityId, ...], EntityId, tuple[str, ...]]] = []
     stack = [(iter(nodes[root_id].children), ())]
     while stack:
         children, enclosing = stack[-1]
@@ -123,13 +118,15 @@ def _transform_function(
                     break
                 continue
             if node.behavior is not None:
-                prop = extract_tuple(node.behavior, scope, extra_globals, op_counts, resolved)
-                for source in prop.sources:
+                sources, dst = extract_tuple(
+                    node.behavior, scope, extra_globals, op_counts, resolved
+                )
+                for source in sources:
                     if not source.scope and source not in visited:
                         visited[source] = ()
                         graph.add_node(source)
-                if prop.dst is not None:
-                    steps.append((prop, enclosing))
+                if dst is not None:
+                    steps.append((sources, dst, enclosing))
             if node.children:
                 stack.append((iter(node.children), enclosing))
                 break
@@ -139,22 +136,26 @@ def _transform_function(
     # An edge carries its source's conditions plus the enclosing ones pushed
     # since the source was visited. Every visited entity already carries all
     # the conditions enclosing its first visit, so adding every enclosing
-    # condition gives the same ordered union.
-    for prop, enclosing in steps:
-        dst = prop.dst
+    # condition gives the same ordered union. A destination keeps its first
+    # edge's: only calls have several sources, and no operation is a source.
+    graph_nodes, outgoing, incoming = graph.nodes, graph.outgoing, graph.incoming
+    new_edge = tuple.__new__  # as FlowEdge(...), without its Python-level __new__
+    for sources, dst, enclosing in steps:
         if dst in visited:
             continue
-        annotations = []
-        for source in prop.sources:
+        into = None  # the destination's in-edges, once it has one
+        for source in sources:
             held = visited.get(source)
             if held is not None:
-                annotation = _ordered_union(held, enclosing) if held else enclosing
-                graph.add_edge(FlowEdge(source, dst, annotation, scope))
-                annotations.append(annotation)
-        if annotations:
-            visited[dst] = (
-                annotations[0] if len(annotations) == 1 else _ordered_union(*annotations)
-            )
+                annotation = tuple(dict.fromkeys(held + enclosing)) if held else enclosing
+                if into is None:  # as add_edge does it; a source is a node already
+                    visited[dst] = annotation
+                    into = incoming[dst.key()]
+                    graph_nodes.setdefault(dst.key(), dst)
+                edge = new_edge(FlowEdge, (source, dst, annotation, scope))
+                outgoing[source.key()].append(edge)
+                into.append(edge)
+                graph.edges.append(edge)
 
 
 def conditions_json(conditions: tuple[str, ...]) -> str:
@@ -168,8 +169,8 @@ def graph_to_json(graph: FlowGraph) -> str:
     once."""
     ids = {key: encode_basestring(key) for key in graph.nodes}
     nodes = ",".join(
-        '{"id":%s,"label":%s,"flavor":%s}'
-        % (ids[key], encode_basestring(ent.display), encode_basestring(ent.flavor))
+        f'{{"id":{ids[key]},"label":{encode_basestring(ent.display)},'
+        f'"flavor":{encode_basestring(ent.flavor)}}}'
         for key, ent in graph.nodes.items()
     )
     conditions: dict[tuple[str, ...], str] = {}
@@ -179,7 +180,7 @@ def graph_to_json(graph: FlowGraph) -> str:
         if cond is None:
             cond = conditions[e.conditions] = conditions_json(e.conditions)
         edges.append(
-            '{"from":%s,"to":%s,"conditions":%s,"function":%s}'
-            % (ids[e.src.key()], ids[e.dst.key()], cond, encode_basestring(e.function))
+            f'{{"from":{ids[e.src.key()]},"to":{ids[e.dst.key()]},"conditions":{cond},'
+            f'"function":{encode_basestring(e.function)}}}'
         )
     return '{"nodes":[%s],"edges":[%s]}' % (nodes, ",".join(edges))

@@ -16,7 +16,7 @@ from contextlib import closing, contextmanager, nullcontext, suppress
 from dataclasses import dataclass, replace
 
 from .description import ContractDescription, description_to_json
-from .errors import InvalidDescription, UsageError
+from .errors import InvalidDescription, ReplayMiss, UsageError
 from .forest import build_forest, forest_to_json
 from .fusion import FusionResult, Verdict, check_threshold, decide, fuse
 from .graph import transform, graph_to_json
@@ -262,7 +262,8 @@ def run_probes(
     in the calling thread when that is None. ``static`` is the static half
     already under way elsewhere, a future of its ``StaticArtifacts`` that
     this waits on; without it the static half runs here. If it raises, it
-    leaves ``bundle.json`` and ``probes.json`` only if it finished them.
+    leaves ``bundle.json`` and ``probes.json`` only if it finished them. A
+    ``ReplayMiss`` names the contract, then the query that missed.
     """
     with _writing(config.out_dir, PROBE_ARTIFACTS) as write:
         static = run_static(desc, config) if static is None else static.result()
@@ -271,10 +272,13 @@ def run_probes(
         else:
             model = nullcontext((transport, pool))
         with model as (transport, pool):
-            stage1 = run_stage1(desc, transport, pool)
-            bundle = assemble_bundle(desc, static, stage1)
-            write("bundle.json", bundle.to_json())
-            stage2 = run_stage2(bundle, transport, config.retries, pool)
+            try:
+                stage1 = run_stage1(desc, transport, pool)
+                bundle = assemble_bundle(desc, static, stage1)
+                write("bundle.json", bundle.to_json())
+                stage2 = run_stage2(bundle, transport, config.retries, pool)
+            except ReplayMiss as exc:
+                raise exc.within(f"contract {desc.contract_id}") from exc
         write("probes.json", stage2.to_json())
     return bundle, stage2
 

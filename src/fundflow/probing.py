@@ -187,9 +187,19 @@ def _map_queries(fn, items, pool) -> list:
 
 def run_stage1(desc: ContractDescription, transport, pool=None) -> Stage1Result:
     """Query the contract summary and all function summaries, on ``pool``
-    or, when it is None, in the calling thread."""
+    or, when it is None, in the calling thread. A ``ReplayMiss`` names the
+    summary that missed."""
     general_prompt, function_prompts = build_stage1_prompts(desc)
-    responses = _map_queries(transport.query, [general_prompt] + function_prompts, pool)
+    names = ["contract summary"] + [chunk.name for chunk in desc.functions]
+
+    def ask(query: tuple[str, str]) -> str:
+        name, prompt = query
+        try:
+            return transport.query(prompt)
+        except ReplayMiss as exc:
+            raise exc.within(f"stage I, {name}") from exc
+
+    responses = _map_queries(ask, list(zip(names, [general_prompt] + function_prompts)), pool)
     functions = [
         _parse_stage1_function(chunk.name, response)
         for chunk, response in zip(desc.functions, responses[1:])
@@ -217,7 +227,7 @@ def _run_probe(kind: str, prompt: str, transport, retries: int) -> ProbeDistribu
         try:
             text = transport.query(prompt, attempt)
         except ReplayMiss as exc:
-            raise ReplayMiss(key=exc.key, context=f"probe {kind}") from exc
+            raise exc.within(f"probe {kind}") from exc
         try:
             return parse_ranked_response(text, probe=kind)
         except MalformedResponse as exc:

@@ -1,5 +1,6 @@
 import json
 import os
+from contextlib import closing
 from pathlib import Path
 
 import pytest
@@ -8,8 +9,9 @@ from fundflow import pipeline
 from fundflow.cli import build_config, build_parser, main, read_config_file
 from fundflow.description import chunk_flat_text, description_to_json
 from fundflow.pipeline import RunConfig, run_detect
+from fundflow.prompts import build_stage1_prompts
 from fundflow.reachability import prune_and_enumerate
-from fundflow.transport import RecordTransport
+from fundflow.transport import RecordTransport, query_key
 
 from conftest import (
     ADVERSARIAL_ROWS,
@@ -645,6 +647,41 @@ def test_corrupt_store_is_runtime_error(tmp_path, fixture_file, adv_store, capsy
     )
     assert code == 1
     assert f"store.jsonl:{bad_line}:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("as_directory", [False, True], ids=["file", "directory"])
+@pytest.mark.parametrize("answered", [0, 1], ids=["summary", "function"])
+def test_a_stage_one_replay_miss_names_its_contract_and_query(
+    tmp_path, fixture_file, capsys, answered, as_directory
+):
+    """The store answers the first ``answered`` stage-I queries, so the next
+    one misses: the error line says which contract asked which query, and
+    at which attempt."""
+    params = RunConfig().params()
+    general, functions = build_stage1_prompts(chunk_flat_text(FIXTURE_TEXT, "c_adv"))
+    prompts = [general, *functions]
+    store = tmp_path / "store.jsonl"
+    store.touch()
+    with closing(RecordTransport(ScriptedTransport(params, ADVERSARIAL_ROWS), str(store))) as t:
+        for prompt in prompts[:answered]:
+            t.query(prompt)
+    source = fixture_file
+    if as_directory:
+        source = tmp_path / "contracts"
+        source.mkdir()
+        os.replace(fixture_file, source / "c_adv.txt")
+    code = main(
+        [
+            "detect", "-i", str(source), "-o", str(tmp_path / "out"),
+            "--transport", "replay", "--store", str(store),
+        ]
+    )
+    assert code == 1
+    key = query_key(prompts[answered], params, 0)
+    where = ("contract summary", "unknownfffcf3a1")[answered]
+    assert capsys.readouterr().err == (
+        f"error: no stored response for key {key} (contract c_adv, stage I, {where}, attempt 0)\n"
+    )
 
 
 def test_replay_without_store_is_usage_error(tmp_path, fixture_file, capsys):

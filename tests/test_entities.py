@@ -1,7 +1,8 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from fundflow.behavior import parse_sentence
+from fundflow.description import chunk_flat_text
 from fundflow.entities import (
     EntityId,
     OPERATION,
@@ -11,6 +12,9 @@ from fundflow.entities import (
     is_global_name,
     resolve_sources,
 )
+from fundflow.forest import build_forest
+
+from contracts import contracts, flat_text
 from table_rows import ROW_KINDS, check_row
 
 
@@ -193,3 +197,23 @@ def test_cached_key_matches_formatting(ent, other):
     assert hash(ent) == hash(fields)
     assert (ent == other) == (fields == other_fields)
     assert (ent < other) == (fields < other_fields)
+
+
+@settings(deadline=None)
+@given(contracts(), st.sampled_from([frozenset(), frozenset({"t", "stor_1"})]))
+def test_no_operation_is_a_source(functions, extra_globals):
+    """What lets ``transform`` keep a destination's first edge's conditions
+    as its own: an operation never feeds a flow, and only a call, whose
+    destination is an operation, has several sources."""
+    forest = build_forest(chunk_flat_text(flat_text(functions), "c"))
+    resolved = {}
+    for root_id in forest.roots:
+        scope, _ = forest.function_signature(root_id)
+        op_counts = {}
+        for node in forest.iter_tree(root_id):
+            if node.behavior is None:
+                continue
+            sources, dst = extract_tuple(node.behavior, scope, extra_globals, op_counts, resolved)
+            assert all(source.flavor == VARIABLE for source in sources)
+            if len(sources) > 1:
+                assert dst.flavor == OPERATION

@@ -272,7 +272,8 @@ def _reference_transform(forest, extra_globals=frozenset()):
     return graph
 
 
-_NAMES = ("a", "b", "t", "u", "stor_1", "stor_2", "caller", "call value", "g")
+# "op#1" is a local whose node key, f0:op#1, is also that of f0's first op(...) call
+_NAMES = ("a", "b", "t", "u", "stor_1", "stor_2", "caller", "call value", "g", "op#1")
 _CONDITIONS = ("when (a > 0)", "if (stor_1 == caller)", "while (t)", "otherwise")
 _sentence = st.one_of(
     st.sampled_from(_CONDITIONS),

@@ -275,6 +275,23 @@ def test_static_artifacts_survive_model_failure(tmp_path):
         assert not os.path.exists(os.path.join(out, name)), name
 
 
+def test_a_stage_two_replay_miss_names_its_contract_and_probe(tmp_path):
+    """The store answers every stage-I query and no probe, so the first
+    probe misses."""
+    store = str(tmp_path / "store.jsonl")
+    config = RunConfig(transport="replay", store=store, out_dir=str(tmp_path / "out"))
+    desc = chunk_flat_text(FIXTURE_TEXT, "fixture")
+    scripted = ScriptedTransport(config.params(), ADVERSARIAL_ROWS)
+    with closing(RecordTransport(scripted, store)) as recorder:
+        run_stage1(desc, recorder)
+    with pytest.raises(ReplayMiss) as caught:
+        run_detect(desc, config)
+    miss = caught.value
+    assert str(miss) == (
+        f"no stored response for key {miss.key} (contract fixture, probe g_normal, attempt 0)"
+    )
+
+
 # -- rewriting artifacts in place ---------------------------------------
 
 
