@@ -33,7 +33,7 @@ def closure(graph: FlowGraph, starts: set) -> set:
         if key in seen:
             continue
         seen.add(key)
-        frontier.extend(e.dst.key() for e in graph.out_edges(key))
+        frontier.extend(e.dst.key() for e in graph.outgoing.get(key, ()))
     return seen
 
 
@@ -45,7 +45,7 @@ def all_simple_paths(graph: FlowGraph, ingress_keys: set, egress_keys: set) -> l
         if cur in egress_keys:
             found.append(tuple(path))
             return
-        for edge in sorted(graph.out_edges(cur), key=lambda e: e.dst.key()):
+        for edge in sorted(graph.outgoing.get(cur, ()), key=lambda e: e.dst.key()):
             if edge.dst.key() in path:
                 continue
             path.append(edge.dst.key())
@@ -59,10 +59,10 @@ def all_simple_paths(graph: FlowGraph, ingress_keys: set, egress_keys: set) -> l
 
 def is_acyclic(graph: FlowGraph) -> bool:
     """Kahn's algorithm: every node can be removed once its in-edges are."""
-    indegree = {key: len(graph.in_edges(key)) for key in graph.nodes}
+    indegree = {key: len(graph.incoming.get(key, ())) for key in graph.nodes}
     ready = [key for key, count in indegree.items() if count == 0]
     for key in ready:
-        for edge in graph.out_edges(key):
+        for edge in graph.outgoing.get(key, ()):
             indegree[edge.dst.key()] -= 1
             if indegree[edge.dst.key()] == 0:
                 ready.append(edge.dst.key())

@@ -272,7 +272,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("sweep", help="threshold sweep CSV from scored samples")
-    add_common_flags(p, "scores JSONL, one {id, adv_score, label} object a line")
+    # -i and -o but no --config: a sweep reads no run-config field
+    scores_help = "scores JSONL, one {id, adv_score, label} object a line"
+    p.add_argument("-i", "--input", required=True, help=scores_help)
+    p.add_argument("-o", "--out-dir", dest="out_dir", default=None, help="artifact directory")
     p.add_argument(
         "--grid",
         default=",".join(f"{i / 20:.2f}" for i in range(20)),

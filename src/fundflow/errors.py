@@ -25,10 +25,6 @@ class MalformedNesting(FundflowError):
     """A sentence's depth jumps more than one level past its predecessor."""
 
 
-class MissingBundleField(FundflowError):
-    """A prompt placeholder has no value in the analysis bundle."""
-
-
 class MalformedResponse(FundflowError):
     """A ranked-confidence response is missing fields or inconsistent."""
 

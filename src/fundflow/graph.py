@@ -58,12 +58,6 @@ class FlowGraph:
         self.incoming[dst_key].append(edge)
         self.edges.append(edge)
 
-    def out_edges(self, key: str) -> list[FlowEdge]:
-        return list(self.outgoing.get(key, ()))
-
-    def in_edges(self, key: str) -> list[FlowEdge]:
-        return list(self.incoming.get(key, ()))
-
 
 def transform(
     forest: ContractForest, extra_globals: frozenset[str] = frozenset()

@@ -42,9 +42,8 @@ def is_bot_function(name: str) -> bool:
 
 
 def _moves_funds(node) -> bool:
+    """Whether a behavior node moves funds; its ``behavior`` is set."""
     parsed = node.behavior
-    if parsed is None:
-        return False
     if parsed.kind == bh.TRANSFER:
         return True
     if parsed.kind in _CALL_KINDS:
@@ -54,9 +53,7 @@ def _moves_funds(node) -> bool:
 
 def compute_indicators(forest: ContractForest) -> Indicators:
     behavior_nodes = forest.behavior_nodes()
-    external_calls = [
-        n for n in behavior_nodes if n.behavior and n.behavior.kind in _CALL_KINDS
-    ]
+    external_calls = [n for n in behavior_nodes if n.behavior.kind in _CALL_KINDS]
 
     function_names = [forest.function_signature(r)[0] for r in forest.roots]
     unknown_fns = [n for n in function_names if is_unknown_function(n)]

@@ -56,13 +56,13 @@ class RunConfig:
     model: str = "gpt-4o"
     endpoint: str = DEFAULT_ENDPOINT
     api_key_env: str = "OPENAI_API_KEY"
-    temperature: float = 0.0
-    max_tokens: int = 1024
+    temperature: float = TransportParams.temperature
+    max_tokens: int = TransportParams.max_tokens
     concurrency: int = 4
     retries: int = 2
     threshold: float | None = None
-    max_depth: int = 32
-    max_paths: int = 256
+    max_depth: int = ReachLimits.max_depth
+    max_paths: int = ReachLimits.max_paths
     out_dir: str = "out"
 
     def __post_init__(self) -> None:
@@ -212,7 +212,7 @@ def run_static(desc: ContractDescription, config: RunConfig) -> StaticArtifacts:
         anchors = AnchorSets(ingress=identify_ingress(graph), egress=identify_egress(graph))
         reach = forward_reach(graph, anchors.ingress)
         enumeration = prune_and_enumerate(graph, reach, anchors, config.limits())
-        write("paths.json", paths_to_json(enumeration, enumeration.rendered))
+        write("paths.json", paths_to_json(enumeration))
         indicators = compute_indicators(forest)
         write("indicators.json", indicators.to_json())
     return StaticArtifacts(enumeration.truncated, indicators, enumeration.rendered)

@@ -46,7 +46,8 @@ def _check_ranking(ranked) -> None:
     confs = [conf for _, conf in ranked]
     if len(labels) != len(LABELS) or not all(label in labels for label in LABELS):
         raise ValueError(f"expected each of {LABELS} ranked once: {labels}")
-    if not all(0.0 <= c <= 100.0 + _SLACK for c in confs) or abs(sum(confs) - 100.0) > _SLACK:
+    # none of four confidences of at least 0 exceeds their sum: the sum bounds each
+    if not all(0.0 <= c for c in confs) or abs(sum(confs) - 100.0) > _SLACK:
         raise ValueError(f"expected confidences in [0, 100] that sum to 100: {confs}")
     if any(a < b for a, b in zip(confs, confs[1:])):
         raise ValueError(f"confidences increase down the ranking: {confs}")
@@ -78,19 +79,15 @@ class ProbeDistribution:
 
 
 # the answer slots the prompts ask for, each found by a pattern compiled once
-_SLOTS = (
-    "contract summary",
-    "purpose",
-    "suspicious",
-    "reason",
-    *(f"{letter}{i}" for letter in "GP" for i in range(1, 5)),
-)
+_NAMED_SLOTS = ("contract summary", "purpose", "suspicious", "reason")
+_SLOTS = (*_NAMED_SLOTS, *(f"{letter}{i}" for letter in "GP" for i in range(1, 5)))
 # A value is the rest of its slot's line or, when that is blank, the next
-# line that is not blank, unless that line opens a slot itself.
+# line that is not blank, unless that line opens a named slot or any G<n> or
+# P<n> label: a blank P4 does not read the 5 of a following "P5: 30%".
 _SLOT_RE = {
     slot: re.compile(
         rf"^[^\S\n]*{slot}\s*[:.]"
-        rf"(?:[^\S\n]*|\s*\n[^\S\n]*(?!(?:{'|'.join(_SLOTS)})\s*[:.]))"
+        rf"(?:[^\S\n]*|\s*\n[^\S\n]*(?!(?:{'|'.join(_NAMED_SLOTS)}|[GP]\d+)\s*[:.]))"
         r"(\S.*?)\s*$",
         re.MULTILINE | re.IGNORECASE,
     )
@@ -238,12 +235,10 @@ def _run_probe(kind: str, prompt: str, transport, retries: int) -> ProbeDistribu
             attempt += 1
 
 
-def run_stage2(
-    bundle: AnalysisBundle, transport, retries: int = 2, pool=None
-) -> Stage2Result:
-    """Run all six probes, on ``pool`` or, when it is None, in the calling
-    thread; probes that stay malformed are dropped from the result rather
-    than failing the stage."""
+def run_stage2(bundle: AnalysisBundle, transport, retries: int, pool=None) -> Stage2Result:
+    """Run all six probes, each asked at most ``retries + 1`` times, on
+    ``pool`` or, when it is None, in the calling thread; probes that stay
+    malformed are dropped from the result rather than failing the stage."""
     heads: dict[str, str] = {}  # each level's context, built by its first probe
     prompts = {kind: build_stage2_prompt(kind, bundle, heads) for kind in PROBE_KINDS}
 

@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 from importlib import resources
 
 from .description import ContractDescription, render_function
-from .errors import MissingBundleField
 from .indicators import Indicators
 
 G_NORMAL = "g_normal"
@@ -73,9 +72,9 @@ class AnalysisBundle:
     """Everything the ranked-guess prompts interpolate."""
 
     contract_summary: str
+    indicators: Indicators
     functions: list[FunctionSummary] = field(default_factory=list)
     unknown_functions: list[UnknownFunction] = field(default_factory=list)
-    indicators: Indicators | None = None
     paths: list[str] = field(default_factory=list)  # rendered fund-flow paths
 
     def to_json(self) -> dict:
@@ -84,7 +83,7 @@ class AnalysisBundle:
             "contract_summary": self.contract_summary,
             "functions": [dict(vars(f)) for f in self.functions],
             "unknown_functions": [dict(vars(u)) for u in self.unknown_functions],
-            "indicators": None if self.indicators is None else self.indicators.to_json(),
+            "indicators": self.indicators.to_json(),
             "paths": list(self.paths),
         }
 
@@ -123,10 +122,6 @@ def _numbered_functions(lines: Iterable[str]) -> str:
 
 def build_stage2_context(kind: str, bundle: AnalysisBundle) -> str:
     if kind.startswith("g_"):
-        if bundle.contract_summary is None or bundle.indicators is None:
-            raise MissingBundleField(
-                "contract-level context needs contract_summary and indicators"
-            )
         ind = bundle.indicators
         return _asset("stage2_context_general.txt").format(
             contract_summary=bundle.contract_summary,

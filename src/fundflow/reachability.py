@@ -236,15 +236,14 @@ def render_path(path: FundFlowPath) -> str:
     return " ".join(parts)
 
 
-def paths_to_json(result: EnumerationResult, rendered: list[str]) -> str:
-    """``paths.json`` as compact JSON text (see ``pipeline.write_json``).
-    ``result`` is what ``prune_and_enumerate`` returned, and ``rendered``
-    holds ``render_path`` of each of its paths, in order: each path's hops
-    and conditions are the text the search encoded for it."""
+def paths_to_json(result: EnumerationResult) -> str:
+    """``paths.json`` as compact JSON text (see ``pipeline.write_json``) of
+    what ``prune_and_enumerate`` returned: each path's texts are the ones
+    the search built for it."""
     return '{"truncated":%s,"paths":[%s]}' % (
         "true" if result.truncated else "false",
         ",".join(
             '{"rendered":%s,%s}' % (encode_basestring(text), members)
-            for text, members in zip(rendered, result.encoded, strict=True)
+            for text, members in zip(result.rendered, result.encoded)
         ),
     )

@@ -243,6 +243,7 @@ class RecordTransport(ReplayTransport):
     def __init__(self, inner, store_path: str | None = None) -> None:
         self.inner = inner
         self._lock = threading.Lock()  # guards the store file and _asking
+        # a lock for each key being asked, dropped once the key is answered
         self._asking: dict[str, threading.Lock] = {}
         self._store = None  # opened by the first miss
         super().__init__(store_path, inner.params)
@@ -282,6 +283,10 @@ class RecordTransport(ReplayTransport):
                         self._store.write(line)
                         self._store.flush()
                 self._responses[key] = response
+        # answered: drop the key's lock. A failed ask keeps it, so the threads
+        # waiting on it ask once more between them, not once each.
+        with self._lock:
+            self._asking.pop(key, None)
         return response
 
     def close(self) -> None:

@@ -123,7 +123,7 @@ def assert_static_text_matches(desc: ContractDescription, extra_globals, limits)
     anchors = AnchorSets(identify_ingress(graph), identify_egress(graph))
     result = prune_and_enumerate(graph, forward_reach(graph, anchors.ingress), anchors, limits)
     rendered = [render_path(p) for p in result.paths]
-    assert paths_to_json(result, rendered) == dumps(ref_paths(result, rendered))
+    assert paths_to_json(result) == dumps(ref_paths(result, rendered))
 
 
 # characters JSON escapes or that a careless encoder gets wrong; none of
@@ -206,7 +206,7 @@ def test_static_text_matches_json_dumps_of_the_dicts(desc, extra_globals, limits
 def test_run_static_keeps_the_texts_of_render_path_and_paths_to_json(desc, limits):
     """The enumeration builds each path's text along its search; what
     ``run_static`` returns and writes is still ``render_path`` of each path,
-    and ``paths_to_json`` of those."""
+    and ``paths_to_json`` of the enumeration."""
     with tempfile.TemporaryDirectory() as out:
         config = RunConfig(out_dir=out, max_depth=limits.max_depth, max_paths=limits.max_paths)
         static = run_static(desc, config)
@@ -217,7 +217,7 @@ def test_run_static_keeps_the_texts_of_render_path_and_paths_to_json(desc, limit
     rendered = [render_path(p) for p in result.paths]
     assert result.rendered == rendered
     assert static.rendered_paths == rendered
-    assert written == paths_to_json(result, rendered) + "\n"
+    assert written == paths_to_json(result) + "\n"
     assert written == dumps(ref_paths(result, rendered)) + "\n"
 
 
@@ -261,7 +261,7 @@ def test_graph_and_paths_text_match_json_dumps_of_the_dicts(case, limits):
     assert graph_to_json(graph) == dumps(ref_graph(graph))
     result = prune_and_enumerate(graph, forward_reach(graph, anchors.ingress), anchors, limits)
     rendered = [render_path(p) for p in result.paths]
-    assert paths_to_json(result, rendered) == dumps(ref_paths(result, rendered))
+    assert paths_to_json(result) == dumps(ref_paths(result, rendered))
 
 
 @settings(deadline=None, max_examples=200)
@@ -301,7 +301,7 @@ def test_a_lone_surrogate_leaves_no_artifact(tmp_path, artifact):
         "description": lambda: description_to_json(desc),
         "forest": lambda: forest_to_json(forest),
         "graph": lambda: graph_to_json(graph),
-        "paths": lambda: paths_to_json(result, [render_path(p) for p in result.paths]),
+        "paths": lambda: paths_to_json(result),
     }[artifact]()
     out = tmp_path / "out"
     with pytest.raises(UnicodeEncodeError):

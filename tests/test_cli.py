@@ -465,6 +465,8 @@ def test_fuse_rejects_an_unknown_label(tmp_path, capsys):
         '[["adversarial", 50], ["suspicion", 30], ["uncertain", 10], ["benign", 10], '
         '["benign", 0]]',
         '[["adversarial", "60"], ["suspicion", 39], ["uncertain", true], ["benign", 0]]',
+        '[["adversarial", NaN], ["suspicion", 100], ["uncertain", 0], ["benign", 0]]',
+        '[["adversarial", Infinity], ["suspicion", 0], ["uncertain", 0], ["benign", 0]]',
     ],
 )
 def test_fuse_rejects_a_ranking_fusion_cannot_weigh(tmp_path, capsys, ranked):
@@ -617,6 +619,14 @@ def test_sweep_writes_csv(tmp_path, capsys):
     out_path = capsys.readouterr().out.strip()
     assert out_path == os.path.join(out, "sweep.csv")
     assert Path(out_path).read_text(encoding="utf-8").startswith("threshold,")
+
+
+def test_sweep_takes_no_config_file(tmp_path, capsys):
+    """A sweep reads no run-config field, so it has no --config to ignore."""
+    with pytest.raises(SystemExit) as exc_info:
+        main(["sweep", "-i", scores_file(tmp_path), "--config", str(tmp_path / "absent.cfg")])
+    assert exc_info.value.code == 2
+    assert "unrecognized arguments: --config" in capsys.readouterr().err
 
 
 def test_sweep_rejects_out_of_range_grid(tmp_path, capsys):

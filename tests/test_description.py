@@ -163,8 +163,12 @@ def test_json_depth_validation():
             {"signature": "f()", "sentences": [{"text": "", "depth": 0}]},
             "functions[0].sentences[0].text must be a non-empty string",
         ),
+        (
+            {"signature": "f()", "sentences": ["it returns 0"]},
+            "functions[0].sentences[0] must be an object",
+        ),
     ],
-    ids=["function_not_an_object", "empty_sentence_text"],
+    ids=["function_not_an_object", "empty_sentence_text", "sentence_not_an_object"],
 )
 def test_json_value_of_the_wrong_kind_rejected(function, error):
     with pytest.raises(InvalidDescription) as raised:

@@ -75,8 +75,8 @@ def test_toy_graph_nodes_and_edges():
 def test_toy_graph_shares_global_across_functions():
     graph = transform(make_toy_forest(), TOY_GLOBALS)
     v3 = graph.nodes["v3"]
-    assert [e.function for e in graph.in_edges("v3")] == ["F1"]
-    assert [e.function for e in graph.out_edges("v3")] == ["F2"]
+    assert [e.function for e in graph.incoming.get("v3", ())] == ["F1"]
+    assert [e.function for e in graph.outgoing.get("v3", ())] == ["F2"]
     assert v3.scope == ""
 
 

@@ -113,6 +113,14 @@ def test_equal_adjacent_confidences_allowed():
     assert [c for _, c in dist.ranked] == [40.0, 30.0, 15.0, 15.0]
 
 
+def test_all_confidence_on_one_label_accepted():
+    text = "G1: D\nP1: 100%\nG2: A\nP2: 0%\nG3: B\nP3: 0%\nG4: C\nP4: 0%\n"
+    dist = parse_ranked_response(text, probe="g_normal")
+    ranked = (("benign", 100.0), ("adversarial", 0.0), ("suspicion", 0.0), ("uncertain", 0.0))
+    assert dist.ranked == ranked
+    assert ProbeDistribution.from_json(dist.to_json()) == dist
+
+
 @given(
     st.permutations("ABCD"),
     st.lists(
@@ -287,6 +295,16 @@ def test_empty_ranked_slot_does_not_take_the_next_slots_line():
     assert dist.ranked[0] == ("adversarial", 70.0)
 
 
+def test_empty_ranked_slot_does_not_take_a_following_label():
+    """P5 is no slot, but its label is no value either: a blank P4 must not
+    read the 5 of "P5"."""
+    text = "G1: A\nP1: 60\nG2: B\nP2: 25\nG3: C\nP3: 10\nG4: D\nP4:\nP5: 30%\n"
+    with pytest.raises(MalformedResponse, match="missing G4 or P4"):
+        parse_ranked_response(text)
+    dist = parse_ranked_response(text.replace("P4:\n", "P4:\n5%\n"))
+    assert dist.ranked[3] == ("benign", 5.0)
+
+
 def test_stage1_general_fallback():
     from fundflow.probing import _parse_stage1_general
 
@@ -331,7 +349,7 @@ def test_non_replay_stages_overlap_queries():
 
     stage2_transport = OverlapTransport(PARAMS, ADVERSARIAL_ROWS)
     with query_pool(2) as pool:
-        stage2 = run_stage2(make_bundle_rows(), stage2_transport, pool=pool)
+        stage2 = run_stage2(make_bundle_rows(), stage2_transport, 2, pool)
     assert [d.probe for d in stage2.distributions] == list(PROBE_KINDS)
     assert stage2_transport.max_in_flight == 2
 
@@ -344,7 +362,7 @@ def test_replay_stages_run_inline(tmp_path, monkeypatch):
     scripted = ScriptedTransport(PARAMS, ADVERSARIAL_ROWS)
     recorder = RecordTransport(scripted, str(store))
     run_stage1(desc, recorder)
-    run_stage2(make_bundle_rows(), recorder)
+    run_stage2(make_bundle_rows(), recorder, 2)
 
     def no_pool(*args, **kwargs):
         raise AssertionError("a replay stage created a thread pool")
@@ -360,7 +378,7 @@ def test_replay_stages_run_inline(tmp_path, monkeypatch):
 
     replay = WatchedReplay(str(store), PARAMS)
     stage1 = run_stage1(desc, replay)
-    stage2 = run_stage2(make_bundle_rows(), replay)
+    stage2 = run_stage2(make_bundle_rows(), replay, 2)
     assert stage1.contract_summary == "Moves funds through guarded external calls."
     assert [d.probe for d in stage2.distributions] == list(PROBE_KINDS)
     assert seen_threads == {main_thread}

@@ -1,6 +1,6 @@
-"""Every module of the package parses as the oldest Python that
-``pyproject.toml`` declares in ``requires-python``, whichever interpreter
-runs the tests."""
+"""Every module of the package, and every script, parses as the oldest
+Python that ``pyproject.toml`` declares in ``requires-python``, whichever
+interpreter runs the tests."""
 
 import ast
 import re
@@ -19,7 +19,9 @@ def test_the_floor_is_the_one_pyproject_declares():
 
 
 @pytest.mark.parametrize(
-    "path", sorted((ROOT / "src" / "fundflow").rglob("*.py")), ids=lambda path: path.name
+    "path",
+    sorted((ROOT / "src" / "fundflow").rglob("*.py")) + sorted((ROOT / "scripts").glob("*.py")),
+    ids=lambda path: path.name,
 )
 def test_every_module_parses_at_the_floor(path):
     ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=FLOOR)

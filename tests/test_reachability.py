@@ -155,7 +155,7 @@ def test_render_joins_conditions_with_comma_space():
 def test_paths_json_shape():
     graph, anchors = toy_setup()
     result = prune_and_enumerate(graph, forward_reach(graph, anchors.ingress), anchors)
-    data = json.loads(paths_to_json(result, [render_path(p) for p in result.paths]))
+    data = json.loads(paths_to_json(result))
     assert data["truncated"] is False
     assert data["paths"][0]["rendered"] == "v2 --[c3]--> v3 --[c1]--> op2"
     assert data["paths"][0]["hops"] == [

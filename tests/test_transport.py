@@ -117,9 +117,41 @@ def test_record_asks_once_per_key_across_threads(tmp_path):
     keys = {query_key(p, PARAMS, a) for p, a in sent}
     assert len(keys) == 14
     assert inner.asked == Counter(dict.fromkeys(keys, 1))
+    assert recorder._asking == {}  # no lock outlives its key's answer
     lines = store.read_text(encoding="utf-8").splitlines()
     assert sorted(json.loads(line)["key"] for line in lines) == sorted(keys)
     assert all(a == answers[0] for a in answers)
+
+
+def test_threads_waiting_on_a_failed_key_ask_it_once_more_between_them(tmp_path):
+    """The first ask fails. Threads that miss the key while it is asked,
+    before or after that failure, wait on one lock: one of them asks again
+    and the rest take its answer."""
+    inner = CountingEcho(PARAMS, fail={"flaky"})
+    recorder = RecordTransport(inner, str(tmp_path / "store.jsonl"))
+    query = inner.query
+
+    def slow_and_failing_once(prompt, attempt=0):
+        time.sleep(0.05)
+        try:
+            return query(prompt, attempt)
+        finally:
+            inner.fail.clear()
+
+    inner.query = slow_and_failing_once
+
+    def ask(i):
+        time.sleep(0.02 * i)  # staggered, so some miss after the failure
+        try:
+            return recorder.query("flaky")
+        except TransportError:
+            return None
+
+    with ThreadPoolExecutor(max_workers=6) as pool:
+        answers = list(pool.map(ask, range(6)))
+    assert answers[0] is None and None not in answers[1:]
+    assert inner.asked[query_key("flaky", PARAMS)] == 2
+    assert recorder._asking == {}
 
 
 def test_record_resumes_from_a_complete_store(tmp_path):
@@ -420,6 +452,7 @@ def test_memo_without_a_store_asks_each_key_once_and_writes_nothing(tmp_path, mo
     assert all(a == answers[0] for a in answers)
     assert answers[0] == sorted((q, EchoTransport(PARAMS).query(*q)) for q in sent)
     assert inner.asked == Counter({query_key(p, PARAMS, a): 1 for p, a in sent})
+    assert memo._asking == {}
     for _ in range(2):  # a failed query is not remembered
         with pytest.raises(TransportError):
             memo.query("flaky")
