@@ -33,7 +33,7 @@ def closure(graph: FlowGraph, starts: set) -> set:
         if key in seen:
             continue
         seen.add(key)
-        frontier.extend(e.dst.key() for e in graph.outgoing.get(key, ()))
+        frontier.extend(e.dst for e in graph.outgoing.get(key, ()))
     return seen
 
 
@@ -45,10 +45,10 @@ def all_simple_paths(graph: FlowGraph, ingress_keys: set, egress_keys: set) -> l
         if cur in egress_keys:
             found.append(tuple(path))
             return
-        for edge in sorted(graph.outgoing.get(cur, ()), key=lambda e: e.dst.key()):
-            if edge.dst.key() in path:
+        for edge in sorted(graph.outgoing.get(cur, ()), key=lambda e: e.dst):
+            if edge.dst in path:
                 continue
-            path.append(edge.dst.key())
+            path.append(edge.dst)
             dfs(path)
             path.pop()
 
@@ -63,9 +63,9 @@ def is_acyclic(graph: FlowGraph) -> bool:
     ready = [key for key, count in indegree.items() if count == 0]
     for key in ready:
         for edge in graph.outgoing.get(key, ()):
-            indegree[edge.dst.key()] -= 1
-            if indegree[edge.dst.key()] == 0:
-                ready.append(edge.dst.key())
+            indegree[edge.dst] -= 1
+            if indegree[edge.dst] == 0:
+                ready.append(edge.dst)
     return len(ready) == len(graph.nodes)
 
 
@@ -79,7 +79,7 @@ def text_problem(result) -> str | None:
 def limit_problem(graph, want: list, limits: ReachLimits, result) -> str | None:
     """What is wrong with ``result``, an enumeration under ``limits``, given
     ``want``, the unlimited ``all_simple_paths``; None when nothing is."""
-    got = [tuple(h.key() for h in p.hops) for p in result.paths]
+    got = [tuple(h.key for h in p.hops) for p in result.paths]
     cut = [p for p in want if len(p) - 1 <= limits.max_depth][: limits.max_paths]
     if result.expansions > limits.budget:
         return f"{result.expansions} expansions over the budget of {limits.budget}"
@@ -105,7 +105,7 @@ def random_graph(rng: random.Random, max_nodes: int):
         for b in names:
             if a != b and rng.random() < p:
                 conds = (f"c{rng.randint(0, 5)}",) if rng.random() < 0.3 else ()
-                graph.add_edge(FlowEdge(EntityId("", a), EntityId("", b), conds, "f"))
+                graph.add_edge(FlowEdge(a, b, conds, "f"))
     k_in = rng.randint(1, min(3, n - 1))
     ingress_names = set(rng.sample(names, k_in))
     rest = [x for x in names if x not in ingress_names]
@@ -128,18 +128,14 @@ def main() -> int:
     started = time.monotonic()
     for round_no in range(args.graphs):
         graph, ingress_names, egress_names = random_graph(rng, args.max_nodes)
-        ingress = {graph.nodes[x] for x in ingress_names}
-
-        reach = forward_reach(graph, ingress)
-        if {e.key() for e in reach} != closure(graph, ingress_names):
+        reach = forward_reach(graph, ingress_names)
+        if reach != closure(graph, ingress_names):
             print(f"REACHABILITY MISMATCH at graph {round_no} (seed {args.seed})")
             return 1
 
-        anchors = AnchorSets(
-            ingress=ingress, egress={graph.nodes[x] for x in egress_names}
-        )
+        anchors = AnchorSets(ingress=ingress_names, egress=egress_names)
         result = prune_and_enumerate(graph, reach, anchors, no_limits)
-        got = [tuple(h.key() for h in p.hops) for p in result.paths]
+        got = [tuple(h.key for h in p.hops) for p in result.paths]
         want = all_simple_paths(graph, ingress_names, egress_names)
         if got != want or result.truncated:
             print(f"PATH MISMATCH at graph {round_no} (seed {args.seed})")

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import re
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from json.encoder import encode_basestring
@@ -40,6 +41,14 @@ def split_signature(signature: str) -> tuple[str, tuple[str, ...]]:
     name, _, rest = signature.partition("(")
     inner = rest.rsplit(")", 1)[0]
     return name, tuple([p for p in map(str.strip, inner.split(",")) if p])
+
+
+def function_scopes(signatures: list[str]) -> list[str]:
+    """Each function's scope for its locals and operations: its name, or its
+    whole signature when another function of the contract shares the name."""
+    names = [split_signature(signature)[0] for signature in signatures]
+    counts = Counter(names)
+    return [sig if counts[name] > 1 else name for sig, name in zip(signatures, names)]
 
 
 class Sentence(NamedTuple):

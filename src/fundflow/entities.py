@@ -39,39 +39,35 @@ def is_constant(raw: str) -> bool:
     return s.lower() in {"true", "false"}
 
 
-@dataclass(order=True, slots=True)
-class EntityId:
-    """Canonical node identity; equal ids are the same graph node.
+def _escape(text: str) -> str:
+    """``text`` with each ``\\``, ``:`` and ``#`` escaped by a backslash."""
+    return text.replace("\\", "\\\\").replace(":", "\\:").replace("#", "\\#")
 
-    The key and the hash are computed once, at construction: graph building,
-    reachability and serialization ask for them many times per entity, so an
-    id is never changed once built. It is not frozen, because a frozen field
-    costs a call to set.
-    """
+
+@dataclass(slots=True)
+class EntityId:
+    """One flow-graph node. Its ``key``, computed once at construction, is
+    its identity after ``transform``: the escapes make two entities share a
+    key only if they are equal. An id is never changed once built."""
 
     scope: str  # "" for contract-level entities
     name: str
     flavor: str = VARIABLE
     occurrence: int = 0  # instance number for operation entities, 0 for variables
-    _key: str = field(init=False, repr=False, compare=False)
-    _hash: int = field(init=False, repr=False, compare=False)
+    key: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        base = self.name if not self.scope else f"{self.scope}:{self.name}"
-        self._key = f"{base}#{self.occurrence}" if self.flavor == OPERATION else base
-        self._hash = hash((self.scope, self.name, self.flavor, self.occurrence))
-
-    def __hash__(self) -> int:
-        return self._hash
+        name = _escape(self.name)
+        base = f"{_escape(self.scope)}:{name}" if self.scope else name
+        self.key = f"{base}#{self.occurrence}" if self.flavor == OPERATION else base
 
     @property
     def display(self) -> str:
-        """Human-facing label: operations show their call label, local
-        variables show ``function:name``, globals show the bare name."""
-        return self.name if self.flavor == OPERATION else self._key
-
-    def key(self) -> str:
-        return self._key
+        """Human-facing label, unescaped: operations show their call label,
+        local variables show ``function:name``, globals show the bare name."""
+        if self.flavor == OPERATION or not self.scope:
+            return self.name
+        return f"{self.scope}:{self.name}"
 
 
 def is_global_name(name: str, extra_globals: frozenset[str] = frozenset()) -> bool:
@@ -125,9 +121,8 @@ def resolve_sources(
     if len(raws) == 1:  # most behaviors mention one source
         entity = _resolve(raws[0], scope, extra_globals, resolved)
         return () if entity is None else (entity,)
-    found = dict.fromkeys([_resolve(raw, scope, extra_globals, resolved) for raw in raws])
-    found.pop(None, None)
-    return tuple(found)
+    found = [_resolve(raw, scope, extra_globals, resolved) for raw in raws]
+    return tuple({e.key: e for e in found if e is not None}.values())
 
 
 class PropagationTuple(NamedTuple):

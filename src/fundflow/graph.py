@@ -16,29 +16,29 @@ from json.encoder import encode_basestring
 from typing import NamedTuple
 
 from .behavior import CONDITION
+from .description import function_scopes
 from .entities import EntityId, extract_tuple, resolve_sources
 from .forest import ContractForest
 
 
 class FlowEdge(NamedTuple):
-    src: EntityId
-    dst: EntityId
+    src: str  # node keys
+    dst: str
     conditions: tuple[str, ...]
     function: str
 
 
 @dataclass
 class FlowGraph:
-    """Immutable after construction; nodes keyed by canonical entity key."""
+    """Immutable after construction; each node key maps to its entity."""
 
     nodes: dict[str, EntityId] = field(default_factory=dict)
     edges: list[FlowEdge] = field(default_factory=list)
     # node keys of every function's parameters, as ``transform`` seeds them
     parameters: set[str] = field(default_factory=set)
-    # The table reachability walks, kept by ``add_edge`` and by ``transform``
-    # in the same way: each node key's out-edges and in-edges, in the order
-    # they were added. Read it with ``.get``, so that a missing key adds no
-    # entry.
+    # The table reachability walks, kept by ``add_edge``: each node key's
+    # out-edges and in-edges, in the order they were added. Read it with
+    # ``.get``, so that a missing key adds no entry.
     outgoing: dict[str, list[FlowEdge]] = field(
         default_factory=lambda: defaultdict(list), repr=False
     )
@@ -47,15 +47,12 @@ class FlowGraph:
     )
 
     def add_node(self, entity: EntityId) -> None:
-        self.nodes.setdefault(entity.key(), entity)
+        self.nodes.setdefault(entity.key, entity)
 
     def add_edge(self, edge: FlowEdge) -> None:
-        src, dst = edge.src, edge.dst
-        src_key, dst_key = src.key(), dst.key()
-        self.nodes.setdefault(src_key, src)
-        self.nodes.setdefault(dst_key, dst)
-        self.outgoing[src_key].append(edge)
-        self.incoming[dst_key].append(edge)
+        """Add an edge between two nodes already added."""
+        self.outgoing[edge.src].append(edge)
+        self.incoming[edge.dst].append(edge)
         self.edges.append(edge)
 
 
@@ -71,8 +68,9 @@ def transform(
     graph = FlowGraph()
     # each distinct mention is classified once per call, not once per function
     resolved: dict[str, EntityId | None] = {}
-    for root_id in forest.roots:
-        _transform_function(graph, forest, root_id, extra_globals, resolved)
+    scopes = function_scopes([forest.nodes[root_id].text for root_id in forest.roots])
+    for root_id, scope in zip(forest.roots, scopes):
+        _transform_function(graph, forest, root_id, scope, extra_globals, resolved)
     return graph
 
 
@@ -80,16 +78,17 @@ def _transform_function(
     graph: FlowGraph,
     forest: ContractForest,
     root_id: int,
+    scope: str,
     extra_globals: frozenset[str],
     resolved: dict[str, EntityId | None],
 ) -> None:
-    scope, params = forest.function_signature(root_id)
-    # first-visit conditions of each entity the function has reached
-    visited: dict[EntityId, tuple[str, ...]] = {}
+    params = forest.function_signature(root_id)[1]
+    # first-visit conditions of each node key the function has reached
+    visited: dict[str, tuple[str, ...]] = {}
     for entity in resolve_sources(params, scope, extra_globals, resolved):
-        visited[entity] = ()
+        visited[entity.key] = ()
         graph.add_node(entity)
-        graph.parameters.add(entity.key())
+        graph.parameters.add(entity.key)
 
     # One preorder walk, on a stack of child iterators, each with the
     # conditions enclosing those children, outermost first and without
@@ -116,8 +115,8 @@ def _transform_function(
                     node.behavior, scope, extra_globals, op_counts, resolved
                 )
                 for source in sources:
-                    if not source.scope and source not in visited:
-                        visited[source] = ()
+                    if not source.scope and source.key not in visited:
+                        visited[source.key] = ()
                         graph.add_node(source)
                 if dst is not None:
                     steps.append((sources, dst, enclosing))
@@ -132,24 +131,18 @@ def _transform_function(
     # the conditions enclosing its first visit, so adding every enclosing
     # condition gives the same ordered union. A destination keeps its first
     # edge's: only calls have several sources, and no operation is a source.
-    graph_nodes, outgoing, incoming = graph.nodes, graph.outgoing, graph.incoming
     new_edge = tuple.__new__  # as FlowEdge(...), without its Python-level __new__
     for sources, dst, enclosing in steps:
-        if dst in visited:
+        if dst.key in visited:
             continue
-        into = None  # the destination's in-edges, once it has one
         for source in sources:
-            held = visited.get(source)
+            held = visited.get(source.key)
             if held is not None:
                 annotation = tuple(dict.fromkeys(held + enclosing)) if held else enclosing
-                if into is None:  # as add_edge does it; a source is a node already
-                    visited[dst] = annotation
-                    into = incoming[dst.key()]
-                    graph_nodes.setdefault(dst.key(), dst)
-                edge = new_edge(FlowEdge, (source, dst, annotation, scope))
-                outgoing[source.key()].append(edge)
-                into.append(edge)
-                graph.edges.append(edge)
+                if dst.key not in visited:  # a source is a node already
+                    visited[dst.key] = annotation
+                    graph.add_node(dst)
+                graph.add_edge(new_edge(FlowEdge, (source.key, dst.key, annotation, scope)))
 
 
 def conditions_json(conditions: tuple[str, ...]) -> str:
@@ -174,7 +167,7 @@ def graph_to_json(graph: FlowGraph) -> str:
         if cond is None:
             cond = conditions[e.conditions] = conditions_json(e.conditions)
         edges.append(
-            f'{{"from":{ids[e.src.key()]},"to":{ids[e.dst.key()]},"conditions":{cond},'
+            f'{{"from":{ids[e.src]},"to":{ids[e.dst]},"conditions":{cond},'
             f'"function":{encode_basestring(e.function)}}}'
         )
     return '{"nodes":[%s],"edges":[%s]}' % (nodes, ",".join(edges))

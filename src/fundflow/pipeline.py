@@ -227,9 +227,9 @@ def _static_half(desc: ContractDescription, config: RunConfig) -> StaticArtifact
 def assemble_bundle(
     desc: ContractDescription, static: StaticArtifacts, stage1
 ) -> AnalysisBundle:
-    reasons = {f.name: f.reason for f in stage1.functions}
     unknown = []
-    for chunk in desc.functions:
+    # stage I summarises the functions in order, so overloads keep their own reasons
+    for chunk, summary in zip(desc.functions, stage1.functions):
         if not is_unknown_function(chunk.name):
             continue
         unknown.append(
@@ -237,7 +237,7 @@ def assemble_bundle(
                 name=chunk.name,
                 parameters=", ".join(chunk.parameters) or "(no parameters)",
                 description="; ".join(s.text for s in chunk.sentences),
-                reason=reasons.get(chunk.name, ""),
+                reason=summary.reason,
             )
         )
     return AnalysisBundle(

@@ -16,7 +16,7 @@ from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 
-from .description import ContractDescription
+from .description import ContractDescription, function_scopes
 from .errors import MalformedResponse, ReplayMiss, RetryExhausted
 from .prompts import (
     PROBE_KINDS,
@@ -185,9 +185,9 @@ def _map_queries(fn, items, pool) -> list:
 def run_stage1(desc: ContractDescription, transport, pool=None) -> Stage1Result:
     """Query the contract summary and all function summaries, on ``pool``
     or, when it is None, in the calling thread. A ``ReplayMiss`` names the
-    summary that missed."""
+    summary that missed, a function as ``function_scopes`` names it."""
     general_prompt, function_prompts = build_stage1_prompts(desc)
-    names = ["contract summary"] + [chunk.name for chunk in desc.functions]
+    names = ["contract summary"] + function_scopes([c.signature for c in desc.functions])
 
     def ask(query: tuple[str, str]) -> str:
         name, prompt = query

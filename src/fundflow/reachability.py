@@ -39,21 +39,21 @@ _EGRESS_LOWER = frozenset(name.lower() for name in PREDEFINED_EGRESS)
 
 
 @dataclass
-class AnchorSets:
-    ingress: set[EntityId] = field(default_factory=set)
-    egress: set[EntityId] = field(default_factory=set)
+class AnchorSets:  # node keys
+    ingress: set[str] = field(default_factory=set)
+    egress: set[str] = field(default_factory=set)
 
 
-def identify_ingress(graph: FlowGraph) -> set[EntityId]:
-    """Variable nodes named like transaction fields, plus the parameter
-    nodes ``transform`` recorded."""
-    out = {graph.nodes[key] for key in graph.parameters}
-    for ent in graph.nodes.values():
+def identify_ingress(graph: FlowGraph) -> set[str]:
+    """Keys of the variable nodes named like transaction fields, plus the
+    parameter nodes ``transform`` recorded."""
+    out = set(graph.parameters)
+    for key, ent in graph.nodes.items():
         if ent.flavor != VARIABLE or ent.scope:
             continue
         canonical = LIFTER_ALIASES.get(ent.name, ent.name)
         if canonical in PREDEFINED_INGRESS:
-            out.add(ent)
+            out.add(key)
     return out
 
 
@@ -63,26 +63,26 @@ def egress_label(label: str) -> str:
     return segment.split("(", 1)[0].strip().lower()
 
 
-def identify_egress(graph: FlowGraph) -> set[EntityId]:
+def identify_egress(graph: FlowGraph) -> set[str]:
     return {
-        ent
-        for ent in graph.nodes.values()
+        key
+        for key, ent in graph.nodes.items()
         if ent.flavor == OPERATION and egress_label(ent.name) in _EGRESS_LOWER
     }
 
 
-def forward_reach(graph: FlowGraph, ingress: set[EntityId]) -> set[EntityId]:
-    """All nodes reachable from any ingress node along directed edges."""
+def forward_reach(graph: FlowGraph, ingress: set[str]) -> set[str]:
+    """Keys of all nodes reachable from any ingress node along edges."""
     outgoing = graph.outgoing
-    seen = {ent.key() for ent in ingress} & graph.nodes.keys()
+    seen = ingress & graph.nodes.keys()
     stack = list(seen)
     while stack:
         for edge in outgoing.get(stack.pop(), ()):
-            dst = edge.dst.key()
+            dst = edge.dst
             if dst not in seen:
                 seen.add(dst)
                 stack.append(dst)
-    return {graph.nodes[key] for key in seen}
+    return seen
 
 
 @dataclass(frozen=True)
@@ -116,7 +116,7 @@ class ReachLimits:
 class EnumerationResult:
     paths: list[FundFlowPath]
     truncated: bool = False  # a limit or the work budget cut the enumeration short
-    retained_nodes: set[EntityId] = field(default_factory=set)
+    retained_nodes: set[str] = field(default_factory=set)  # node keys
     expansions: int = 0  # partial paths whose successors were tried
     # render_path of each path, and the "hops" and "conditions" members of
     # its paths.json object as JSON text, built along the search
@@ -129,7 +129,7 @@ def _step(ent: EntityId, conditions: tuple[str, ...] | None) -> tuple[str, str, 
     with ``conditions``: its ``render_path`` text, and its hop and the
     edge's condition list as paths.json text, each after a comma. A path's
     first node (``conditions`` None) has no edge, and its hop no comma."""
-    hop = '{"id":%s,"display":%s}' % (encode_basestring(ent.key()), encode_basestring(ent.display))
+    hop = '{"id":%s,"display":%s}' % (encode_basestring(ent.key), encode_basestring(ent.display))
     if conditions is None:
         return ent.display, hop, ""
     return (
@@ -141,7 +141,7 @@ def _step(ent: EntityId, conditions: tuple[str, ...] | None) -> tuple[str, str, 
 
 def prune_and_enumerate(
     graph: FlowGraph,
-    reach: set[EntityId],
+    reach: set[str],
     anchors: AnchorSets,
     limits: ReachLimits = ReachLimits(),
 ) -> EnumerationResult:
@@ -161,16 +161,16 @@ def prune_and_enumerate(
     nodes = graph.nodes
     # fewest hops from each node to an egress node, by a breadth-first pass
     # against the edges; its keys are the nodes that can reach egress
-    hops = {ent.key(): 0 for ent in anchors.egress if ent.key() in nodes}
+    hops = dict.fromkeys(anchors.egress & nodes.keys(), 0)
     queue = list(hops)
     for key in queue:  # grows while it is walked, so in order of hops
         for edge in graph.incoming.get(key, ()):
-            src = edge.src.key()
+            src = edge.src
             if src not in hops:
                 hops[src] = hops[key] + 1
                 queue.append(src)
-    retained_keys = {e.key() for e in reach} & hops.keys()
-    result = EnumerationResult(paths=[], retained_nodes={nodes[k] for k in retained_keys})
+    retained = reach & hops.keys()
+    result = EnumerationResult(paths=[], retained_nodes=retained)
     # (dst key, conditions) of an expanded node's out-edges within the
     # retained set, sorted stably by destination key
     steps: dict[str, list[tuple[str, tuple[str, ...]]]] = {}
@@ -180,7 +180,7 @@ def prune_and_enumerate(
     # egress that fit after one more edge, and an iterator over the steps
     # still to try from its last node. The bottom frame is the empty path,
     # whose steps are the starts, which any number of hops fits.
-    starts = sorted({e.key() for e in anchors.ingress} & retained_keys)
+    starts = sorted(anchors.ingress & retained)
     stack = [((), (), ("", "", ""), len(nodes), iter([(key, None) for key in starts]))]
     while stack:
         path, conds, (text, hop_text, cond_text), depth_left, todo = stack[-1]
@@ -217,7 +217,7 @@ def prune_and_enumerate(
         result.expansions += 1
         if key not in steps:
             edges = graph.outgoing.get(key, ())
-            out = [(e.dst.key(), e.conditions) for e in edges if e.dst.key() in retained_keys]
+            out = [(e.dst, e.conditions) for e in edges if e.dst in retained]
             steps[key] = sorted(out, key=itemgetter(0))
         texts = (text, hop_text, cond_text)
         stack.append((path, conds, texts, limits.max_depth - len(path), iter(steps[key])))

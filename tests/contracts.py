@@ -132,3 +132,10 @@ def no_ingress_function(name: str, max_sentences: int = 10):
     transaction field. It may read and write storage, and call fund-moving
     operations."""
     return _function(name, max_sentences, ingress=False)
+
+
+def overload(function: Function, max_sentences: int = 10):
+    """A function that shares ``function``'s name, with other parameters."""
+    return _function(function.name, max_sentences).filter(
+        lambda f: f.parameters != function.parameters
+    )

@@ -96,16 +96,12 @@ def test_criterion_2_benign_fusion():
 def test_criterion_3_toy_reachability():
     def body():
         graph = transform(make_toy_forest(), TOY_GLOBALS)
-        anchors = AnchorSets(
-            ingress={graph.nodes["v1"], graph.nodes["v2"]},
-            egress={graph.nodes["F2:op2#1"]},
-        )
+        anchors = AnchorSets(ingress={"v1", "v2"}, egress={"F2:op2#1"})
         reach = forward_reach(graph, anchors.ingress)
         result = prune_and_enumerate(graph, reach, anchors)
         rendered = [render_path(p) for p in result.paths]
         assert rendered == ["v2 --[c3]--> v3 --[c1]--> op2"]
-        retained = {e.key() for e in result.retained_nodes}
-        assert "F1:op1#1" not in retained and "v1" not in retained
+        assert "F1:op1#1" not in result.retained_nodes and "v1" not in result.retained_nodes
 
     check(3, "toy graph path produced, op1 branch pruned", body)
 
@@ -152,20 +148,17 @@ def test_criterion_6_reachability_oracle():
         started = time.monotonic()
         for round_no in range(1000):
             graph, ingress_names, egress_names = random_graph(rng, 20)
-            ingress = {graph.nodes[x] for x in ingress_names}
-            got_reach = {e.key() for e in forward_reach(graph, ingress)}
+            got_reach = forward_reach(graph, ingress_names)
             assert got_reach == closure(graph, ingress_names), round_no
 
-            anchors = AnchorSets(
-                ingress=ingress, egress={graph.nodes[x] for x in egress_names}
-            )
+            anchors = AnchorSets(ingress=ingress_names, egress=egress_names)
             result = prune_and_enumerate(
                 graph,
-                forward_reach(graph, ingress),
+                forward_reach(graph, ingress_names),
                 anchors,
                 ReachLimits(max_depth=10_000, max_paths=10_000_000),
             )
-            got = [tuple(h.key() for h in p.hops) for p in result.paths]
+            got = [tuple(h.key for h in p.hops) for p in result.paths]
             assert got == all_simple_paths(graph, ingress_names, egress_names), round_no
             assert not result.truncated
         elapsed = time.monotonic() - started

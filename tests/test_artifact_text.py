@@ -90,8 +90,8 @@ def ref_graph(graph: FlowGraph) -> dict:
         ],
         "edges": [
             {
-                "from": e.src.key(),
-                "to": e.dst.key(),
+                "from": e.src,
+                "to": e.dst,
                 "conditions": list(e.conditions),
                 "function": e.function,
             }
@@ -106,7 +106,7 @@ def ref_paths(result, rendered: list[str]) -> dict:
         "paths": [
             {
                 "rendered": text,
-                "hops": [{"id": h.key(), "display": h.display} for h in p.hops],
+                "hops": [{"id": h.key, "display": h.display} for h in p.hops],
                 "conditions": [list(c) for c in p.conditions],
             }
             for p, text in zip(result.paths, rendered, strict=True)
@@ -248,9 +248,10 @@ def graphs(draw) -> tuple[FlowGraph, AnchorSets]:
         st.lists(st.tuples(index, index, st.sampled_from(pool)), max_size=20)
     ):
         if src != dst:
-            graph.add_edge(FlowEdge(entities[src], entities[dst], cond, draw(_phrase)))
-    ingress = set(draw(st.lists(st.sampled_from(entities), max_size=3)))
-    egress = set(draw(st.lists(st.sampled_from(entities), max_size=3)))
+            graph.add_edge(FlowEdge(entities[src].key, entities[dst].key, cond, draw(_phrase)))
+    keys = [entity.key for entity in entities]
+    ingress = set(draw(st.lists(st.sampled_from(keys), max_size=3)))
+    egress = set(draw(st.lists(st.sampled_from(keys), max_size=3)))
     return graph, AnchorSets(ingress, egress)
 
 

@@ -74,3 +74,16 @@ def test_bench_runs_a_static_large_contract(bench_run, tmp_path):
     runner.single(None)
     assert (runner.attempted, runner.failed, runner.errors) == (1, 0, [])
     assert runner.counter.value > 0
+
+
+def test_a_traced_static_large_contract_reports_its_graph_and_paths(bench_run, spans, tmp_path):
+    """``--trace 1`` reports the sizes of what ``transform``, the anchor,
+    reach and enumeration functions return; one traced unit must give a
+    positive figure for each."""
+    runner = bench_run.Runner(bench_run.WORKLOADS["static_large"], 1, str(tmp_path))
+    tracer = spans.Tracer()
+    assert runner.phase(tracer, units=1)[0] == 1
+    assert (runner.failed, runner.errors) == (0, [])
+    metrics = spans.layer_metrics(tracer.spans, 1)
+    for name in ("graph.nodes", "reachability.paths", "reachability.retained_ratio"):
+        assert metrics[name] > 0, name

@@ -60,14 +60,14 @@ def test_extra_globals():
 def test_normalize_local():
     ent = normalize_entity("param1", "transfer")
     assert ent == EntityId(scope="transfer", name="param1", flavor=VARIABLE)
-    assert ent.key() == "transfer:param1"
+    assert ent.key == "transfer:param1"
     assert ent.display == "transfer:param1"
 
 
 def test_normalize_global():
     ent = normalize_entity("stor_3", "withdrawAll")
     assert ent.scope == ""
-    assert ent.key() == "stor_3"
+    assert ent.key == "stor_3"
     assert ent.display == "stor_3"
 
 
@@ -86,13 +86,13 @@ def test_normalize_rejects_literal():
 def test_same_name_different_scope_distinct():
     a = normalize_entity("x", "f")
     b = normalize_entity("x", "g")
-    assert a != b and a.key() != b.key()
+    assert a != b and a.key != b.key
 
 
 def test_operation_display_is_bare_label():
     op = EntityId(scope="f", name="stor_5.flashLoan", flavor=OPERATION, occurrence=1)
     assert op.display == "stor_5.flashLoan"
-    assert op.key() == "f:stor_5.flashLoan#1"
+    assert op.key == "f:stor_5.flashLoan#1"
 
 
 @pytest.mark.parametrize("kind", ROW_KINDS)
@@ -155,13 +155,6 @@ _NAMES = st.from_regex(r"[a-z_][a-z0-9_]{0,8}", fullmatch=True).filter(
 _SCOPES = st.from_regex(r"[a-zA-Z_]\w{0,8}", fullmatch=True)
 
 
-@given(st.tuples(_SCOPES, _NAMES), st.tuples(_SCOPES, _NAMES))
-def test_key_injective_for_variables(a, b):
-    ea = EntityId(scope=a[0], name=a[1])
-    eb = EntityId(scope=b[0], name=b[1])
-    assert (ea.key() == eb.key()) == (ea == eb)
-
-
 @given(st.integers(min_value=-(10**12), max_value=10**12))
 def test_integers_are_constants(n):
     assert is_constant(str(n))
@@ -175,7 +168,7 @@ def test_generated_names_normalize(name):
 
 
 def _formatted_key(ent: EntityId) -> str:
-    """The key as formatted on every call before it was cached."""
+    """The key as formatted before its scope and name were escaped."""
     base = ent.name if not ent.scope else f"{ent.scope}:{ent.name}"
     return f"{base}#{ent.occurrence}" if ent.flavor == OPERATION else base
 
@@ -191,12 +184,49 @@ def _entities(draw):
 
 @given(_entities(), _entities())
 def test_cached_key_matches_formatting(ent, other):
-    assert ent.key() == _formatted_key(ent)
+    """A name that holds no escaped character keeps its unescaped key."""
+    assert ent.key == _formatted_key(ent)
     fields = (ent.scope, ent.name, ent.flavor, ent.occurrence)
     other_fields = (other.scope, other.name, other.flavor, other.occurrence)
-    assert hash(ent) == hash(fields)
     assert (ent == other) == (fields == other_fields)
-    assert (ent < other) == (fields < other_fields)
+
+
+# scopes and names over the characters a key escapes
+_KEY_TEXT = st.text(alphabet="ft1\\:#", max_size=4)
+
+
+@st.composite
+def _escaped_entities(draw):
+    flavor = draw(st.sampled_from([VARIABLE, OPERATION]))
+    occurrence = draw(st.integers(1, 2)) if flavor == OPERATION else 0
+    return EntityId(draw(_KEY_TEXT), draw(_KEY_TEXT), flavor, occurrence)
+
+
+@st.composite
+def _entity_pairs(draw):
+    """Two entities: the second drawn on its own, or read back from the
+    first's key, escaped or not, split at any of its colons and maybe at
+    its last "#". Unescaped, "" and "f:t" collide with "f" and "t", and the
+    variable "f", "t#1" with the operation "f", "t", 1; with ":" escaped
+    but not "\\", "" and "f:t" collide with "f\\" and "t"."""
+    first = draw(_escaped_entities())
+    if draw(st.booleans()):
+        return first, draw(_escaped_entities())
+    text = draw(st.sampled_from([_formatted_key(first), first.key]))
+    flavor, occurrence = VARIABLE, 0
+    head, mark, tail = text.rpartition("#")
+    if mark and tail.isdigit() and draw(st.booleans()):
+        text, flavor, occurrence = head, OPERATION, int(tail)
+    cut = draw(st.sampled_from([-1] + [i for i, c in enumerate(text) if c == ":"]))
+    scope, name = ("", text) if cut < 0 else (text[:cut], text[cut + 1 :])
+    return first, EntityId(scope, name, flavor, occurrence)
+
+
+@settings(max_examples=500)
+@given(_entity_pairs())
+def test_equal_keys_iff_equal_entities(pair):
+    a, b = pair
+    assert (a.key == b.key) == (a == b)
 
 
 @settings(deadline=None)

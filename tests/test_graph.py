@@ -2,6 +2,7 @@ import json
 from bisect import bisect_right
 from itertools import chain
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from fundflow.description import chunk_flat_text
@@ -22,7 +23,7 @@ def graph_of(text, extra_globals=frozenset()):
 
 
 def edge_view(graph):
-    return [(e.src.key(), e.dst.key(), e.conditions) for e in graph.edges]
+    return [(e.src, e.dst, e.conditions) for e in graph.edges]
 
 
 def test_delta_all_after_snapshot():
@@ -181,6 +182,35 @@ def test_unknown_nodes_are_transparent():
     assert edge_view(graph) == [("f:a", "f:transfer#1", ())]
 
 
+@pytest.mark.parametrize(
+    "text, labels, edges",
+    [
+        (
+            "function f(p):\n"
+            "it triggers the external call to transfer(p)\n"
+            "it updates the state variable transfer#1 to p\n",
+            {"f:p": "f:p", "f:transfer#1": "transfer", "f:transfer\\#1": "f:transfer#1"},
+            [("f:p", "f:transfer#1", ()), ("f:p", "f:transfer\\#1", ())],
+        ),
+        (
+            "function stor_1(p):\n"
+            "it updates the state variable x to p\n"
+            "it updates the state variable stor_9 to stor_1:x\n",
+            {"stor_1:p": "stor_1:p", "stor_1\\:x": "stor_1:x", "stor_1:x": "stor_1:x",
+             "stor_9": "stor_9"},
+            [("stor_1:p", "stor_1:x", ()), ("stor_1\\:x", "stor_9", ())],
+        ),
+    ],
+    ids=["call_and_variable", "local_and_global"],
+)
+def test_entities_whose_unescaped_keys_match_stay_apart(text, labels, edges):
+    """A variable named like a call's key, or a global mention named like a
+    local's key, is a node of its own, and keeps its own edges."""
+    graph = graph_of(text)
+    assert {key: ent.display for key, ent in graph.nodes.items()} == labels
+    assert edge_view(graph) == edges
+
+
 def test_transform_is_deterministic():
     a = graph_to_json(transform(make_toy_forest(), TOY_GLOBALS))
     b = graph_to_json(transform(make_toy_forest(), TOY_GLOBALS))
@@ -207,7 +237,7 @@ def test_operation_destinations_numbered_in_document_order():
         "  it triggers the external call to stor_5.run(a)\n"
         "it triggers the external call to stor_5.run(b)\n"
     )
-    assert [e.dst.key() for e in graph.edges] == ["f:stor_5.run#1", "f:stor_5.run#2"]
+    assert [e.dst for e in graph.edges] == ["f:stor_5.run#1", "f:stor_5.run#2"]
 
 
 def _union(*sequences):
@@ -221,11 +251,11 @@ def _reference_transform(forest, extra_globals=frozenset()):
     graph = FlowGraph()
     for root_id in forest.roots:
         scope, params = forest.function_signature(root_id)
-        visited = {}  # entity -> (conditions, number of pushes before it)
+        visited = {}  # node key -> (conditions, number of pushes before it)
 
         def seed(entity):
-            if entity not in visited:
-                visited[entity] = ((), 0)
+            if entity.key not in visited:
+                visited[entity.key] = ((), 0)
                 graph.add_node(entity)
 
         for entity in resolve_sources(params, scope, extra_globals):
@@ -256,23 +286,25 @@ def _reference_transform(forest, extra_globals=frozenset()):
                 work.append(-1)
             elif node.kind == "behavior":
                 prop = tuples.get(node_id)
-                if prop is not None and prop.dst is not None and prop.dst not in visited:
+                dst = prop.dst if prop is not None else None
+                if dst is not None and dst.key not in visited:
                     annotations = []
                     for src in prop.sources:
-                        if src not in visited:
+                        if src.key not in visited:
                             continue
-                        conditions, snapshot = visited[src]
+                        conditions, snapshot = visited[src.key]
                         delta = held[bisect_right(pushed, snapshot) :]
                         annotation = _union(conditions, delta)
-                        graph.add_edge(FlowEdge(src, prop.dst, annotation, scope))
+                        graph.add_node(dst)
+                        graph.add_edge(FlowEdge(src.key, dst.key, annotation, scope))
                         annotations.append(annotation)
                     if annotations:
-                        visited[prop.dst] = (_union(*annotations), pushes)
+                        visited[dst.key] = (_union(*annotations), pushes)
             work.extend(reversed(node.children))
     return graph
 
 
-# "op#1" is a local whose node key, f0:op#1, is also that of f0's first op(...) call
+# "op#1" is a local whose node key, f0:op\#1, escapes the "#" of f0's first op(...) call, f0:op#1
 _NAMES = ("a", "b", "t", "u", "stor_1", "stor_2", "caller", "call value", "g", "op#1")
 _CONDITIONS = ("when (a > 0)", "if (stor_1 == caller)", "while (t)", "otherwise")
 _sentence = st.one_of(

@@ -22,6 +22,7 @@ from contracts import (
     flat_text,
     inert_function,
     no_ingress_function,
+    overload,
 )
 
 FRESH = "renamed"  # a local-looking name no generated contract uses
@@ -38,7 +39,7 @@ def static_core(text):
 
 
 def path_set(result):
-    return {(tuple(h.key() for h in p.hops), p.conditions) for p in result.paths}
+    return {(tuple(h.key for h in p.hops), p.conditions) for p in result.paths}
 
 
 @settings(deadline=None)
@@ -50,11 +51,11 @@ def test_permuting_functions_keeps_edges_and_paths(data):
     graph2, ingress2, result2 = static_core(flat_text(shuffled))
 
     def edges(g):
-        return {(e.src.key(), e.dst.key(), e.conditions, e.function) for e in g.edges}
+        return {(e.src, e.dst, e.conditions, e.function) for e in g.edges}
 
     assert edges(graph2) == edges(graph)
     assert graph2.nodes.keys() == graph.nodes.keys()
-    assert {e.key() for e in ingress2} == {e.key() for e in ingress}
+    assert ingress2 == ingress
     if not (result.truncated or result2.truncated):
         assert path_set(result2) == path_set(result)
 
@@ -89,10 +90,10 @@ def check_renaming(functions, old, new, renamed_in=None):
     assert [e.display for e in graph2.nodes.values()] == [
         key(e.display) for e in graph.nodes.values()
     ]
-    assert [(e.src.key(), e.dst.key(), e.conditions, e.function) for e in graph2.edges] == [
-        (key(e.src.key()), key(e.dst.key()), conditions(e), e.function) for e in graph.edges
+    assert [(e.src, e.dst, e.conditions, e.function) for e in graph2.edges] == [
+        (key(e.src), key(e.dst), conditions(e), e.function) for e in graph.edges
     ]
-    assert {e.key() for e in ingress2} == {key(e.key()) for e in ingress}
+    assert ingress2 == {key(k) for k in ingress}
 
     if result.truncated or result2.truncated:
         return  # which paths a cut keeps follows key order, which renaming changes
@@ -100,7 +101,7 @@ def check_renaming(functions, old, new, renamed_in=None):
     # renamed conditions are read off the edge of the graph it runs along.
     image = {}
     for e, e2 in zip(graph.edges, graph2.edges):
-        image.setdefault((e.src.key(), e.dst.key(), e.conditions), set()).add(e2.conditions)
+        image.setdefault((e.src, e.dst, e.conditions), set()).add(e2.conditions)
     # two functions may hold the same edge under the same condition text
     assume(all(len(renamed) == 1 for renamed in image.values()))
     expected = set()
@@ -156,7 +157,7 @@ def test_adding_a_function_with_no_route_to_egress_adds_no_path(data):
 
     def edges(g, skipped=None):
         return [
-            (e.src.key(), e.dst.key(), e.conditions, e.function)
+            (e.src, e.dst, e.conditions, e.function)
             for e in g.edges
             if e.function != skipped
         ]
@@ -167,7 +168,7 @@ def test_adding_a_function_with_no_route_to_egress_adds_no_path(data):
 
 
 def edge_rows(graph):
-    return [(e.src.key(), e.dst.key(), e.conditions, e.function) for e in graph.edges]
+    return [(e.src, e.dst, e.conditions, e.function) for e in graph.edges]
 
 
 @settings(deadline=None)
@@ -184,7 +185,7 @@ def test_adding_a_function_with_no_ingress_adds_no_path_of_its_own(data):
     graph, ingress, result = static_core(flat_text(functions))
     graph2, ingress2, result2 = static_core(flat_text(functions[:at] + (added,) + functions[at:]))
 
-    assert {e.key() for e in ingress2} == {e.key() for e in ingress}
+    assert ingress2 == ingress
     assert [row for row in edge_rows(graph2) if row[3] != added.name] == edge_rows(graph)
     if result.truncated or result2.truncated:
         return
@@ -193,6 +194,41 @@ def test_adding_a_function_with_no_ingress_adds_no_path_of_its_own(data):
     own = {row[:3] for row in edge_rows(graph2) if row[3] == added.name}
     for hops, conditions in paths2 - paths:
         assert own.intersection(zip(hops, hops[1:], conditions)), hops
+
+
+@settings(deadline=None)
+@given(st.data())
+def test_adding_an_overload_adds_the_paths_of_a_function_of_its_own(data):
+    """Both overloads scope their locals and operations by their signatures.
+    Adding one removes no path and adds none that joins the two overloads'
+    locals: the paths are those of the same contract with the overload
+    under a fresh name, each of the two functions' keys scoped by its
+    signature."""
+    functions = data.draw(contracts())
+    original = data.draw(st.sampled_from(functions))
+    added = data.draw(overload(original))
+    at = data.draw(st.integers(0, len(functions)))
+    fresh = f"f{len(functions)}"
+    _, _, result = static_core(flat_text(functions))
+    _, _, result2 = static_core(flat_text(functions[:at] + (added,) + functions[at:]))
+    separate = added._replace(name=fresh)
+    _, _, result3 = static_core(flat_text(functions[:at] + (separate,) + functions[at:]))
+    if result.truncated or result2.truncated or result3.truncated:
+        return
+    scopes = {
+        name: f"{original.name}({', '.join(f.parameters)})"
+        for name, f in ((original.name, original), (fresh, added))
+    }
+
+    def key(k):
+        scope, colon, rest = k.partition(":")
+        return f"{scopes[scope]}:{rest}" if colon and scope in scopes else k
+
+    def scoped(paths):
+        return {(tuple(map(key, hops)), conditions) for hops, conditions in paths}
+
+    assert scoped(path_set(result)) <= path_set(result2)
+    assert path_set(result2) == scoped(path_set(result3))
 
 
 def operation(function, index):
@@ -249,14 +285,14 @@ def test_nesting_a_behavior_under_one_more_when_adds_it_to_every_path_edge_throu
         return tuple(c for c in conditions if c != NESTED)
 
     assert [(s, d, without(c), f) for s, d, c, f in edge_rows(graph2)] == edge_rows(graph)
-    assert all(NESTED in e.conditions for e in graph2.edges if e.dst.key() == op)
+    assert all(NESTED in e.conditions for e in graph2.edges if e.dst == op)
     assert result2.truncated == result.truncated
-    assert [tuple(h.key() for h in p.hops) for p in result2.paths] == [
-        tuple(h.key() for h in p.hops) for p in result.paths
+    assert [tuple(h.key for h in p.hops) for p in result2.paths] == [
+        tuple(h.key for h in p.hops) for p in result.paths
     ]
     assert [tuple(map(without, p.conditions)) for p in result2.paths] == [
         p.conditions for p in result.paths
     ]
     for path in result2.paths:
         for hop, conditions in zip(path.hops[1:], path.conditions):
-            assert hop.key() != op or NESTED in conditions
+            assert hop.key != op or NESTED in conditions

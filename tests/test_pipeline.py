@@ -27,6 +27,7 @@ from fundflow.pipeline import (
     write_json,
 )
 from fundflow.probing import run_stage1
+from fundflow.prompts import build_stage1_prompts
 from fundflow.reachability import (
     AnchorSets,
     forward_reach,
@@ -290,6 +291,53 @@ def test_a_stage_two_replay_miss_names_its_contract_and_probe(tmp_path):
     assert str(miss) == (
         f"no stored response for key {miss.key} (contract fixture, probe g_normal, attempt 0)"
     )
+
+
+OVERLOADS_TEXT = """\
+function unknownab(p):
+it reverts
+function unknownab(a, b):
+it reverts
+function g():
+it reverts
+"""
+
+
+class StageOne:
+    """Stage-I answers whose reason is the function's header line; the
+    query for ``missing`` misses instead."""
+
+    def __init__(self, missing=None):
+        self.missing = missing
+
+    def query(self, prompt, attempt=0):
+        if prompt == self.missing:
+            raise ReplayMiss("k", f"attempt {attempt}")
+        header = [line for line in prompt.splitlines() if line.startswith("function ")]
+        if len(header) == 1:  # one function's prompt, not the contract's
+            return f"purpose: p\nsuspicious: Yes\nreason: {header[0]}"
+        return "contract summary: s"
+
+
+def test_overloads_keep_their_own_stage_one_reasons(tmp_path):
+    desc = chunk_flat_text(OVERLOADS_TEXT, "c")
+    static = run_static(desc, RunConfig(out_dir=str(tmp_path)))
+    bundle = assemble_bundle(desc, static, run_stage1(desc, StageOne()))
+    assert [(u.parameters, u.reason) for u in bundle.unknown_functions] == [
+        ("p", "function unknownab(p):"),
+        ("a, b", "function unknownab(a, b):"),
+    ]
+
+
+@pytest.mark.parametrize(
+    "index, where", [(0, "unknownab(p)"), (1, "unknownab(a, b)"), (2, "g")]
+)
+def test_a_stage_one_replay_miss_names_an_overload_by_its_signature(index, where):
+    desc = chunk_flat_text(OVERLOADS_TEXT, "c")
+    missing = build_stage1_prompts(desc)[1][index]
+    with pytest.raises(ReplayMiss) as caught:
+        run_stage1(desc, StageOne(missing))
+    assert caught.value.context == f"stage I, {where}, attempt 0"
 
 
 # -- rewriting artifacts in place ---------------------------------------

@@ -45,13 +45,12 @@ def rendered(result):
 def test_ingress_includes_aliased_caller():
     forest, graph = pipeline("function f():\nit updates the state variable stor_1 to caller\n")
     ingress = identify_ingress(graph)
-    assert {e.key() for e in ingress} == {"caller"}
+    assert ingress == {"caller"}
 
 
 def test_ingress_includes_parameters():
     forest, graph = pipeline(FIXTURE_TEXT)
-    ingress = identify_ingress(graph)
-    assert {e.key() for e in ingress} == {
+    assert identify_ingress(graph) == {
         "unknownfffcf3a1:param1",
         "withdrawAll:param1",
     }
@@ -59,7 +58,7 @@ def test_ingress_includes_parameters():
 
 def test_ingress_includes_direct_transaction_fields():
     forest, graph = pipeline("function f():\nit transfers msg.value wei to caller\n")
-    assert {e.key() for e in identify_ingress(graph)} == {"msg.value"}
+    assert identify_ingress(graph) == {"msg.value"}
 
 
 def test_plain_storage_is_not_ingress():
@@ -76,7 +75,7 @@ def test_egress_label_normalization():
 
 def test_identify_egress_on_fixture():
     _, graph = pipeline(FIXTURE_TEXT)
-    assert {e.key() for e in identify_egress(graph)} == {
+    assert identify_egress(graph) == {
         "unknownfffcf3a1:stor_5.flashLoan#1",
         "withdrawAll:transfer#1",
     }
@@ -94,22 +93,20 @@ def test_variables_never_egress():
 
 def toy_setup():
     graph = transform(make_toy_forest(), TOY_GLOBALS)
-    ingress = {graph.nodes["v1"], graph.nodes["v2"]}
-    egress = {graph.nodes["F2:op2#1"]}
-    return graph, AnchorSets(ingress=ingress, egress=egress)
+    return graph, AnchorSets(ingress={"v1", "v2"}, egress={"F2:op2#1"})
 
 
 def test_toy_forward_reach():
     graph, anchors = toy_setup()
     reach = forward_reach(graph, anchors.ingress)
-    assert {e.key() for e in reach} == {"v1", "v2", "F1:op1#1", "v3", "F2:op2#1"}
+    assert reach == {"v1", "v2", "F1:op1#1", "v3", "F2:op2#1"}
 
 
 def test_toy_prune_and_enumerate():
     graph, anchors = toy_setup()
     reach = forward_reach(graph, anchors.ingress)
     result = prune_and_enumerate(graph, reach, anchors)
-    assert {e.key() for e in result.retained_nodes} == {"v2", "v3", "F2:op2#1"}
+    assert result.retained_nodes == {"v2", "v3", "F2:op2#1"}
     assert not result.truncated
     assert rendered(result) == ["v2 --[c3]--> v3 --[c1]--> op2"]
 
@@ -124,6 +121,22 @@ def test_fixture_paths_exact():
         "unknownfffcf3a1:param1 --[it is required that (0x268d...4080 == sha3(tx.origin)), "
         "it is required that the 1st external call succeeds]--> stor_5.flashLoan",
     ]
+
+
+def test_overloads_keep_their_locals_apart():
+    """Each overload scopes its locals by its signature, so ``f(p)``'s x is
+    not ``f(a, b)``'s, and no path runs from p to ``f(a, b)``'s transfer."""
+    _, graph = pipeline(
+        "function f(p):\n"
+        "it updates the state variable x to p\n"
+        "function f(a, b):\n"
+        "it updates the state variable x to a\n"
+        "it transfers x wei to b\n"
+    )
+    anchors = anchors_for(graph)
+    result = prune_and_enumerate(graph, forward_reach(graph, anchors.ingress), anchors)
+    assert rendered(result) == ["f(a, b):a --[]--> f(a, b):x --[]--> transfer"]
+    assert [e.function for e in graph.edges] == ["f(p)", "f(a, b)", "f(a, b)"]
 
 
 def test_empty_egress_yields_nothing():
@@ -172,11 +185,8 @@ def chain_graph(n_edges):
     for name in names:
         graph.add_node(EntityId("", name))
     for a, b in zip(names, names[1:]):
-        graph.add_edge(FlowEdge(EntityId("", a), EntityId("", b), (), "f"))
-    anchors = AnchorSets(
-        ingress={graph.nodes[names[0]]}, egress={graph.nodes[names[-1]]}
-    )
-    return graph, anchors
+        graph.add_edge(FlowEdge(a, b, (), "f"))
+    return graph, AnchorSets(ingress={names[0]}, egress={names[-1]})
 
 
 def test_depth_limit_exact_fit_not_truncated():
@@ -196,9 +206,8 @@ def diamond_graph(n_diamonds):
     graph = FlowGraph()
 
     def node(name):
-        ent = EntityId("", name)
-        graph.add_node(ent)
-        return ent
+        graph.add_node(EntityId("", name))
+        return name
 
     prev = node("a000")
     for i in range(n_diamonds):
@@ -209,7 +218,7 @@ def diamond_graph(n_diamonds):
             graph.add_edge(FlowEdge(prev, mid, (), "f"))
             graph.add_edge(FlowEdge(mid, nxt, (), "f"))
         prev = nxt
-    anchors = AnchorSets(ingress={graph.nodes["a000"]}, egress={prev})
+    anchors = AnchorSets(ingress={"a000"}, egress={prev})
     return graph, anchors
 
 
@@ -229,10 +238,10 @@ def test_enumeration_insensitive_to_edge_insertion_order():
     for order in (specs, list(reversed(specs))):
         graph = FlowGraph()
         for a, b, conds in order:
-            graph.add_edge(FlowEdge(EntityId("", a), EntityId("", b), conds, "f"))
-        anchors = AnchorSets(
-            ingress={graph.nodes["s"]}, egress={graph.nodes["e"]}
-        )
+            graph.add_node(EntityId("", a))
+            graph.add_node(EntityId("", b))
+            graph.add_edge(FlowEdge(a, b, conds, "f"))
+        anchors = AnchorSets(ingress={"s"}, egress={"e"})
         result = prune_and_enumerate(
             graph, forward_reach(graph, anchors.ingress), anchors
         )
@@ -252,16 +261,15 @@ def random_graph(rng, n_nodes, edge_prob):
             if a != b and rng.random() < edge_prob:
                 conds = (f"c{counter}",) if rng.random() < 0.4 else ()
                 counter += 1
-                graph.add_edge(FlowEdge(EntityId("", a), EntityId("", b), conds, "f"))
+                graph.add_edge(FlowEdge(a, b, conds, "f"))
     return graph, names
 
 
 def test_forward_reach_matches_bfs_oracle():
     rng = random.Random(7)
     graph, names = random_graph(rng, 200, 0.02)
-    ingress = {graph.nodes[n] for n in rng.sample(names, 5)}
-    got = {e.key() for e in forward_reach(graph, ingress)}
-    assert got == closure(graph, {e.key() for e in ingress})
+    ingress = set(rng.sample(names, 5))
+    assert forward_reach(graph, ingress) == closure(graph, ingress)
 
 
 def test_enumeration_matches_exhaustive_oracle():
@@ -272,17 +280,14 @@ def test_enumeration_matches_exhaustive_oracle():
         ingress_names = set(rng.sample(names, rng.randint(1, 2)))
         egress_pool = [x for x in names if x not in ingress_names]
         egress_names = set(rng.sample(egress_pool, rng.randint(1, 2)))
-        anchors = AnchorSets(
-            ingress={graph.nodes[x] for x in ingress_names},
-            egress={graph.nodes[x] for x in egress_names},
-        )
+        anchors = AnchorSets(ingress=ingress_names, egress=egress_names)
         result = prune_and_enumerate(
             graph,
             forward_reach(graph, anchors.ingress),
             anchors,
             ReachLimits(max_depth=10_000, max_paths=1_000_000),
         )
-        got = [tuple(h.key() for h in p.hops) for p in result.paths]
+        got = [tuple(h.key for h in p.hops) for p in result.paths]
         assert got == all_simple_paths(graph, ingress_names, egress_names)
         assert not result.truncated
 
@@ -290,9 +295,7 @@ def test_enumeration_matches_exhaustive_oracle():
 def test_adding_edges_never_removes_paths():
     rng = random.Random(29)
     graph, names = random_graph(rng, 8, 0.2)
-    anchors = AnchorSets(
-        ingress={graph.nodes[names[0]]}, egress={graph.nodes[names[-1]]}
-    )
+    anchors = AnchorSets(ingress={names[0]}, egress={names[-1]})
     limits = ReachLimits(max_depth=10_000, max_paths=1_000_000)
     before = set(
         rendered(
@@ -301,7 +304,7 @@ def test_adding_edges_never_removes_paths():
             )
         )
     )
-    graph.add_edge(FlowEdge(graph.nodes[names[0]], graph.nodes[names[3]], ("cx",), "f"))
+    graph.add_edge(FlowEdge(names[0], names[3], ("cx",), "f"))
     after = set(
         rendered(
             prune_and_enumerate(
@@ -325,7 +328,7 @@ def limited_graphs(draw):
     for name in names:
         graph.add_node(EntityId("", name))
     for a, b in draw(st.lists(st.sampled_from(pairs), unique=True)):
-        graph.add_edge(FlowEdge(EntityId("", a), EntityId("", b), (f"{a}{b}",), "f"))
+        graph.add_edge(FlowEdge(a, b, (f"{a}{b}",), "f"))
     ingress = draw(st.sets(st.sampled_from(names[:-1]), min_size=1))
     rest = [x for x in names if x not in ingress]
     egress = draw(st.sets(st.sampled_from(rest), min_size=1))
@@ -337,9 +340,7 @@ def limited_graphs(draw):
 @given(limited_graphs())
 def test_limited_enumeration_is_the_oracle_cut_to_the_limits(case):
     graph, ingress, egress, limits = case
-    anchors = AnchorSets(
-        ingress={graph.nodes[x] for x in ingress}, egress={graph.nodes[x] for x in egress}
-    )
+    anchors = AnchorSets(ingress=ingress, egress=egress)
     result = prune_and_enumerate(graph, forward_reach(graph, anchors.ingress), anchors, limits)
     want = all_simple_paths(graph, ingress, egress)
     assert limit_problem(graph, want, limits, result) is None
@@ -349,9 +350,7 @@ def test_limited_enumeration_is_the_oracle_cut_to_the_limits(case):
 @given(limited_graphs())
 def test_enumeration_texts_are_render_path_of_each_path(case):
     graph, ingress, egress, limits = case
-    anchors = AnchorSets(
-        ingress={graph.nodes[x] for x in ingress}, egress={graph.nodes[x] for x in egress}
-    )
+    anchors = AnchorSets(ingress=ingress, egress=egress)
     result = prune_and_enumerate(graph, forward_reach(graph, anchors.ingress), anchors, limits)
     assert result.rendered == rendered(result)
     assert len(result.encoded) == len(result.paths)
@@ -362,17 +361,18 @@ def looping_graph(n):
     complete digraph, which the search tries before ``z``: one path, found
     after every simple path through the ``a_k`` has dead-ended on ``x``."""
     graph = FlowGraph()
-    loop = [EntityId("", f"a{k:02d}") for k in range(n)]
-    x = EntityId("", "x")
-    graph.add_edge(FlowEdge(EntityId("", "i"), x, (), "f"))
+    loop = [f"a{k:02d}" for k in range(n)]
+    for name in ["i", "x", *loop, "z"]:
+        graph.add_node(EntityId("", name))
+    graph.add_edge(FlowEdge("i", "x", (), "f"))
     for a in loop:
-        graph.add_edge(FlowEdge(x, a, (), "f"))
-        graph.add_edge(FlowEdge(a, x, (), "f"))
+        graph.add_edge(FlowEdge("x", a, (), "f"))
+        graph.add_edge(FlowEdge(a, "x", (), "f"))
         for b in loop:
             if a != b:
                 graph.add_edge(FlowEdge(a, b, (), "f"))
-    graph.add_edge(FlowEdge(x, EntityId("", "z"), (), "f"))
-    return graph, AnchorSets(ingress={graph.nodes["i"]}, egress={graph.nodes["z"]})
+    graph.add_edge(FlowEdge("x", "z", (), "f"))
+    return graph, AnchorSets(ingress={"i"}, egress={"z"})
 
 
 @pytest.mark.parametrize("n, expansions", [(8, 109_602), (9, None), (12, None)])
