@@ -43,14 +43,6 @@ def split_signature(signature: str) -> tuple[str, tuple[str, ...]]:
     return name, tuple([p for p in map(str.strip, inner.split(",")) if p])
 
 
-def function_scopes(signatures: list[str]) -> list[str]:
-    """Each function's scope for its locals and operations: its name, or its
-    whole signature when another function of the contract shares the name."""
-    names = [split_signature(signature)[0] for signature in signatures]
-    counts = Counter(names)
-    return [sig if counts[name] > 1 else name for sig, name in zip(signatures, names)]
-
-
 class Sentence(NamedTuple):
     text: str
     depth: int
@@ -70,6 +62,13 @@ class FunctionChunk:
     @cached_property
     def parameters(self) -> tuple[str, ...]:
         return split_signature(self.signature)[1]
+
+
+def function_scopes(functions: list[FunctionChunk]) -> list[str]:
+    """Each function's scope for its locals and operations: its name, or its
+    whole signature when another function of the contract shares the name."""
+    counts = Counter(chunk.name for chunk in functions)
+    return [chunk.signature if counts[chunk.name] > 1 else chunk.name for chunk in functions]
 
 
 @dataclass

@@ -70,34 +70,27 @@ class EntityId:
         return f"{self.scope}:{self.name}"
 
 
-def is_global_name(name: str, extra_globals: frozenset[str] = frozenset()) -> bool:
-    return (
-        name.startswith("stor_")
-        or "." in name
-        or name in LIFTER_ALIASES
-        or name in extra_globals
-    )
+def is_global_name(name: str) -> bool:
+    return name.startswith("stor_") or "." in name or name in LIFTER_ALIASES
 
 
 _UNSEEN = object()
 
 
-def _resolve(
-    raw: str, scope: str, extra_globals: frozenset[str], resolved: dict | None
-) -> EntityId | None:
+def _resolve(raw: str, scope: str, resolved: dict) -> EntityId | None:
     """The data entity a mention names, or None for a literal.
 
-    ``resolved`` memoizes ``raw -> EntityId | None`` for one ``extra_globals``
-    across functions: whether a mention is a literal, a global or a local is
-    decided once, and a local is rebuilt once for each new scope. Every
-    function has a name, so a local's scope is never empty.
+    ``resolved`` memoizes ``raw -> EntityId | None`` across functions:
+    whether a mention is a literal, a global or a local is decided once,
+    and a local is rebuilt once for each new scope. Every function has a
+    name, so a local's scope is never empty.
     """
-    entity = _UNSEEN if resolved is None else resolved.get(raw, _UNSEEN)
+    entity = resolved.get(raw, _UNSEEN)
     if entity is _UNSEEN:
         name = raw.strip()
         if is_constant(name):
             entity = None
-        elif is_global_name(name, extra_globals):
+        elif is_global_name(name):
             entity = EntityId("", name)
         else:
             entity = EntityId(scope, name)
@@ -105,23 +98,18 @@ def _resolve(
         return entity
     else:  # a local of the last function that mentioned it
         entity = EntityId(scope, entity.name)
-    if resolved is not None:
-        resolved[raw] = entity
+    resolved[raw] = entity
     return entity
 
 
-def resolve_sources(
-    raws: Sequence[str],
-    scope: str,
-    extra_globals: frozenset[str] = frozenset(),
-    resolved: dict | None = None,
-) -> tuple[EntityId, ...]:
+def resolve_sources(raws: Sequence[str], scope: str, resolved: dict) -> tuple[EntityId, ...]:
     """Data entities of the mentions in ``raws``, in order and without
-    repeats; literals drop out."""
+    repeats; literals drop out. ``resolved`` is the mention memo of one
+    ``transform``."""
     if len(raws) == 1:  # most behaviors mention one source
-        entity = _resolve(raws[0], scope, extra_globals, resolved)
+        entity = _resolve(raws[0], scope, resolved)
         return () if entity is None else (entity,)
-    found = [_resolve(raw, scope, extra_globals, resolved) for raw in raws]
+    found = [_resolve(raw, scope, resolved) for raw in raws]
     return tuple({e.key: e for e in found if e is not None}.values())
 
 
@@ -137,11 +125,7 @@ _new_tuple = tuple.__new__  # as PropagationTuple(...), without its Python-level
 
 
 def extract_tuple(
-    parsed: bh.ParsedBehavior,
-    scope: str,
-    extra_globals: frozenset[str] = frozenset(),
-    op_counts: dict[str, int] | None = None,
-    resolved: dict | None = None,
+    parsed: bh.ParsedBehavior, scope: str, op_counts: dict[str, int], resolved: dict
 ) -> PropagationTuple:
     """Map a parsed behavior to its propagation tuple.
 
@@ -158,10 +142,10 @@ def extract_tuple(
             raws, dst = (f["rhs"],), f["lhs"]
         else:
             raws, dst = ((f["salt"],) if "salt" in f else ()), f["address"]
-        entity = _resolve(dst, scope, extra_globals, resolved)
+        entity = _resolve(dst, scope, resolved)
         if entity is None:
             return _NO_FLOW
-        sources = resolve_sources(raws, scope, extra_globals, resolved)
+        sources = resolve_sources(raws, scope, resolved)
         return _new_tuple(PropagationTuple, (sources, entity))
     if kind == bh.EXTERNAL_CALL:
         raws, label = f["args"], f["callee"]
@@ -172,8 +156,6 @@ def extract_tuple(
         raws, label = (f["value"],), "transfer"
     else:
         return _NO_FLOW
-    sources = resolve_sources(raws, scope, extra_globals, resolved)
-    if op_counts is None:
-        op_counts = {}
+    sources = resolve_sources(raws, scope, resolved)
     occurrence = op_counts[label] = op_counts.get(label, 0) + 1
     return _new_tuple(PropagationTuple, (sources, EntityId(scope, label, OPERATION, occurrence)))

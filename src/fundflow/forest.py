@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 from json.encoder import encode_basestring
 
 from .behavior import BEHAVIOR, ParsedBehavior, parse_sentence
-from .description import ContractDescription, FunctionChunk, split_signature
+from .description import ContractDescription, FunctionChunk
 from .errors import MalformedNesting
 
 FUNCTION = "function"
@@ -31,15 +31,13 @@ class DepNode:
 
 @dataclass
 class ContractForest:
-    """Flat node store with preorder ids; roots are the function nodes."""
+    """Flat node store with preorder ids; roots are the function nodes, and
+    ``functions`` holds each root's chunk, in the same order."""
 
     contract_id: str
     nodes: list[DepNode] = field(default_factory=list)
     roots: list[int] = field(default_factory=list)
-
-    def function_signature(self, root_id: int) -> tuple[str, tuple[str, ...]]:
-        """A function root's name and parameters (``split_signature``)."""
-        return split_signature(self.nodes[root_id].text)
+    functions: list[FunctionChunk] = field(default_factory=list)
 
     def iter_tree(self, root_id: int):
         """Yield the tree's nodes in preorder, root included."""
@@ -65,6 +63,7 @@ def _build_tree(
     root_id = len(nodes)
     nodes.append(DepNode(root_id, FUNCTION, chunk.signature, ()))
     forest.roots.append(root_id)
+    forest.functions.append(chunk)
 
     # parent candidates per depth: parents[d] is the most recent node at depth d-1
     parents: list[DepNode] = [nodes[root_id]]

@@ -56,9 +56,7 @@ class FlowGraph:
         self.edges.append(edge)
 
 
-def transform(
-    forest: ContractForest, extra_globals: frozenset[str] = frozenset()
-) -> FlowGraph:
+def transform(forest: ContractForest) -> FlowGraph:
     """Build the flow graph: per-function traversals, then a global merge.
 
     The visited set starts with the function's parameters and the globals the
@@ -68,9 +66,9 @@ def transform(
     graph = FlowGraph()
     # each distinct mention is classified once per call, not once per function
     resolved: dict[str, EntityId | None] = {}
-    scopes = function_scopes([forest.nodes[root_id].text for root_id in forest.roots])
-    for root_id, scope in zip(forest.roots, scopes):
-        _transform_function(graph, forest, root_id, scope, extra_globals, resolved)
+    scopes = function_scopes(forest.functions)
+    for root_id, chunk, scope in zip(forest.roots, forest.functions, scopes):
+        _transform_function(graph, forest, root_id, chunk.parameters, scope, resolved)
     return graph
 
 
@@ -78,14 +76,13 @@ def _transform_function(
     graph: FlowGraph,
     forest: ContractForest,
     root_id: int,
+    params: tuple[str, ...],
     scope: str,
-    extra_globals: frozenset[str],
     resolved: dict[str, EntityId | None],
 ) -> None:
-    params = forest.function_signature(root_id)[1]
     # first-visit conditions of each node key the function has reached
     visited: dict[str, tuple[str, ...]] = {}
-    for entity in resolve_sources(params, scope, extra_globals, resolved):
+    for entity in resolve_sources(params, scope, resolved):
         visited[entity.key] = ()
         graph.add_node(entity)
         graph.parameters.add(entity.key)
@@ -111,9 +108,7 @@ def _transform_function(
                     break
                 continue
             if node.behavior is not None:
-                sources, dst = extract_tuple(
-                    node.behavior, scope, extra_globals, op_counts, resolved
-                )
+                sources, dst = extract_tuple(node.behavior, scope, op_counts, resolved)
                 for source in sources:
                     if not source.scope and source.key not in visited:
                         visited[source.key] = ()

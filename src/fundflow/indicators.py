@@ -55,7 +55,7 @@ def compute_indicators(forest: ContractForest) -> Indicators:
     behavior_nodes = forest.behavior_nodes()
     external_calls = [n for n in behavior_nodes if n.behavior.kind in _CALL_KINDS]
 
-    function_names = [forest.function_signature(r)[0] for r in forest.roots]
+    function_names = [chunk.name for chunk in forest.functions]
     unknown_fns = [n for n in function_names if is_unknown_function(n)]
     bot_fns = [n for n in function_names if is_bot_function(n)]
 

@@ -218,10 +218,20 @@ def run_static(desc: ContractDescription, config: RunConfig) -> StaticArtifacts:
     return StaticArtifacts(enumeration.truncated, indicators, enumeration.rendered)
 
 
-def _static_half(desc: ContractDescription, config: RunConfig) -> StaticArtifacts:
-    """``run_static`` under a module-level name that a worker process can be
-    sent; it looks ``run_static`` up when the half runs."""
-    return run_static(desc, config)
+_jobs: list[tuple[ContractDescription, RunConfig]] = []  # a static worker's batch
+
+
+def _take_jobs(jobs: list[tuple[ContractDescription, RunConfig]]) -> None:
+    """Start a forked static worker: ``fork`` copied ``jobs`` into it, so
+    no description is pickled."""
+    global _jobs
+    _jobs = jobs
+
+
+def _static_half(index: int) -> StaticArtifacts:
+    """The static half of this worker's job ``index``; it looks
+    ``run_static`` up when the half runs."""
+    return run_static(*_jobs[index])
 
 
 def assemble_bundle(
@@ -324,10 +334,12 @@ def run_batch(
 
     Each contract's static half, which needs no model, runs in one of N
     forked worker processes, and its model half in one of N threads of this
-    process, for N = ``config.concurrency``. Every static half is submitted,
-    in input order, before the model is opened or any thread is started, so
-    the static halves run ahead of the model halves that wait on them. Where
-    the platform has no ``fork``, N threads run the static halves instead.
+    process, for N = ``config.concurrency``. The workers inherit the batch's
+    jobs when they fork and are sent only each job's index, so no
+    description is pickled. Every static half is submitted, in input order,
+    before the model is opened or any thread is started, so the static
+    halves run ahead of the model halves that wait on them. Where the
+    platform has no ``fork``, N threads run the static halves instead.
 
     All contracts share one transport, so a store is loaded once per batch
     and a record store has one writer. Whatever the transport, each distinct
@@ -358,16 +370,22 @@ def run_batch(
         if cid in jobs:
             raise InvalidDescription(f"contract id {cid!r} is given to more than one contract")
         jobs[cid] = (desc, replace(config, out_dir=os.path.join(config.out_dir, cid)))
-    workers = config.concurrency
-    if "fork" in multiprocessing.get_all_start_methods():
-        statics = ProcessPoolExecutor(workers, multiprocessing.get_context("fork"))
+    workers, table = config.concurrency, list(jobs.values())
+    fork = "fork" in multiprocessing.get_all_start_methods()
+    if fork:
+        statics = ProcessPoolExecutor(
+            workers, multiprocessing.get_context("fork"), _take_jobs, (table,)
+        )
     else:
         statics = ThreadPoolExecutor(workers)
     halves, futures = [], None
     try:
         # under fork the first submit starts every worker process: no
         # worker inherits a store handle, a connection or a thread
-        halves = [statics.submit(_static_half, *job) for job in jobs.values()]
+        if fork:
+            halves = [statics.submit(_static_half, index) for index in range(len(table))]
+        else:
+            halves = [statics.submit(run_static, *job) for job in table]
         with (
             open_model(config, workers * workers) as (transport, queries),
             ThreadPoolExecutor(max_workers=workers) as pool,

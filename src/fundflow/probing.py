@@ -187,7 +187,7 @@ def run_stage1(desc: ContractDescription, transport, pool=None) -> Stage1Result:
     or, when it is None, in the calling thread. A ``ReplayMiss`` names the
     summary that missed, a function as ``function_scopes`` names it."""
     general_prompt, function_prompts = build_stage1_prompts(desc)
-    names = ["contract summary"] + function_scopes([c.signature for c in desc.functions])
+    names = ["contract summary"] + function_scopes(desc.functions)
 
     def ask(query: tuple[str, str]) -> str:
         name, prompt = query

@@ -12,6 +12,7 @@ import sys
 import pytest
 
 from fundflow.behavior import parse_sentence
+from fundflow.description import FunctionChunk
 from fundflow.forest import ContractForest, DepNode
 from fundflow.probing import LETTER_TO_LABEL, ProbeDistribution
 from fundflow.scripted import (  # noqa: F401  (shared with the test modules)
@@ -86,11 +87,12 @@ def distributions(table: dict) -> list[ProbeDistribution]:
 
 
 def make_toy_forest() -> ContractForest:
-    """Two functions sharing the global v3.
+    """Two functions sharing the global stor_v3.
 
-    F1(v1, v2): under c2, call op1(v1); under c3, v3 := v2.
-    F2(): under c1, call op2(v3).
-    Condition labels are bare tokens, so nodes are built directly.
+    F1(v1, v2): under c2, call op1(v1); under c3, stor_v3 := v2.
+    F2(): under c1, call op2(stor_v3).
+    Condition labels are bare tokens, so nodes are built directly. Each
+    root's chunk holds only its signature, the part ``transform`` reads.
     """
     forest = ContractForest(contract_id="toy")
 
@@ -101,6 +103,7 @@ def make_toy_forest() -> ContractForest:
         forest.nodes.append(node)
         if parent is None:
             forest.roots.append(node.id)
+            forest.functions.append(FunctionChunk(text, ()))
         else:
             forest.nodes[parent].children.append(node.id)
         return node.id
@@ -109,15 +112,12 @@ def make_toy_forest() -> ContractForest:
     c2 = add("condition", "c2", f1)
     add("behavior", "it triggers the external call to op1(v1)", c2)
     c3 = add("condition", "c3", f1)
-    add("behavior", "it updates the state variable v3 to v2", c3)
+    add("behavior", "it updates the state variable stor_v3 to v2", c3)
 
     f2 = add("function", "F2()", None)
     c1 = add("condition", "c1", f2)
-    add("behavior", "it triggers the external call to op2(v3)", c1)
+    add("behavior", "it triggers the external call to op2(stor_v3)", c1)
     return forest
-
-
-TOY_GLOBALS = frozenset({"v1", "v2", "v3"})
 
 
 def make_bundle_rows():

@@ -52,7 +52,7 @@ def check_row(kind):
     """Parse the row's sentence and assert kind, sources, and destination."""
     parsed = parse_sentence(ROW_SENTENCES[kind])[1]
     assert parsed.kind == kind, f"{kind}: parsed as {parsed.kind}"
-    got = extract_tuple(parsed, SCOPE)
+    got = extract_tuple(parsed, SCOPE, {}, {})
     want_sources, want_dst = ROW_EXPECTED[kind]
     assert got.sources == want_sources, f"{kind}: sources {got.sources}"
     assert got.dst == want_dst, f"{kind}: dst {got.dst}"

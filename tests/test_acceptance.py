@@ -32,7 +32,6 @@ from conftest import (
     FIXTURE_TEXT,
     HTTP_STACK,
     ScriptedTransport,
-    TOY_GLOBALS,
     distributions,
     make_toy_forest,
     run_fresh,
@@ -95,13 +94,13 @@ def test_criterion_2_benign_fusion():
 
 def test_criterion_3_toy_reachability():
     def body():
-        graph = transform(make_toy_forest(), TOY_GLOBALS)
-        anchors = AnchorSets(ingress={"v1", "v2"}, egress={"F2:op2#1"})
+        graph = transform(make_toy_forest())
+        anchors = AnchorSets(ingress={"F1:v1", "F1:v2"}, egress={"F2:op2#1"})
         reach = forward_reach(graph, anchors.ingress)
         result = prune_and_enumerate(graph, reach, anchors)
         rendered = [render_path(p) for p in result.paths]
-        assert rendered == ["v2 --[c3]--> v3 --[c1]--> op2"]
-        assert "F1:op1#1" not in result.retained_nodes and "v1" not in result.retained_nodes
+        assert rendered == ["F1:v2 --[c3]--> stor_v3 --[c1]--> op2"]
+        assert "F1:op1#1" not in result.retained_nodes and "F1:v1" not in result.retained_nodes
 
     check(3, "toy graph path produced, op1 branch pruned", body)
 

@@ -114,11 +114,11 @@ def ref_paths(result, rendered: list[str]) -> dict:
     }
 
 
-def assert_static_text_matches(desc: ContractDescription, extra_globals, limits) -> None:
+def assert_static_text_matches(desc: ContractDescription, limits) -> None:
     assert description_to_json(desc) == dumps(ref_description(desc))
     forest = build_forest(desc)
     assert forest_to_json(forest) == dumps(ref_forest(forest))
-    graph = transform(forest, extra_globals)
+    graph = transform(forest)
     assert graph_to_json(graph) == dumps(ref_graph(graph))
     anchors = AnchorSets(identify_ingress(graph), identify_egress(graph))
     result = prune_and_enumerate(graph, forward_reach(graph, anchors.ingress), anchors, limits)
@@ -192,13 +192,9 @@ _limits = st.one_of(
 
 
 @settings(deadline=None, max_examples=200)
-@given(
-    descriptions(),
-    st.sampled_from([frozenset(), frozenset({"p1", "\U0001d518"})]),
-    _limits,
-)
-def test_static_text_matches_json_dumps_of_the_dicts(desc, extra_globals, limits):
-    assert_static_text_matches(desc, extra_globals, limits)
+@given(descriptions(), _limits)
+def test_static_text_matches_json_dumps_of_the_dicts(desc, limits):
+    assert_static_text_matches(desc, limits)
 
 
 @settings(deadline=None, max_examples=100)
@@ -284,7 +280,7 @@ def test_enumerations_cut_or_not_match_the_reference(text, truncated):
     anchors = AnchorSets(identify_ingress(graph), identify_egress(graph))
     result = prune_and_enumerate(graph, forward_reach(graph, anchors.ingress), anchors)
     assert result.truncated is truncated and result.paths
-    assert_static_text_matches(desc, frozenset(), ReachLimits())
+    assert_static_text_matches(desc, ReachLimits())
 
 
 @pytest.mark.parametrize("artifact", ["description", "forest", "graph", "paths"])

@@ -6,6 +6,7 @@ no worker outlives it."""
 
 import multiprocessing
 import os
+import pickle
 import threading
 from concurrent.futures.process import BrokenProcessPool
 
@@ -13,7 +14,7 @@ import pytest
 
 from fundflow import pipeline
 from fundflow.cli import main
-from fundflow.description import chunk_flat_text
+from fundflow.description import ContractDescription, chunk_flat_text
 from fundflow.errors import MalformedNesting
 from fundflow.pipeline import RunConfig, run_batch, run_detect, run_static
 
@@ -249,3 +250,27 @@ def test_workers_fork_before_the_model_opens_or_a_thread_starts(tmp_path, model,
         _FORKS.clear()
     assert opened[0]
     assert forks == [(before, False)] * 2
+
+
+class RefusesPickle(ContractDescription):
+    """A description that cannot be sent to a worker process."""
+
+    def __reduce__(self):
+        raise TypeError("this description refuses to pickle")
+
+
+def test_forked_workers_inherit_descriptions_that_refuse_to_pickle(tmp_path, model):
+    """The workers take their jobs from the table they forked with, so a
+    batch of descriptions that cannot be pickled gives the same verdicts
+    and the same nine artifacts of each contract."""
+    descs = [chunk_flat_text(FIXTURE_TEXT, f"c{i}") for i in range(3)]
+    refusing = [RefusesPickle(d.contract_id, d.functions) for d in descs]
+    with pytest.raises(TypeError):
+        pickle.dumps(refusing[0])
+    plain = run_batch(descs, record_config(tmp_path / "plain", concurrency=2))
+    assert run_batch(refusing, record_config(tmp_path / "refusing", concurrency=2)) == plain
+    for desc in descs:
+        for name in STATIC_NAMES + MODEL_NAMES:
+            a = tmp_path / "plain" / "rec" / desc.contract_id / name
+            b = tmp_path / "refusing" / "rec" / desc.contract_id / name
+            assert a.read_bytes() == b.read_bytes(), (desc.contract_id, name)

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fundflow.behavior import parse_sentence
-from fundflow.description import chunk_flat_text
+from fundflow.description import chunk_flat_text, function_scopes
 from fundflow.entities import (
     EntityId,
     OPERATION,
@@ -46,15 +46,10 @@ def test_local_names(name):
     assert not is_global_name(name)
 
 
-def normalize_entity(raw, scope, extra_globals=frozenset()):
+def normalize_entity(raw, scope):
     """The one entity a mention names."""
-    (entity,) = resolve_sources((raw,), scope, extra_globals)
+    (entity,) = resolve_sources((raw,), scope, {})
     return entity
-
-
-def test_extra_globals():
-    assert is_global_name("v1", frozenset({"v1"}))
-    assert normalize_entity("v1", "f", frozenset({"v1"})).scope == ""
 
 
 def test_normalize_local():
@@ -74,13 +69,13 @@ def test_normalize_global():
 def test_normalize_rejects_literal():
     """A literal names no entity, so a behavior whose destination is one
     carries no flow, sources included."""
-    assert resolve_sources(("42",), "f") == ()
+    assert resolve_sources(("42",), "f", {}) == ()
     for text in (
         "it updates the state variable 0 to param1",
         "it creates a new smart contract with creation code c and salt s, "
         "and gets a new address 0x1234",
     ):
-        assert extract_tuple(parse_sentence(text)[1], "f") == ((), None)
+        assert extract_tuple(parse_sentence(text)[1], "f", {}, {}) == ((), None)
 
 
 def test_same_name_different_scope_distinct():
@@ -104,13 +99,13 @@ def test_sources_skip_constants_and_dedup():
     parsed = parse_sentence(
         "it triggers the external call to stor_5.flashLoan(param1, 0x0, param1, amt)"
     )[1]
-    got = extract_tuple(parsed, "f")
+    got = extract_tuple(parsed, "f", {}, {})
     assert got.sources == (EntityId("f", "param1"), EntityId("f", "amt"))
 
 
 def test_transfer_recipient_not_a_source():
     parsed = parse_sentence("it transfers 100 wei to caller")[1]
-    got = extract_tuple(parsed, "f")
+    got = extract_tuple(parsed, "f", {}, {})
     assert got.sources == ()
     assert got.dst == EntityId("f", "transfer", OPERATION, 1)
 
@@ -119,32 +114,35 @@ def test_creation_code_not_a_source():
     parsed = parse_sentence(
         "it creates a new smart contract with creation code codevar, and gets a new address addr"
     )[1]
-    got = extract_tuple(parsed, "f")
+    got = extract_tuple(parsed, "f", {}, {})
     assert got.sources == ()  # no salt given; code never feeds the address
     assert got.dst == EntityId("f", "addr")
 
 
 def test_occurrence_numbering_per_label():
-    counts = {}
+    counts, resolved = {}, {}
     first = extract_tuple(
         parse_sentence("it triggers the external call to stor_5.flashLoan(x)")[1],
         "f",
-        op_counts=counts,
+        counts,
+        resolved,
     )
     second = extract_tuple(
         parse_sentence("it triggers the external call to stor_5.flashLoan(y)")[1],
         "f",
-        op_counts=counts,
+        counts,
+        resolved,
     )
-    third = extract_tuple(parse_sentence("it transfers v wei to caller")[1], "f", op_counts=counts)
+    third = extract_tuple(parse_sentence("it transfers v wei to caller")[1], "f", counts, resolved)
     assert first.dst.occurrence == 1
     assert second.dst.occurrence == 2
     assert third.dst.occurrence == 1  # separate label, separate counter
 
 
 def test_occurrence_resets_per_function():
-    a = extract_tuple(parse_sentence("it transfers v wei to caller")[1], "f", op_counts={})
-    b = extract_tuple(parse_sentence("it transfers v wei to caller")[1], "g", op_counts={})
+    resolved = {}
+    a = extract_tuple(parse_sentence("it transfers v wei to caller")[1], "f", {}, resolved)
+    b = extract_tuple(parse_sentence("it transfers v wei to caller")[1], "g", {}, resolved)
     assert a.dst.occurrence == b.dst.occurrence == 1
     assert a.dst != b.dst  # scope keeps them distinct nodes
 
@@ -230,20 +228,19 @@ def test_equal_keys_iff_equal_entities(pair):
 
 
 @settings(deadline=None)
-@given(contracts(), st.sampled_from([frozenset(), frozenset({"t", "stor_1"})]))
-def test_no_operation_is_a_source(functions, extra_globals):
+@given(contracts())
+def test_no_operation_is_a_source(functions):
     """What lets ``transform`` keep a destination's first edge's conditions
     as its own: an operation never feeds a flow, and only a call, whose
     destination is an operation, has several sources."""
     forest = build_forest(chunk_flat_text(flat_text(functions), "c"))
     resolved = {}
-    for root_id in forest.roots:
-        scope, _ = forest.function_signature(root_id)
+    for root_id, scope in zip(forest.roots, function_scopes(forest.functions)):
         op_counts = {}
         for node in forest.iter_tree(root_id):
             if node.behavior is None:
                 continue
-            sources, dst = extract_tuple(node.behavior, scope, extra_globals, op_counts, resolved)
+            sources, dst = extract_tuple(node.behavior, scope, op_counts, resolved)
             assert all(source.flavor == VARIABLE for source in sources)
             if len(sources) > 1:
                 assert dst.flavor == OPERATION

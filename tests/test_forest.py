@@ -102,8 +102,9 @@ def test_preorder_ids():
 
 def test_function_accessors():
     forest = build_forest(desc_of(Sentence("it returns a", 0), sig="pay(a, b)"))
-    root = forest.roots[0]
-    assert forest.function_signature(root) == ("pay", ("a", "b"))
+    (chunk,) = forest.functions
+    assert (chunk.name, chunk.parameters) == ("pay", ("a", "b"))
+    assert forest.nodes[forest.roots[0]].text == chunk.signature
 
 
 

@@ -22,12 +22,12 @@ from fundflow.reachability import (
 )
 
 from audit_reachability import all_simple_paths, closure, limit_problem
-from conftest import FIXTURE_TEXT, TOY_GLOBALS, make_toy_forest
+from conftest import FIXTURE_TEXT, make_toy_forest
 
 
-def pipeline(text, extra_globals=frozenset()):
+def pipeline(text):
     forest = build_forest(chunk_flat_text(text))
-    graph = transform(forest, extra_globals)
+    graph = transform(forest)
     return forest, graph
 
 
@@ -92,23 +92,23 @@ def test_variables_never_egress():
 
 
 def toy_setup():
-    graph = transform(make_toy_forest(), TOY_GLOBALS)
-    return graph, AnchorSets(ingress={"v1", "v2"}, egress={"F2:op2#1"})
+    graph = transform(make_toy_forest())
+    return graph, AnchorSets(ingress={"F1:v1", "F1:v2"}, egress={"F2:op2#1"})
 
 
 def test_toy_forward_reach():
     graph, anchors = toy_setup()
     reach = forward_reach(graph, anchors.ingress)
-    assert reach == {"v1", "v2", "F1:op1#1", "v3", "F2:op2#1"}
+    assert reach == {"F1:v1", "F1:v2", "F1:op1#1", "stor_v3", "F2:op2#1"}
 
 
 def test_toy_prune_and_enumerate():
     graph, anchors = toy_setup()
     reach = forward_reach(graph, anchors.ingress)
     result = prune_and_enumerate(graph, reach, anchors)
-    assert result.retained_nodes == {"v2", "v3", "F2:op2#1"}
+    assert result.retained_nodes == {"F1:v2", "stor_v3", "F2:op2#1"}
     assert not result.truncated
-    assert rendered(result) == ["v2 --[c3]--> v3 --[c1]--> op2"]
+    assert rendered(result) == ["F1:v2 --[c3]--> stor_v3 --[c1]--> op2"]
 
 
 def test_fixture_paths_exact():
@@ -170,10 +170,10 @@ def test_paths_json_shape():
     result = prune_and_enumerate(graph, forward_reach(graph, anchors.ingress), anchors)
     data = json.loads(paths_to_json(result))
     assert data["truncated"] is False
-    assert data["paths"][0]["rendered"] == "v2 --[c3]--> v3 --[c1]--> op2"
+    assert data["paths"][0]["rendered"] == "F1:v2 --[c3]--> stor_v3 --[c1]--> op2"
     assert data["paths"][0]["hops"] == [
-        {"id": "v2", "display": "v2"},
-        {"id": "v3", "display": "v3"},
+        {"id": "F1:v2", "display": "F1:v2"},
+        {"id": "stor_v3", "display": "stor_v3"},
         {"id": "F2:op2#1", "display": "op2"},
     ]
     assert data["paths"][0]["conditions"] == [["c3"], ["c1"]]
