@@ -218,7 +218,8 @@ def run_static(desc: ContractDescription, config: RunConfig) -> StaticArtifacts:
     return StaticArtifacts(enumeration.truncated, indicators, enumeration.rendered)
 
 
-_jobs: list[tuple[ContractDescription, RunConfig]] = []  # a static worker's batch
+# a forked static worker's batch, which only ``_take_jobs`` sets, in the worker
+_jobs: list[tuple[ContractDescription, RunConfig]] = []
 
 
 def _take_jobs(jobs: list[tuple[ContractDescription, RunConfig]]) -> None:

@@ -20,7 +20,7 @@ from table_rows import ROW_KINDS, check_row
 
 @pytest.mark.parametrize(
     "raw",
-    ["0", "42", "-3.5", "+7", "0xdeadBEEF", "0x268d...4080", "0x", "'sig'", '"x"', "true", "FALSE", "", "   "],
+    ["0", "42", "-3.5", "+7", "0xdeadBEEF", "0x268d...4080", "0x", "'sig'", "''", '""', '"x"', "true", "FALSE", "", "   "],
 )
 def test_is_constant_true(raw):
     assert is_constant(raw)
