@@ -91,6 +91,7 @@ def make_toy_forest() -> ContractForest:
 
     F1(v1, v2): under c2, call op1(v1); under c3, stor_v3 := v2.
     F2(): under c1, call op2(stor_v3).
+    v1 and v2 are F1's parameters, so its locals F1:v1 and F1:v2.
     Condition labels are bare tokens, so nodes are built directly. Each
     root's chunk holds only its signature, the part ``transform`` reads.
     """
