@@ -5,12 +5,12 @@ Each mutant makes one change to one module: it swaps one comparison
 ``is``/``is not``), one boolean operator (``and``/``or``) or one ``+``/``-``,
 or adds 1 to one integer literal. For each mutant the whole Tier-1 suite
 runs with ``-x`` in a copy of the repository, so the checkout itself is
-never written to. A mutant that no test fails survives; one that runs past
-``--timeout`` counts as killed. At 2-60 s per mutant a module takes minutes,
-so the audit is not part of Tier-1.
+never written to. A mutant that no test fails survives; one whose run
+passes ``TIMEOUT`` seconds (a mutant may loop forever) counts as killed.
+At 2-60 s per mutant a module takes minutes, so the audit is not part of
+Tier-1.
 
 Usage: python3 scripts/mutation_audit.py MODULE [MODULE ...] [--work DIR]
-                                         [--timeout S] [--list]
 
 MODULE is a path under src/fundflow, such as src/fundflow/graph.py. Prints
 one line per mutant, then the survivors; exits 1 if any mutant survives.
@@ -28,6 +28,7 @@ import time
 from dataclasses import dataclass
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+TIMEOUT = 600.0  # seconds per Tier-1 run
 TIER1 = ["-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", "--continue-on-collection-errors"]
 _SWAPS = {
     ast.Lt: ast.LtE,
@@ -115,9 +116,9 @@ def mutants(module: str) -> list[Mutant]:
     return sorted(found, key=lambda m: m.line)
 
 
-def run_tier1(work: str, timeout: float) -> tuple[bool, float]:
+def run_tier1(work: str) -> tuple[bool, float]:
     """Whether Tier-1 passes in ``work``, and the seconds it took. A run
-    past ``timeout`` is stopped, with its worker processes, and fails."""
+    past ``TIMEOUT`` is stopped, with its worker processes, and fails."""
     env = dict(os.environ, PYTHONPATH=os.path.join(work, "src"), PYTHONDONTWRITEBYTECODE="1")
     start = time.perf_counter()
     proc = subprocess.Popen(
@@ -129,7 +130,7 @@ def run_tier1(work: str, timeout: float) -> tuple[bool, float]:
         start_new_session=True,
     )
     try:
-        passed = proc.wait(timeout) == 0
+        passed = proc.wait(TIMEOUT) == 0
     except subprocess.TimeoutExpired:
         os.killpg(proc.pid, signal.SIGKILL)
         proc.wait()
@@ -146,24 +147,18 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("modules", nargs="+")
     parser.add_argument("--work", help="directory for the copy (default: a temporary one)")
-    parser.add_argument("--timeout", type=float, default=600.0, help="seconds per mutant")
-    parser.add_argument("--list", action="store_true", help="list the mutants, run nothing")
     args = parser.parse_args(argv)
 
     modules = [os.path.relpath(os.path.abspath(m), ROOT) for m in args.modules]
     every = [m for module in modules for m in mutants(module)]
     print(f"{len(every)} mutants in {len(modules)} module(s)", flush=True)
-    if args.list:
-        for m in every:
-            print(f"{m.module}:{m.line}  {_short(m.before)} -> {_short(m.after)}")
-        return 0
 
     parent = args.work or tempfile.mkdtemp(prefix="mutation-audit-")
     work = os.path.join(parent, "repo")
     shutil.rmtree(work, ignore_errors=True)
     shutil.copytree(ROOT, work, ignore=_COPY_IGNORE)
     try:
-        passed, took = run_tier1(work, args.timeout)
+        passed, took = run_tier1(work)
         if not passed:
             print(f"Tier-1 fails on the unmutated copy ({took:.0f} s)", file=sys.stderr)
             return 2
@@ -176,7 +171,7 @@ def main(argv=None) -> int:
             with open(path, "w", encoding="utf-8") as fh:
                 fh.write(m.source)
             try:
-                passed, took = run_tier1(work, args.timeout)
+                passed, took = run_tier1(work)
             finally:
                 with open(path, "w", encoding="utf-8") as fh:
                     fh.write(original)

@@ -372,21 +372,19 @@ def run_batch(
             raise InvalidDescription(f"contract id {cid!r} is given to more than one contract")
         jobs[cid] = (desc, replace(config, out_dir=os.path.join(config.out_dir, cid)))
     workers, table = config.concurrency, list(jobs.values())
-    fork = "fork" in multiprocessing.get_all_start_methods()
-    if fork:
+    if "fork" in multiprocessing.get_all_start_methods():
         statics = ProcessPoolExecutor(
             workers, multiprocessing.get_context("fork"), _take_jobs, (table,)
         )
+        calls = [(_static_half, index) for index in range(len(table))]
     else:
         statics = ThreadPoolExecutor(workers)
+        calls = [(run_static, *job) for job in table]
     halves, futures = [], None
     try:
         # under fork the first submit starts every worker process: no
         # worker inherits a store handle, a connection or a thread
-        if fork:
-            halves = [statics.submit(_static_half, index) for index in range(len(table))]
-        else:
-            halves = [statics.submit(run_static, *job) for job in table]
+        halves = [statics.submit(*call) for call in calls]
         with (
             open_model(config, workers * workers) as (transport, queries),
             ThreadPoolExecutor(max_workers=workers) as pool,
