@@ -69,19 +69,25 @@ class RunConfig:
         # checked here, so a bad value fails before any model work
         if self.transport not in ("live", "record", "replay"):
             raise UsageError(f"unknown transport mode: {self.transport!r}")
-        if self.concurrency < 1:
-            raise UsageError(f"concurrency must be 1 or more, got {self.concurrency}")
-        if not isinstance(self.max_tokens, int) or self.max_tokens < 1:
-            raise UsageError(f"max_tokens must be an integer, 1 or more, got {self.max_tokens!r}")
+        # each integer field and its least value
+        counts = {"concurrency": 1, "max_tokens": 1, "max_depth": 0, "max_paths": 0, "retries": 0}
+        for name in ("temperature", "threshold", *counts):
+            value = getattr(self, name)
+            # a bool is an int to Python, but never a number a caller means
+            if isinstance(value, bool) or (name in counts and not isinstance(value, int)):
+                kind = "an integer" if name in counts else "a number"
+                raise UsageError(f"{name} must be {kind}, got {value!r}")
+        for name, least in counts.items():
+            if getattr(self, name) < least:
+                raise UsageError(f"{name} must be {least} or more, got {getattr(self, name)}")
         if not (math.isfinite(self.temperature) and self.temperature >= 0):
             raise UsageError(
                 f"temperature must be a finite number, 0 or more, got {self.temperature!r}"
             )
+        # a float, as the CLI passes it, so that 0 and 0.0 make the same query keys
+        self.temperature = float(self.temperature)
         if self.threshold is not None:
             check_threshold(self.threshold)
-        for name in ("max_depth", "max_paths", "retries"):
-            if getattr(self, name) < 0:
-                raise UsageError(f"{name} must be 0 or more, got {getattr(self, name)}")
 
     def limits(self) -> ReachLimits:
         return ReachLimits(max_depth=self.max_depth, max_paths=self.max_paths)

@@ -1,11 +1,12 @@
-"""Pluggable LLM transports: live HTTP, recording, and replay.
+"""Pluggable LLM transports: live HTTP, and one store for record and replay.
 
 Every query is identified by a content hash over the prompt and the sampling
-parameters (attempt number included, so retries get their own slot). Replay
-mode serves solely from a JSONL store and never opens a connection, which is
-what makes pipeline runs hermetic and reproducible. Record mode is the same
-store with a miss path: it asks any inner transport once per missing key and
-appends the answer; without a store file it is an in-memory memo.
+parameters (attempt number included, so retries get their own slot). The
+store answers by key from a JSONL file. Without an ``ask`` function it
+replays: it serves solely from the file and never opens a connection, which
+is what makes pipeline runs hermetic and reproducible. With one it records:
+it asks once per missing key and appends the answer. Without a file it is an
+in-memory memo.
 """
 
 from __future__ import annotations
@@ -187,82 +188,60 @@ class LiveTransport:
 
 
 class ReplayTransport:
-    """Serves stored responses by key; a miss is an error, never a fetch.
+    """The JSONL store of answers by query key, with an optional miss path.
 
-    The store is JSONL, one ``{"key", "model", "response"}`` record a line.
-    Every non-blank line must be a whole record. A line that is not,
-    including a final line torn by a crash mid-write, raises CorruptStore.
-    When a key has several lines, the first one is served.
+    Each line of the store is one ``{"key", "model", "response"}`` record,
+    and loading raises CorruptStore at any non-blank line that is not. When
+    a key has several lines, the first one is served. Without ``ask`` a miss
+    is a ReplayMiss, never a fetch, and a last line torn by a crash
+    mid-write is a bad line like any other.
+
+    With ``ask(prompt, attempt)`` a miss is asked once per key, however many
+    threads miss it at once, and the answer is appended; a failed ask
+    appends nothing and is asked again on the next miss. A store that does
+    not exist yet starts empty. The first miss opens it for appending, with
+    any missing directories, before it asks, so a store that cannot be
+    opened fails before any answer is paid for; it stays open until
+    ``close()``. Each answer is written and flushed as one whole line, so a
+    crash leaves at most a torn last line, one with no newline. Loading cuts
+    such a line off with a warning, so its key is asked again.
+
+    With ``store_path`` None no file is read or written: with ``ask`` the
+    transport is a memo that asks each key once.
     """
 
-    def __init__(self, store_path: str | None, params: TransportParams) -> None:
+    def __init__(self, store_path: str | None, params: TransportParams, ask=None) -> None:
         self.params = params
         self.store_path = store_path
-        self._responses = self._load()
-
-    def _load(self) -> dict[str, str]:
-        responses: dict[str, str] = {}
-        rows = read_jsonl(self.store_path, CorruptStore, key="string", response="string")
-        for key, response in rows:
-            responses.setdefault(key, response)
-        return responses
-
-    def query(self, prompt: str, attempt: int = 0) -> str:
-        key = query_key(prompt, self.params, attempt)
-        response = self._responses.get(key)
-        if response is None:
-            return self._miss(key, prompt, attempt)
-        return response
-
-    def _miss(self, key: str, prompt: str, attempt: int) -> str:
-        raise ReplayMiss(key=key, context=f"attempt {attempt}")
-
-    def close(self) -> None:
-        """A replay store holds nothing open once loaded."""
-
-
-class RecordTransport(ReplayTransport):
-    """A store that asks an inner transport on a miss and appends the answer.
-
-    An existing store is read first, so a rerun asks only for missing keys.
-    When several threads miss one key, one asks and the others wait for its
-    answer. A failed query appends nothing and is asked again on the next
-    miss. With ``store_path`` None the answers stay in memory and no file is
-    read or written, so the transport is a memo that asks each key once.
-
-    The first miss opens the store for appending, creating the store and
-    any missing directories above it, before it asks the inner transport,
-    so a store that cannot be opened fails before any answer is paid for.
-    It stays open until ``close()``, which closes the inner transport too
-    when that has a ``close()``. Each answer is written and flushed as one
-    whole line, so a crash leaves at most a torn last line, one with no
-    newline. Loading cuts such a line off with a warning, so its key is
-    asked again and the next answer starts a line of its own.
-    """
-
-    def __init__(self, inner, store_path: str | None = None) -> None:
-        self.inner = inner
+        self._ask = ask
         self._lock = threading.Lock()  # guards the store file and _asking
         # a lock for each key being asked, dropped once the key is answered
         self._asking: dict[str, threading.Lock] = {}
         self._store = None  # opened by the first miss
-        super().__init__(store_path, inner.params)
+        self._responses = self._load()
 
     def _load(self) -> dict[str, str]:
-        # the first miss creates the store; its directory may not exist yet
-        if self.store_path is None or not os.path.exists(self.store_path):
+        path = self.store_path
+        # an asking store is created by its first miss; its directory may not exist yet
+        if path is None or (self._ask is not None and not os.path.exists(path)):
             return {}
-        with open(self.store_path, "rb") as fh:
-            data = fh.read()
-        whole = data.rfind(b"\n") + 1
-        if whole < len(data):
-            os.truncate(self.store_path, whole)
-            _log.warning(
-                "%s: cut a torn last line of %d bytes", self.store_path, len(data) - whole
-            )
-        return super()._load()
+        if self._ask is not None:
+            with open(path, "rb") as fh:
+                data = fh.read()
+            whole = data.rfind(b"\n") + 1
+            if whole < len(data):
+                os.truncate(path, whole)
+                _log.warning("%s: cut a torn last line of %d bytes", path, len(data) - whole)
+        rows = read_jsonl(path, CorruptStore, key="string", response="string")
+        return dict(reversed(rows))  # so the first line of a key wins
 
-    def _miss(self, key: str, prompt: str, attempt: int) -> str:
+    def query(self, prompt: str, attempt: int = 0) -> str:
+        key = query_key(prompt, self.params, attempt)
+        response = self._responses.get(key)
+        if response is not None:
+            return response
+        if self._ask is None:
+            raise ReplayMiss(key=key, context=f"attempt {attempt}")
         with self._lock:
             asking = self._asking.setdefault(key, threading.Lock())
         with asking:
@@ -275,7 +254,7 @@ class RecordTransport(ReplayTransport):
                             self._store = open(self.store_path, "ab")
                             # a transport dropped without close() still closes it
                             weakref.finalize(self, self._store.close)
-                response = self.inner.query(prompt, attempt)
+                response = self._ask(prompt, attempt)
                 if self.store_path is not None:
                     record = {"key": key, "model": self.params.model, "response": response}
                     line = (json.dumps(record, ensure_ascii=False) + "\n").encode()
@@ -290,10 +269,24 @@ class RecordTransport(ReplayTransport):
         return response
 
     def close(self) -> None:
+        """Close the store, if a miss opened it."""
         with self._lock:
             if self._store is not None:
                 self._store.close()
                 self._store = None
+
+
+class RecordTransport(ReplayTransport):
+    """The store that asks the transport ``inner``, under ``inner.params``,
+    on a miss. ``close()`` closes ``inner`` too when that has a ``close()``."""
+
+    def __init__(self, inner, store_path: str | None = None) -> None:
+        self.inner = inner
+        # inner.query is looked up at each ask, so a caller may swap it
+        super().__init__(store_path, inner.params, lambda p, attempt: inner.query(p, attempt))
+
+    def close(self) -> None:
+        super().close()
         close_inner = getattr(self.inner, "close", None)
         if close_inner is not None:
             close_inner()

@@ -36,7 +36,7 @@ from fundflow.reachability import (
     prune_and_enumerate,
     render_path,
 )
-from fundflow.transport import LiveTransport, RecordTransport, ReplayTransport
+from fundflow.transport import LiveTransport, RecordTransport, ReplayTransport, query_key
 
 from conftest import ADVERSARIAL_ROWS, BENIGN_ROWS, FIXTURE_TEXT, ScriptedTransport
 
@@ -591,6 +591,29 @@ def test_open_model_validation(tmp_path):
 def test_run_config_rejects_bad_sampling_parameters(field, value):
     with pytest.raises(UsageError, match=field):
         RunConfig(transport="record", store="s.jsonl", **{field: value})
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("threshold", True),
+        ("temperature", False),
+        ("max_tokens", True),
+        ("concurrency", 2.5),
+        ("retries", 1.0),
+        ("max_depth", True),
+        ("max_paths", 3.5),
+    ],
+)
+def test_run_config_rejects_a_bool_or_a_fraction_in_a_numeric_field(field, value):
+    with pytest.raises(UsageError, match=f"{field} must be"):
+        RunConfig(**{field: value})
+
+
+def test_an_integer_temperature_makes_the_same_query_keys():
+    config = RunConfig(temperature=0)
+    assert config.temperature == 0.0 and isinstance(config.temperature, float)
+    assert query_key("p", config.params()) == query_key("p", RunConfig().params())
 
 
 def test_default_config_values():

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import sys
 import threading
@@ -7,6 +8,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 import requests
+from hypothesis import given, settings, strategies as st
 
 from fundflow.cli import main
 from fundflow.scripted import ADVERSARIAL_ROWS, ScriptedTransport
@@ -47,6 +49,35 @@ def test_query_key_stable():
 def test_query_key_sensitive_to_every_field(other):
     prompt, params, attempt = other
     assert query_key(prompt, params, attempt) != query_key("hello", PARAMS, 0)
+
+
+# quotes, backslashes, control characters, line separators and non-ASCII
+# text, which JSON escapes or, with ensure_ascii=False, passes through
+AWKWARD = st.sampled_from(['"', "\\", "\x00", "\x1f", "\n", "\u2028", "é", "€", "\U0001d518"])
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    prompt=st.text(st.one_of(AWKWARD, st.characters())),
+    model=st.text(st.one_of(AWKWARD, st.characters()), max_size=12),
+    temperature=st.floats(min_value=0, max_value=2),
+    max_tokens=st.integers(1, 4096),
+    attempt=st.integers(0, 3),
+)
+def test_query_key_is_the_sha256_of_the_sorted_json_of_the_query(
+    prompt, model, temperature, max_tokens, attempt
+):
+    """Pins the bytes every existing store is keyed by."""
+    query = {
+        "prompt": prompt,
+        "model": model,
+        "temperature": temperature,
+        "max_tokens": max_tokens,
+        "attempt": attempt,
+    }
+    payload = json.dumps(query, sort_keys=True, ensure_ascii=False).encode()
+    params = TransportParams(model=model, temperature=temperature, max_tokens=max_tokens)
+    assert query_key(prompt, params, attempt) == hashlib.sha256(payload).hexdigest()
 
 
 class EchoTransport:
@@ -536,6 +567,59 @@ def test_live_transport_gives_up_after_its_bounded_retries(no_backoff):
         server.shutdown()
         server.server_close()
     assert sent == [500] * (1 + no_backoff["status"])
+
+
+@pytest.fixture
+def failed_connections(monkeypatch):
+    """The list of errors that urllib3's next connections raise, one each,
+    before it connects as usual."""
+    from urllib3.connection import HTTPConnection
+
+    connect, errors = HTTPConnection._new_conn, []
+
+    def new_conn(conn):
+        if errors:
+            raise errors.pop(0)
+        return connect(conn)
+
+    monkeypatch.setattr(HTTPConnection, "_new_conn", new_conn)
+    return errors
+
+
+def test_live_retries_are_shared_by_every_kind_of_failure(no_backoff, failed_connections):
+    """A failed connection and then 503s: three retries in all, so the
+    endpoint sees three requests after the failed connection."""
+    from urllib3.exceptions import NewConnectionError
+
+    failed_connections.append(NewConnectionError(None, "connection refused"))
+    server, endpoint, sent = serve([503])
+    live = LiveTransport(PARAMS, endpoint, "FAKE_API_KEY_VAR")
+    try:
+        with pytest.raises(TransportError, match="503"):
+            live.query("ping")
+    finally:
+        live.close()
+        server.shutdown()
+        server.server_close()
+    assert failed_connections == [] and sent == [503] * 3
+
+
+def test_live_transport_does_not_resend_after_a_tls_failure(no_backoff, failed_connections):
+    """A failure that is neither a connection's nor a status's (here TLS)
+    is not retried."""
+    import ssl
+
+    failed_connections.extend([ssl.SSLError("certificate verify failed")] * 2)
+    server, endpoint, sent = serve([200])
+    live = LiveTransport(PARAMS, endpoint, "FAKE_API_KEY_VAR")
+    try:
+        with pytest.raises(TransportError, match="certificate verify failed"):
+            live.query("ping")
+    finally:
+        live.close()
+        server.shutdown()
+        server.server_close()
+    assert len(failed_connections) == 1 and sent == []
 
 
 def test_live_retry_policy_never_resends_an_unanswered_request():
